@@ -25,11 +25,23 @@ on the discretized inputs (initial coherence, input-field cells, Langevin
 increments).  Second moments are therefore exact for the discretization; no
 noise is ever sampled.  Per step the update applies the exact decay factor
 e^{-Gamma dt} together with the one-step flow of the discrete coupling
-operator (a precomputed lower-triangular matrix exponential), and injected
+operator (a lower-triangular matrix exponential in closed form), and injected
 noise enters at its exponentially weighted mean arrival time inside the
 step.  Smooth variance functionals converge at second order under joint
 refinement (declared order 2); kernel tables are cell-averaged influence
 coefficients labeled at the left grid node and converge at first order.
+
+Every output is a contraction of the coefficients with the quadrature
+weights w.  A step inside one drive segment uses that segment's exact rate,
+so when the whole horizon has one rate every step applies the same operator
+M and only the row vectors r_m = w M^m are propagated: r_K gives the
+initial-coherence weights at step K, r_m v_inj the field weight of an input
+cell m steps back (a Toeplitz table), and sum_{m<K} r_m lang r_m the
+Langevin part.  That run builds three step exponentials, O(nz^2) each, and
+costs O(ntau nz^2).  Only a drive with more than one rate in the horizon
+steps the full coefficient matrices (``_propagate_dense``, O(ntau nz^3),
+three exponentials per distinct rate); it is also the tests' reference for
+the contracted path.
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.linalg import expm, toeplitz
+from scipy.linalg import toeplitz
 
 from .mapping import NoiseReport, SqueezingModel, eta_from_variance
 from .model import DriveParams, MediumParams, total_dephasing
@@ -123,6 +135,26 @@ class PulseArea:
             if tau < t:
                 return r
         return self.final_rate
+
+    def step_rates(self, dt: float, n: int) -> np.ndarray:
+        """Mean coupling rate over each step [k dt, (k+1) dt], k < n.
+
+        A step inside one segment gets that segment's rate exactly, so a grid
+        aligned to the profile sees one value per segment (a breakpoint
+        within 1e-9 dt of a node counts as on it).  Only a step straddling a
+        breakpoint gets its area increment over dt.
+        """
+        lo = np.arange(n) * dt
+        hi = np.arange(1, n + 1) * dt
+        slack = 1e-9 * dt
+        knots = np.asarray(self.breakpoints, dtype=float)
+        segment_rates = np.array([*self.rates, self.final_rate])
+        rates = segment_rates[np.searchsorted(knots, (lo + hi) / 2.0, side="right")]
+        straddle = (np.searchsorted(knots, hi - slack)
+                    > np.searchsorted(knots, lo + slack, side="right"))
+        for k in np.flatnonzero(straddle):
+            rates[k] = (self.value(hi[k]) - self.value(lo[k])) / dt
+        return rates
 
     def knots_up_to(self, tau: float) -> list[float]:
         return [t for t in self.breakpoints if t < tau]
@@ -293,13 +325,33 @@ class KernelTable:
     light_part_trace: np.ndarray
 
 
-def _cumtrapz_matrix(nz: int, dz: float) -> np.ndarray:
-    T = np.zeros((nz + 1, nz + 1))
-    for i in range(1, nz + 1):
-        T[i, 0] = dz / 2.0
-        T[i, 1:i] = dz
-        T[i, i] = dz / 2.0
-    return T
+def expm(x: float, nz: int, dz: float) -> np.ndarray:
+    """exp(-x T) for the cumulative-trapezoid matrix T on nz + 1 nodes,
+    (T f)_i = trapezoid integral of f from node 0 to node i.
+
+    T / dz = [[0, 0], [1/2, A]] with A lower-triangular Toeplitz of symbol
+    (1 + y) / (2 (1 - y)).  So the exponential has first row (1, 0, ..., 0),
+    a lower-right block that is lower-triangular Toeplitz of symbol
+    E(y) = e^{-t/2} exp(-t y / (1 - y)) = e^{-t/2} sum_k L_k^{(-1)}(t) y^k,
+    t = x dz (generalized Laguerre polynomials, by their three-term
+    recurrence), and the series (E(y) - 1) / (1 + y) below it in the first
+    column.  A closed form, O(nz^2) to fill where a general matrix
+    exponential is O(nz^3), and closer to the exact entries than scipy's
+    Pade approximant.
+    """
+    t = x * dz
+    lag = [1.0, -t]
+    for k in range(1, nz - 1):
+        lag.append(((2 * k - t) * lag[k] - (k - 1) * lag[k - 1]) / (k + 1))
+    symbol = math.exp(-t / 2.0) * np.array(lag[:nz])
+    shifted = symbol.copy()
+    shifted[0] = math.expm1(-t / 2.0)
+    sign = (-1.0) ** np.arange(nz)
+    out = np.zeros((nz + 1, nz + 1))
+    out[0, 0] = 1.0
+    out[1:, 0] = sign * np.cumsum(sign * shifted)  # series division by 1 + y
+    out[1:, 1:] = toeplitz(symbol, np.zeros(nz))
+    return out
 
 
 def _mean_arrival(rate: float, dt: float) -> float:
@@ -327,6 +379,164 @@ def _cell_correlator(model: SqueezingModel, ntau: int, dt: float) -> np.ndarray:
     return toeplitz(first_row)
 
 
+class _Discretization:
+    """What both propagators share: nodes, quadrature weights, per-step
+    rates, the input correlator and the step operators of each rate."""
+
+    def __init__(self, medium: MediumParams, drive: DriveParams, grid: GridSpec,
+                 model: SqueezingModel):
+        self.length = length = medium.length
+        gamma = total_dephasing(medium, drive, drive_on=True)
+        area = PulseArea.from_drive(drive)
+
+        nz, ntau = grid.nz, grid.ntau
+        dz = length / nz
+        self.dt = dt = grid.tau_max / ntau
+
+        g_max = area.max_rate()
+        if g_max * dt * dz > STABILITY_EXCHANGE_BOUND:
+            raise GridConfigError(
+                f"exchange bound violated: g*dt*dz = {g_max * dt * dz:.3g} > {STABILITY_EXCHANGE_BOUND}"
+            )
+        if gamma * dt > STABILITY_DECAY_BOUND:
+            raise GridConfigError(
+                f"decay bound violated: Gamma*dt = {gamma * dt:.3g} > {STABILITY_DECAY_BOUND}"
+            )
+
+        self.z = np.linspace(0.0, length, nz + 1)
+        self.tau = np.arange(ntau + 1) * dt
+        self.w = w = np.full(nz + 1, dz)
+        w[0] = w[-1] = dz / 2.0
+        self.corr = _cell_correlator(model, ntau, dt)
+        self.rates = area.step_rates(dt, ntau)
+
+        d = math.exp(-gamma * dt)
+        phi = (1.0 - d) / gamma if gamma > 0 else dt
+        s_field = _mean_arrival(gamma, dt)
+        s_lang = _mean_arrival(2.0 * gamma, dt)
+        self.lang_amp = 1.0 - d * d  # vanishes with the dephasing, as the noise must
+        self.coeff_bound = 4.0 * max(1.0, phi * math.sqrt(g_max))
+
+        # (M, v_inj, Hl) per distinct rate: the one-step flow, the injection
+        # vector of an input cell, and the flow over the Langevin noise's mean
+        # arrival time (one step adds lang_amp Hl diag(1/w) Hl^T to sig)
+        self.ops: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        for rate in dict.fromkeys(self.rates.tolist()):
+            self.ops[rate] = (
+                d * expm(rate * dt, nz, dz),
+                phi * math.sqrt(rate) * expm(rate * s_field, nz, dz).sum(axis=1),
+                expm(rate * s_lang, nz, dz),
+            )
+
+    def table(self, init_weights, lang_part, light_part, light_kernel,
+              field_pass) -> KernelTable:
+        """Assemble the tables from w c_init (init_weights), w sig w
+        (lang_part) and the light variance of every step."""
+        w, length = self.w, self.length
+        atom = (np.sum(init_weights * init_weights / w, axis=1) + lang_part) / length
+        light = light_part / length
+        return KernelTable(
+            z=self.z,
+            tau=self.tau,
+            init_kernel=init_weights / w,
+            light_kernel=light_kernel,
+            field_pass=field_pass,
+            variance_trace=atom + light,
+            atom_part_trace=atom,
+            light_part_trace=light,
+        )
+
+
+def _propagate_single_rate(disc: _Discretization) -> KernelTable:
+    """All steps share one operator M, so only r_m = w M^m is propagated.
+
+    At step K the initial-coherence weights are r_K, the field weight of the
+    input cell j < K is s_{K-1-j} with s_m = r_m v_inj, and the Langevin part
+    is sum_{m<K} r_m lang r_m.  O(ntau nz^2) against the dense O(ntau nz^3).
+    """
+    w, rate = disc.w, float(disc.rates[0])
+    M, v_inj, Hl = disc.ops[rate]
+    ntau = len(disc.rates)
+
+    r = np.empty((ntau + 1, len(w)))
+    r[0] = w
+    for m in range(ntau):
+        r[m + 1] = r[m] @ M
+    s = r[:-1] @ v_inj
+
+    # the dense guard bounds the coefficients; their contractions keep that
+    # scale as r_K / w (per coherence sample) and s_m / L.  Row i is step
+    # i + 1.  "not <=" counts a NaN left by overflow as growth.
+    bound = disc.coeff_bound
+    bad = ~np.all(np.abs(r[1:] / w) <= bound, axis=1) | ~(np.abs(s) / disc.length <= bound)
+    if bad.any():
+        raise GridGrowthError(f"influence coefficients diverged at step {np.argmax(bad) + 1}")
+
+    lang_part = np.zeros(ntau + 1)
+    rh = r[:-1] @ Hl
+    lang_part[1:] = np.cumsum(disc.lang_amp * np.sum(rh * rh / w, axis=1))
+    # the correlator is Toeplitz, so the light variance at step K is the
+    # quadratic form of s_0..s_{K-1} with its leading K x K block, and each
+    # step adds one row and column
+    light_part = np.zeros(ntau + 1)
+    cross = np.tril(disc.corr, -1) @ s
+    light_part[1:] = np.cumsum(s * (2.0 * cross + disc.corr[0, 0] * s))
+
+    field_weights = toeplitz(s, np.zeros(ntau))  # row K - 1 holds w c_field at step K
+    sqrt_rate = math.sqrt(rate)
+    light_kernel = np.zeros((ntau + 1, ntau))
+    if rate > 0:
+        light_kernel[1:] = field_weights / (disc.dt * sqrt_rate)
+    field_pass = np.eye(ntau)
+    field_pass[1:] -= sqrt_rate * field_weights[:-1]
+    return disc.table(r, lang_part, light_part, light_kernel, field_pass)
+
+
+def _propagate_dense(disc: _Discretization) -> KernelTable:
+    """Step the full influence-coefficient matrices; needed when the step
+    operators differ (more than one drive rate in the horizon)."""
+    w, rates, dt, corr = disc.w, disc.rates, disc.dt, disc.corr
+    nz1, ntau = len(w), len(rates)
+    sqrt_rates = np.sqrt(rates)
+    langs = {rate: disc.lang_amp * (Hl * (1.0 / w)) @ Hl.T
+             for rate, (_, _, Hl) in disc.ops.items()}
+
+    c_init = np.eye(nz1)
+    c_field = np.zeros((nz1, ntau))
+    sig = np.zeros((nz1, nz1))
+
+    init_weights = np.zeros((ntau + 1, nz1))
+    lang_part = np.zeros(ntau + 1)
+    light_part = np.zeros(ntau + 1)
+    light_kernel = np.zeros((ntau + 1, ntau))
+    field_pass = np.zeros((ntau, ntau))
+    init_weights[0] = w
+
+    for k in range(ntau):
+        rate = float(rates[k])
+        M, v_inj, _ = disc.ops[rate]
+        # transmitted field at the current step, before injecting input k
+        field_pass[k] = -sqrt_rates[k] * (w @ c_field)
+        field_pass[k, k] += 1.0
+
+        c_init = M @ c_init
+        c_field = M @ c_field
+        c_field[:, k] += v_inj
+        sig = M @ (M @ sig).T + langs[rate]
+
+        wf = w @ c_field
+        with np.errstate(invalid="ignore", divide="ignore"):
+            light_kernel[k + 1] = np.where(rates > 0, wf / (dt * sqrt_rates), 0.0)
+        init_weights[k + 1] = w @ c_init
+        lang_part[k + 1] = w @ sig @ w
+        light_part[k + 1] = wf @ corr @ wf
+
+        if np.max(np.abs(c_init)) > disc.coeff_bound or np.max(np.abs(c_field)) > disc.coeff_bound:
+            raise GridGrowthError(f"influence coefficients diverged at step {k + 1}")
+
+    return disc.table(init_weights, lang_part, light_part, light_kernel, field_pass)
+
+
 def simulate_grid(
     medium: MediumParams,
     drive: DriveParams,
@@ -339,114 +549,15 @@ def simulate_grid(
     Raises GridConfigError when the declared stability bounds are violated
     and GridGrowthError if any influence coefficient grows without bound.
     """
-    length = medium.length
-    gamma = total_dephasing(medium, drive, drive_on=True)
-    area = PulseArea.from_drive(drive)
-
-    nz, ntau = grid.nz, grid.ntau
-    dz = length / nz
-    dt = grid.tau_max / ntau
-
-    g_max = area.max_rate()
-    if g_max * dt * dz > STABILITY_EXCHANGE_BOUND:
-        raise GridConfigError(
-            f"exchange bound violated: g*dt*dz = {g_max * dt * dz:.3g} > {STABILITY_EXCHANGE_BOUND}"
-        )
-    if gamma * dt > STABILITY_DECAY_BOUND:
-        raise GridConfigError(
-            f"decay bound violated: Gamma*dt = {gamma * dt:.3g} > {STABILITY_DECAY_BOUND}"
-        )
-
-    z = np.linspace(0.0, length, nz + 1)
-    tau = np.arange(ntau + 1) * dt
-    w = np.full(nz + 1, dz)
-    w[0] = w[-1] = dz / 2.0
-
-    T = _cumtrapz_matrix(nz, dz)
-    d = math.exp(-gamma * dt)
-    phi = (1.0 - d) / gamma if gamma > 0 else dt
-    s_field = _mean_arrival(gamma, dt)
-    s_lang = _mean_arrival(2.0 * gamma, dt)
-    lang_amp = 1.0 - d * d  # vanishes with the dephasing, as the noise must
-
-    # per-step operators, cached per distinct drive rate
-    cache: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def step_ops(rate: float):
-        if rate not in cache:
-            M = d * expm(-rate * dt * T)
-            Hf = expm(-rate * s_field * T)
-            Hl = expm(-rate * s_lang * T)
-            v_inj = phi * math.sqrt(rate) * (Hf @ np.ones(nz + 1))
-            lang = lang_amp * (Hl * (1.0 / w)) @ Hl.T
-            cache[rate] = (M, v_inj, lang)
-        return cache[rate]
-
-    c_init = np.eye(nz + 1)
-    c_field = np.zeros((nz + 1, ntau))
-    sig = np.zeros((nz + 1, nz + 1))
-
-    corr = _cell_correlator(model, ntau, dt)
-
-    init_kernel = np.zeros((ntau + 1, nz + 1))
-    light_kernel = np.zeros((ntau + 1, ntau))
-    field_pass = np.zeros((ntau, ntau))
-    variance_trace = np.zeros(ntau + 1)
-    atom_trace = np.zeros(ntau + 1)
-    light_trace = np.zeros(ntau + 1)
-
-    def record(k: int):
-        wi = w @ c_init
-        wf = w @ c_field
-        atom = (np.sum(wi * wi / w) + w @ sig @ w) / length
-        light = (wf @ corr @ wf) / length
-        init_kernel[k] = wi / w
-        atom_trace[k] = atom
-        light_trace[k] = light
-        variance_trace[k] = atom + light
-
-    record(0)
-    # exact per-step area increments; reduce to the segment rate on aligned grids
-    rates = np.maximum(np.array([
-        (area.value((k + 1) * dt) - area.value(k * dt)) / dt for k in range(ntau)
-    ]), 0.0)
-    sqrt_rates = np.sqrt(rates)
-    coeff_bound = 4.0 * max(1.0, phi * math.sqrt(g_max))
-
-    for k in range(ntau):
-        M, v_inj, lang = step_ops(float(rates[k]))
-        # transmitted field at the current step, before injecting input k
-        field_pass[k] = -sqrt_rates[k] * (w @ c_field)
-        field_pass[k, k] += 1.0
-
-        c_init = M @ c_init
-        c_field = M @ c_field
-        c_field[:, k] += v_inj
-        sig = M @ (M @ sig).T + lang
-
-        wf = w @ c_field
-        with np.errstate(invalid="ignore", divide="ignore"):
-            light_kernel[k + 1] = np.where(rates > 0, wf / (dt * sqrt_rates), 0.0)
-        record(k + 1)
-
-        if np.max(np.abs(c_init)) > coeff_bound or np.max(np.abs(c_field)) > coeff_bound:
-            raise GridGrowthError(f"influence coefficients diverged at step {k + 1}")
-
-    table = KernelTable(
-        z=z,
-        tau=tau,
-        init_kernel=init_kernel,
-        light_kernel=light_kernel,
-        field_pass=field_pass,
-        variance_trace=variance_trace,
-        atom_part_trace=atom_trace,
-        light_part_trace=light_trace,
-    )
+    disc = _Discretization(medium, drive, grid, model)
+    single_rate = bool(np.all(disc.rates == disc.rates[0]))
+    table = _propagate_single_rate(disc) if single_rate else _propagate_dense(disc)
+    variance = float(table.variance_trace[-1])
     report = NoiseReport(
-        variance_norm=float(variance_trace[-1]),
-        eta=eta_from_variance(float(variance_trace[-1]), model.noise_floor),
-        atom_langevin_part=float(atom_trace[-1]),
-        light_part=float(light_trace[-1]),
+        variance_norm=variance,
+        eta=eta_from_variance(variance, model.noise_floor),
+        atom_langevin_part=float(table.atom_part_trace[-1]),
+        light_part=float(table.light_part_trace[-1]),
     )
     return table, report
 
@@ -473,10 +584,9 @@ def light_kernel_reference(area: PulseArea, length: float, gamma: float,
     avals = np.array([area.value(x) for x in t])
     ntau = len(t) - 1
     kernel = np.zeros((ntau + 1, ntau))
-    for k in range(1, ntau + 1):
-        u = avals[k] - avals[:k]
-        s = t[k] - t[:k]
-        kernel[k, :k] = np.exp(-gamma * s) * length * _j1_over_sqrt_vec(u * length)
+    k, kp = np.tril_indices(ntau + 1, -1, ntau)
+    u = avals[k] - avals[kp]
+    kernel[k, kp] = np.exp(-gamma * (t[k] - t[kp])) * length * _j1_over_sqrt_vec(u * length)
     return kernel
 
 

@@ -281,3 +281,12 @@ class TestNumericsExitCode:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("dimensionless.alpha = 1\n")
         assert cli.main(["transient", "--config", str(cfg)]) == 3
+
+    def test_grid_growth_maps_to_exit_three(self, tmp_path, monkeypatch, capfd):
+        from spinmap import cli
+
+        monkeypatch.setattr(cli.dynamics, "expm", lambda x, nz, dz: 1.5 * np.eye(nz + 1))
+        code, text = run_cli(["simulate"], tmp_path,
+                             "dimensionless.alpha = 2\ngrid.nz = 20\ngrid.ntau = 40\n")
+        assert code == 3 and text == ""
+        assert "diverged at step" in capfd.readouterr().err

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from spinmap import dynamics
 from spinmap.dynamics import (
     GridConfigError,
+    GridGrowthError,
     GridSpec,
     PulseArea,
     VARIANCE_CONVERGENCE_ORDER,
@@ -55,6 +57,21 @@ class TestPulseArea:
         assert area.value(5.0) == pytest.approx(3.0, rel=1e-15)  # drive off after pulse
         assert area.rate(1.2) == 1.0
         assert area.rate(3.0) == 0.0
+
+    def test_step_rates_exact_inside_segments(self):
+        area = PulseArea.from_drive(DriveParams(g=2.0, gamma_s=0.0, tau_pulse=1.0,
+                                                profile=((0.3, 1.0), (0.4, 0.5), (0.3, 0.8))))
+        # dt = 0.1 steps onto every breakpoint, where k * dt is not exact
+        rates = area.step_rates(0.1, 12)
+        assert rates.tolist() == [2.0] * 3 + [1.0] * 4 + [1.6] * 3 + [0.0] * 2
+
+    def test_step_rates_straddle_keeps_area(self):
+        area = PulseArea.from_drive(DriveParams(g=2.0, gamma_s=0.0, tau_pulse=1.0,
+                                                profile=((0.25, 1.0), (0.75, 0.5))))
+        rates = area.step_rates(0.1, 10)
+        assert rates[2] == pytest.approx((area.value(0.3) - area.value(0.2)) / 0.1, rel=1e-14)
+        assert rates[1] == 2.0 and rates[3] == 1.0
+        assert float(np.sum(rates)) * 0.1 == pytest.approx(area.value(1.0), rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -294,6 +311,42 @@ class TestSimulateGrid:
         with pytest.raises(GridConfigError):
             simulate_grid(medium, constant_drive(1.0),
                           GridSpec(nz=10, ntau=10, tau_max=100.0), SqueezingModel.flat(1.0))
+
+    @pytest.mark.parametrize("profile, distinct_rates", [
+        ((), 1),
+        (((0.25, 1.0), (0.5, 0.5), (0.25, 0.8)), 3),
+        (((0.25, 1.0), (0.25, 0.5), (0.25, 0.8)), 4),  # drive off for the last quarter
+    ])
+    def test_three_operators_per_distinct_rate(self, monkeypatch, profile, distinct_rates):
+        calls = []
+        original = dynamics.expm
+
+        def counting_expm(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dynamics, "expm", counting_expm)
+        drive = DriveParams(g=2.0, gamma_s=0.0, tau_pulse=2.0, profile=profile)
+        simulate_grid(unit_medium(), drive, GridSpec(nz=20, ntau=40, tau_max=1.0),
+                      SqueezingModel.flat(1.0))
+        assert len(calls) == 3 * distinct_rates
+
+    def test_single_rate_skips_dense_loop(self, monkeypatch):
+        def refuse(disc):
+            raise AssertionError("dense loop ran for a single-rate drive")
+
+        monkeypatch.setattr(dynamics, "_propagate_dense", refuse)
+        simulate_grid(unit_medium(), constant_drive(2.0), GridSpec(nz=20, ntau=40, tau_max=1.0),
+                      SqueezingModel.flat(1.0))
+
+    @pytest.mark.parametrize("profile", [(), ((0.5, 1.0), (0.5, 0.5))])
+    def test_growth_guard_names_step(self, monkeypatch, profile):
+        monkeypatch.setattr(dynamics, "expm", lambda x, nz, dz: 1.5 * np.eye(nz + 1))
+        drive = DriveParams(g=2.0, gamma_s=0.0, tau_pulse=2.0, profile=profile)
+        with pytest.raises(GridGrowthError, match="at step 4$"):
+            # 1.5 e^{-Gamma dt} = 1.4925 per step passes the bound 4 at step 4
+            simulate_grid(unit_medium(), drive, GridSpec(nz=20, ntau=200, tau_max=1.0),
+                          SqueezingModel.flat(1.0))
 
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError):
