@@ -13,17 +13,16 @@ import sys
 import numpy as np
 
 from . import dynamics, mapping, teleport
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .dynamics import GridGrowthError, GridSpec, PulseArea
 from .model import DriveParams, MediumParams, check_feasibility, total_dephasing
-from .specfun import QuadratureConvergenceError
+from .specfun import QuadratureConvergenceError, bessel_j0, bessel_j1, integrate_adaptive
 
 EXIT_OK = 0
 EXIT_PHYSICS = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 
-DEFAULT_B_LIST = (50.0, 10.0)
 VERIFY_KERNEL_LADDER = (100, 200, 400)
 VERIFY_KERNEL_ALPHA = 0.5
 VERIFY_KERNEL_TAU_MAX = 0.5
@@ -63,18 +62,15 @@ def _dimensionless_medium_drive(alpha: float, tau_max: float):
 # ---------------------------------------------------------------------------
 
 def cmd_efficiency(cfg: RunConfig, out: str | None, tol: float) -> int:
-    grid = cfg.get_grid("dimensionless.alpha_grid", mapping.DEFAULT_ALPHA_GRID)
-    if cfg.has("dimensionless.b_list"):
-        b_list = [float(b) for b in cfg.get_grid("dimensionless.b_list")]
-    else:
-        b_list = list(DEFAULT_B_LIST)
-    s = cfg.get_float("dimensionless.s", 1.0)
+    grid = cfg["dimensionless.alpha_grid"]
+    b_list = [float(b) for b in cfg["dimensionless.b_list"]]
+    models = [mapping.SqueezingModel.flat(0.0)] + [
+        mapping.SqueezingModel.lorentzian(gamma_q=b, s=cfg["dimensionless.s"]) for b in b_list
+    ]
 
-    header = ["alpha", "eta_flat"] + [f"eta_b{_fmt(float(b))}" for b in b_list]
-    columns = [[mapping.eta_closed(a) for a in grid]]
-    for b in b_list:
-        model = mapping.SqueezingModel.lorentzian(gamma_q=b, s=s)
-        columns.append([eta for _, eta in mapping.efficiency_curve(grid, model, tol=tol)])
+    header = ["alpha", "eta_flat"] + [f"eta_b{_fmt(b)}" for b in b_list]
+    columns = [[eta for _, eta in mapping.efficiency_curve(grid, model, tol=tol)]
+               for model in models]
     rows = [[float(a), *(col[i] for col in columns)] for i, a in enumerate(grid)]
     _emit(_csv(header, rows), out)
     return EXIT_OK
@@ -84,9 +80,8 @@ def cmd_spectrum(cfg: RunConfig, out: str | None, tol: float) -> int:
     del tol
     alpha = cfg.alpha()
     model = cfg.squeezing_model()
-    x_grid = cfg.get_grid("dimensionless.x_grid", np.linspace(-30.0, 30.0, 241))
     rows = []
-    for x in x_grid:
+    for x in cfg["dimensionless.x_grid"]:
         s0 = model.spectral_density(float(x))
         rows.append([
             float(x),
@@ -100,13 +95,9 @@ def cmd_spectrum(cfg: RunConfig, out: str | None, tol: float) -> int:
 def cmd_transient(cfg: RunConfig, out: str | None, tol: float) -> int:
     alpha = cfg.alpha()
     model = cfg.squeezing_model()
-    tau_max = cfg.get_float("transient.tau_max_gamma", 10.0)
-    points = cfg.get_int("transient.points", 200)
-    if tau_max <= 0 or points < 1:
-        raise ConfigError("transient.tau_max_gamma", "horizon and points must be positive")
     area = PulseArea.constant(alpha)  # Gamma = 1, L = 1 units
     rows = []
-    for tau in np.linspace(0.0, tau_max, points + 1):
+    for tau in np.linspace(0.0, cfg["transient.tau_max_gamma"], cfg["transient.points"] + 1):
         report = dynamics.transient_variance(area, 1.0, 1.0, model, float(tau), tol=tol)
         rows.append([float(tau), report.variance_norm, report.eta])
     _emit(_csv(["tau_gamma", "variance_norm", "eta"], rows), out)
@@ -116,17 +107,14 @@ def cmd_transient(cfg: RunConfig, out: str | None, tol: float) -> int:
 def cmd_simulate(cfg: RunConfig, out: str | None, tol: float) -> int:
     del tol
     model = cfg.squeezing_model()
-    nz = cfg.get_int("grid.nz", 200)
-    ntau = cfg.get_int("grid.ntau", 200)
-    tau_max_gamma = cfg.get_float("grid.tau_max_gamma", 1.0)
+    tau_max_gamma = cfg["grid.tau_max_gamma"]
 
-    medium = cfg.medium()
-    drive = cfg.drive()
+    medium = cfg.record("medium")
+    drive = cfg.record("drive")
     if medium is None or drive is None:
-        alpha = cfg.alpha()
-        medium, drive = _dimensionless_medium_drive(alpha, tau_max_gamma)
+        medium, drive = _dimensionless_medium_drive(cfg.alpha(), tau_max_gamma)
     gamma = total_dephasing(medium, drive, drive_on=True)
-    grid = GridSpec(nz=nz, ntau=ntau, tau_max=tau_max_gamma / gamma)
+    grid = GridSpec(nz=cfg["grid.nz"], ntau=cfg["grid.ntau"], tau_max=tau_max_gamma / gamma)
 
     table, _report = dynamics.simulate_grid(medium, drive, grid, model)
     rows = [
@@ -154,14 +142,8 @@ def cmd_simulate(cfg: RunConfig, out: str | None, tol: float) -> int:
 
 def cmd_teleport(cfg: RunConfig, out: str | None, tol: float) -> int:
     del tol
-    alpha_pulse = cfg.get_float("teleport.alpha_pulse")
-    if alpha_pulse is None:
-        raise ConfigError("teleport.alpha_pulse", "required but missing")
-    threshold = cfg.get_float("teleport.r_threshold", teleport.DEFAULT_R_THRESHOLD)
-    epr_residual = cfg.get_float("teleport.epr_residual", 0.0)
-
-    bs = teleport.coupling_r(alpha_pulse, threshold=threshold)
-    budget = teleport.readout_noise_budget(bs.r, epr_residual)
+    bs = teleport.coupling_r(cfg["teleport.alpha_pulse"], threshold=cfg["teleport.r_threshold"])
+    budget = teleport.readout_noise_budget(bs.r, cfg["teleport.epr_residual"])
     rows = [[
         bs.r, bs.valid, bs.epr_requirement, bs.commutator_defect,
         budget.epr_residual, budget.passes, budget.residual_over_r,
@@ -175,15 +157,11 @@ def cmd_teleport(cfg: RunConfig, out: str | None, tol: float) -> int:
 
 def cmd_feasibility(cfg: RunConfig, out: str | None, tol: float) -> int:
     del tol
-    medium = cfg.medium(required=True)
-    drive = cfg.drive(required=True)
-    physics = cfg.physics(required=True)
-    ratio = cfg.get_float("feasibility.ratio", 10.0)
-    fresnel = (
-        cfg.get_float("feasibility.fresnel_min", 0.3),
-        cfg.get_float("feasibility.fresnel_max", 3.0),
-    )
-    report = check_feasibility(medium, drive, physics, ratio=ratio, fresnel_range=fresnel)
+    medium, drive, physics = (cfg.record(block, required=True)
+                              for block in ("medium", "drive", "physics"))
+    fresnel = (cfg["feasibility.fresnel_min"], cfg["feasibility.fresnel_max"])
+    report = check_feasibility(medium, drive, physics, ratio=cfg["feasibility.ratio"],
+                               fresnel_range=fresnel)
     rows = [
         [c.name, c.left, c.right, c.required_ratio, c.passed]
         for c in report.conditions
@@ -228,13 +206,11 @@ def _verify_checks(cfg: RunConfig, tol: float):
         add("transient_vacuum", f"tau_gamma={_fmt(tau)}", rep.variance_norm, 1.0, 1e-8)
 
     # grid oracle: vacuum passthrough at the configured grid
-    nz = cfg.get_int("grid.nz", 200)
-    ntau = cfg.get_int("grid.ntau", 200)
-    tau_max = cfg.get_float("grid.tau_max_gamma", 1.0)
+    tau_max = cfg["grid.tau_max_gamma"]
     for alpha in (0.5, 5.0):
         medium, drive = _dimensionless_medium_drive(alpha, tau_max)
         table, _ = dynamics.simulate_grid(
-            medium, drive, GridSpec(nz=nz, ntau=ntau, tau_max=tau_max),
+            medium, drive, GridSpec(nz=cfg["grid.nz"], ntau=cfg["grid.ntau"], tau_max=tau_max),
             mapping.SqueezingModel.flat(1.0),
         )
         worst = float(np.max(np.abs(table.variance_trace - 1.0)))
@@ -255,7 +231,6 @@ def _verify_checks(cfg: RunConfig, tol: float):
 
     # spatial integral of the pointwise Langevin kernels reproduces the
     # collective J0 form (the identity behind the single-kernel Langevin term)
-    from .specfun import bessel_j0, bessel_j1, integrate_adaptive
     for u in (0.3, 2.0):
         for zp in (0.0, 0.4, 0.9):
             val = integrate_adaptive(

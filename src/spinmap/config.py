@@ -5,6 +5,13 @@ ignored.  Grids accept either an explicit comma list (``0,1,20,60``) or a
 generator form ``logspace:lo:hi:n`` / ``linspace:lo:hi:n``.  Drive profiles
 are comma-separated ``duration:relative_power`` segments.
 
+Every key is declared once, in ``KEYS``; a key's block is the part before
+its dot.  Loading types every present value and checks that it is finite
+and within its bound, so a bad value fails with a ``ConfigError`` naming its
+key whichever command runs.  SI keys are bounded by the record they fill
+(``MediumParams``, ``DriveParams``, ``AtomicPhysics``) when that record is
+built.
+
 Engines run from the dimensionless block; the SI blocks feed the feasibility
 checks and may be used to derive dimensionless values.  When a quantity is
 given both ways the two must agree to one part in 1e9 or the run aborts.
@@ -13,75 +20,89 @@ given both ways the two must agree to one part in 1e9 or the run aborts.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .mapping import SqueezingModel
-from .model import AtomicPhysics, DriveParams, MediumParams, total_dephasing
+from .mapping import DEFAULT_SPECTRAL_TOL, SqueezingModel
+from .model import AtomicPhysics, DriveParams, MediumParams, optical_depth, total_dephasing
+from .teleport import DEFAULT_R_THRESHOLD
 
 SI_AGREEMENT_RTOL = 1e-9
+REQUIRED = None  # no default: the value must be given where it is used
 
-KNOWN_KEYS = {
-    # dimensionless engine block
-    "dimensionless.alpha",
-    "dimensionless.alpha_grid",
-    "dimensionless.b",
-    "dimensionless.b_list",
-    "dimensionless.s",
-    "dimensionless.x0_sq",
-    "dimensionless.input",
-    "dimensionless.x_grid",
-    # transient sampling
-    "transient.tau_max_gamma",
-    "transient.points",
-    # grid oracle block
-    "grid.nz",
-    "grid.ntau",
-    "grid.tau_max_gamma",
-    # tolerances
-    "tolerance.quad_abs",
-    # SI medium block
-    "medium.density_per_m3",
-    "medium.length_m",
-    "medium.area_m2",
-    "medium.gamma0_per_s",
-    "medium.wavelength_m",
-    # SI drive block
-    "drive.g_per_m_per_s",
-    "drive.gamma_s_per_s",
-    "drive.tau_pulse_s",
-    "drive.profile",
-    # SI atomic-physics block
-    "physics.omega_rad_per_s",
-    "physics.delta_1photon_rad_per_s",
-    "physics.gamma_i_per_s",
-    "physics.dipole_sum_si",
-    "physics.saturation",
-    "physics.gamma_q_per_s",
-    "physics.k_mismatch_per_m",
-    # feasibility thresholds
-    "feasibility.ratio",
-    "feasibility.fresnel_min",
-    "feasibility.fresnel_max",
-    # read-out block
-    "teleport.alpha_pulse",
-    "teleport.epr_residual",
-    "teleport.r_threshold",
+
+class Key(NamedTuple):
+    kind: str                # float, int, grid, profile or choice
+    default: object = REQUIRED  # config text, or the typed value when no text means it
+    bound: str = ""          # a _BOUNDS entry; SI keys are bounded by their record
+    field: str = ""          # record field filled by an SI key
+
+
+KEYS = {
+    "dimensionless.alpha": Key("float", bound=">= 0"),
+    "dimensionless.alpha_grid": Key("grid", "logspace:0.01:1000:200", ">= 0, ascending"),
+    "dimensionless.b": Key("float", bound="> 0"),
+    "dimensionless.b_list": Key("grid", "50,10", "> 0"),
+    "dimensionless.s": Key("float", "1", "in [0, 1]"),
+    "dimensionless.x0_sq": Key("float", "0", ">= 0"),
+    "dimensionless.input": Key("choice", "flat", "flat or lorentzian"),
+    "dimensionless.x_grid": Key("grid", "linspace:-30:30:241"),
+    "transient.tau_max_gamma": Key("float", "10", "> 0"),
+    "transient.points": Key("int", "200", ">= 1"),
+    "grid.nz": Key("int", "200", ">= 2"),
+    "grid.ntau": Key("int", "200", ">= 2"),
+    "grid.tau_max_gamma": Key("float", "1", "> 0"),
+    "tolerance.quad_abs": Key("float", str(DEFAULT_SPECTRAL_TOL), "> 0"),
+    "medium.density_per_m3": Key("float", field="density"),
+    "medium.length_m": Key("float", field="length"),
+    "medium.area_m2": Key("float", field="area"),
+    "medium.gamma0_per_s": Key("float", field="gamma0"),
+    "medium.wavelength_m": Key("float", field="wavelength"),
+    "drive.g_per_m_per_s": Key("float", field="g"),
+    "drive.gamma_s_per_s": Key("float", field="gamma_s"),
+    "drive.tau_pulse_s": Key("float", field="tau_pulse"),
+    "drive.profile": Key("profile", (), field="profile"),  # () is constant unit power
+    "physics.omega_rad_per_s": Key("float", field="omega"),
+    "physics.delta_1photon_rad_per_s": Key("float", field="delta_1photon"),
+    "physics.gamma_i_per_s": Key("float", field="gamma_i"),
+    "physics.dipole_sum_si": Key("float", field="dipole_sum"),
+    "physics.saturation": Key("float", field="saturation"),
+    "physics.gamma_q_per_s": Key("float", field="gamma_q"),
+    "physics.k_mismatch_per_m": Key("float", "0", field="k_mismatch"),
+    "feasibility.ratio": Key("float", "10", "> 0"),
+    "feasibility.fresnel_min": Key("float", "0.3"),
+    "feasibility.fresnel_max": Key("float", "3"),
+    "teleport.alpha_pulse": Key("float", bound=">= 0"),
+    "teleport.epr_residual": Key("float", "0", ">= 0"),
+    "teleport.r_threshold": Key("float", str(DEFAULT_R_THRESHOLD)),
 }
 
-_MEDIUM_KEYS = ("medium.density_per_m3", "medium.length_m", "medium.area_m2",
-                "medium.gamma0_per_s", "medium.wavelength_m")
-_DRIVE_KEYS = ("drive.g_per_m_per_s", "drive.gamma_s_per_s", "drive.tau_pulse_s")
-_PHYSICS_KEYS = ("physics.omega_rad_per_s", "physics.delta_1photon_rad_per_s",
-                 "physics.gamma_i_per_s", "physics.dipole_sum_si",
-                 "physics.saturation", "physics.gamma_q_per_s")
+_BOUNDS = {
+    "> 0": lambda v: np.all(v > 0),
+    ">= 0": lambda v: np.all(v >= 0),
+    ">= 1": lambda v: v >= 1,
+    ">= 2": lambda v: v >= 2,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    ">= 0, ascending": lambda v: np.all(v >= 0) and np.all(np.diff(v) >= 0),
+    "flat or lorentzian": lambda v: v in ("flat", "lorentzian"),
+}
+
+_RECORDS = {"medium": MediumParams, "drive": DriveParams, "physics": AtomicPhysics}
 
 
 class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"config field {field_name!r}: {message}")
         self.field = field_name
+
+
+def _spec(key: str) -> Key:
+    if key not in KEYS:
+        raise ConfigError(key, "unknown key")
+    return KEYS[key]
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -93,12 +114,25 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in KNOWN_KEYS:
-            raise ConfigError(key, "unknown key")
+        _spec(key)
         if key in values:
             raise ConfigError(key, "duplicate key")
         values[key] = value
     return values
+
+
+def _parse_float(text: str, key: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(key, f"not a number: {text!r}") from None
+
+
+def _parse_int(text: str, key: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(key, f"not an integer: {text!r}") from None
 
 
 def _parse_grid(text: str, key: str) -> np.ndarray:
@@ -106,193 +140,20 @@ def _parse_grid(text: str, key: str) -> np.ndarray:
     if parts[0] in ("logspace", "linspace"):
         if len(parts) != 4:
             raise ConfigError(key, f"expected {parts[0]}:lo:hi:n")
-        try:
-            lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
-        except ValueError as exc:
-            raise ConfigError(key, str(exc)) from None
+        lo, hi = _parse_float(parts[1], key), _parse_float(parts[2], key)
+        n = _parse_int(parts[3], key)
         if n < 1:
             raise ConfigError(key, "grid size must be at least 1")
         fn = np.geomspace if parts[0] == "logspace" else np.linspace
-        return fn(lo, hi, n)
-    try:
-        return np.array([float(p) for p in text.split(",") if p.strip() != ""])
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from None
-
-
-@dataclass
-class RunConfig:
-    values: dict[str, str] = field(default_factory=dict)
-
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(parse_config_text(fh.read()))
-
-    # -- low-level typed access -------------------------------------------
-    def has(self, key: str) -> bool:
-        return key in self.values
-
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        if key not in self.values:
-            return default
         try:
-            return float(self.values[key])
-        except ValueError:
-            raise ConfigError(key, f"not a number: {self.values[key]!r}") from None
-
-    def get_int(self, key: str, default: int | None = None) -> int | None:
-        if key not in self.values:
-            return default
-        try:
-            return int(self.values[key])
-        except ValueError:
-            raise ConfigError(key, f"not an integer: {self.values[key]!r}") from None
-
-    def get_grid(self, key: str, default: np.ndarray | None = None) -> np.ndarray | None:
-        if key not in self.values:
-            return default
-        return _parse_grid(self.values[key], key)
-
-    def require(self, key: str) -> str:
-        if key not in self.values:
-            raise ConfigError(key, "required but missing")
-        return self.values[key]
-
-    # -- SI blocks ----------------------------------------------------------
-    def _block_state(self, keys) -> str:
-        present = sum(1 for k in keys if k in self.values)
-        if present == 0:
-            return "absent"
-        if present == len(keys):
-            return "complete"
-        missing = next(k for k in keys if k not in self.values)
-        raise ConfigError(missing, "SI block is incomplete")
-
-    def medium(self, required: bool = False) -> MediumParams | None:
-        if self._block_state(_MEDIUM_KEYS) == "absent":
-            if required:
-                raise ConfigError(_MEDIUM_KEYS[0], "required but missing")
-            return None
-        try:
-            return MediumParams(
-                density=self.get_float("medium.density_per_m3"),
-                length=self.get_float("medium.length_m"),
-                area=self.get_float("medium.area_m2"),
-                gamma0=self.get_float("medium.gamma0_per_s"),
-                wavelength=self.get_float("medium.wavelength_m"),
-            )
+            with np.errstate(all="ignore"):  # non-finite results are rejected by _typed
+                return fn(lo, hi, n)
         except ValueError as exc:
-            raise ConfigError("medium", str(exc)) from None
-
-    def drive(self, required: bool = False) -> DriveParams | None:
-        if self._block_state(_DRIVE_KEYS) == "absent":
-            if required:
-                raise ConfigError(_DRIVE_KEYS[0], "required but missing")
-            return None
-        profile = ()
-        if self.has("drive.profile"):
-            profile = _parse_profile(self.values["drive.profile"])
-        try:
-            return DriveParams(
-                g=self.get_float("drive.g_per_m_per_s"),
-                gamma_s=self.get_float("drive.gamma_s_per_s"),
-                tau_pulse=self.get_float("drive.tau_pulse_s"),
-                profile=profile,
-            )
-        except ValueError as exc:
-            raise ConfigError("drive", str(exc)) from None
-
-    def physics(self, required: bool = False) -> AtomicPhysics | None:
-        if self._block_state(_PHYSICS_KEYS) == "absent":
-            if required:
-                raise ConfigError(_PHYSICS_KEYS[0], "required but missing")
-            return None
-        try:
-            return AtomicPhysics(
-                omega=self.get_float("physics.omega_rad_per_s"),
-                delta_1photon=self.get_float("physics.delta_1photon_rad_per_s"),
-                gamma_i=self.get_float("physics.gamma_i_per_s"),
-                dipole_sum=self.get_float("physics.dipole_sum_si"),
-                saturation=self.get_float("physics.saturation"),
-                gamma_q=self.get_float("physics.gamma_q_per_s"),
-                k_mismatch=self.get_float("physics.k_mismatch_per_m", 0.0),
-            )
-        except ValueError as exc:
-            raise ConfigError("physics", str(exc)) from None
-
-    # -- derived dimensionless quantities ------------------------------------
-    def _si_alpha(self) -> float | None:
-        medium = self.medium()
-        drive = self.drive()
-        if medium is None or drive is None:
-            return None
-        gamma = total_dephasing(medium, drive, drive_on=True)
-        return drive.g * medium.length / gamma
-
-    def _si_bandwidth_ratio(self) -> float | None:
-        medium = self.medium()
-        drive = self.drive()
-        physics = self.physics()
-        if medium is None or drive is None or physics is None:
-            return None
-        return physics.gamma_q / total_dephasing(medium, drive, drive_on=True)
-
-    def alpha(self) -> float:
-        """Optical depth: dimensionless block, cross-checked against SI."""
-        declared = self.get_float("dimensionless.alpha")
-        derived = self._si_alpha()
-        if declared is None and derived is None:
-            raise ConfigError("dimensionless.alpha", "required but missing (no SI block either)")
-        if declared is not None and derived is not None:
-            if not math.isclose(declared, derived, rel_tol=SI_AGREEMENT_RTOL, abs_tol=0.0):
-                raise ConfigError(
-                    "dimensionless.alpha",
-                    f"declared {declared!r} disagrees with SI-derived {derived!r}",
-                )
-        value = declared if declared is not None else derived
-        if value < 0:
-            raise ConfigError("dimensionless.alpha", "must be nonnegative")
-        return value
-
-    def bandwidth_ratio(self) -> float | None:
-        declared = self.get_float("dimensionless.b")
-        derived = self._si_bandwidth_ratio()
-        if declared is not None and derived is not None:
-            if not math.isclose(declared, derived, rel_tol=SI_AGREEMENT_RTOL, abs_tol=0.0):
-                raise ConfigError(
-                    "dimensionless.b",
-                    f"declared {declared!r} disagrees with SI-derived {derived!r}",
-                )
-        return declared if declared is not None else derived
-
-    def squeezing_model(self) -> SqueezingModel:
-        """Input-light model; Gamma = 1 in engine units, so b doubles as gamma_q."""
-        kind = self.values.get("dimensionless.input", "flat")
-        if kind == "flat":
-            x0_sq = self.get_float("dimensionless.x0_sq", 0.0)
-            if x0_sq < 0:
-                raise ConfigError("dimensionless.x0_sq", "must be nonnegative")
-            return SqueezingModel.flat(x0_sq)
-        if kind == "lorentzian":
-            b = self.bandwidth_ratio()
-            if b is None:
-                raise ConfigError("dimensionless.b", "required for lorentzian input")
-            s = self.get_float("dimensionless.s", 1.0)
-            try:
-                return SqueezingModel.lorentzian(gamma_q=b, s=s)
-            except ValueError as exc:
-                raise ConfigError("dimensionless.s", str(exc)) from None
-        raise ConfigError("dimensionless.input", f"must be flat or lorentzian, got {kind!r}")
-
-    def quad_tol(self, override: float | None = None) -> float:
-        tol = override if override is not None else self.get_float("tolerance.quad_abs", 1e-9)
-        if not tol > 0:
-            raise ConfigError("tolerance.quad_abs", "must be positive")
-        return tol
+            raise ConfigError(key, str(exc)) from None
+    return np.array([_parse_float(p, key) for p in text.split(",") if p.strip() != ""])
 
 
-def _parse_profile(text: str) -> tuple[tuple[float, float], ...]:
+def _parse_profile(text: str, key: str) -> tuple[tuple[float, float], ...]:
     segments = []
     for part in text.split(","):
         part = part.strip()
@@ -300,11 +161,114 @@ def _parse_profile(text: str) -> tuple[tuple[float, float], ...]:
             continue
         bits = part.split(":")
         if len(bits) != 2:
-            raise ConfigError("drive.profile", f"expected duration:power, got {part!r}")
-        try:
-            segments.append((float(bits[0]), float(bits[1])))
-        except ValueError as exc:
-            raise ConfigError("drive.profile", str(exc)) from None
+            raise ConfigError(key, f"expected duration:power, got {part!r}")
+        segments.append((_parse_float(bits[0], key), _parse_float(bits[1], key)))
     if not segments:
-        raise ConfigError("drive.profile", "empty profile")
+        raise ConfigError(key, "empty profile")
     return tuple(segments)
+
+
+_PARSERS = {
+    "float": _parse_float,
+    "int": _parse_int,
+    "grid": _parse_grid,
+    "profile": _parse_profile,
+    "choice": lambda text, key: text,
+}
+
+
+def _checked(key: str, value, text: str):
+    """``value`` of ``key`` if it is finite and within the key's bound."""
+    spec = KEYS[key]
+    if spec.kind in ("float", "grid", "profile") and not np.all(np.isfinite(value)):
+        raise ConfigError(key, f"must be finite, got {text!r}")
+    if spec.bound and not _BOUNDS[spec.bound](value):
+        raise ConfigError(key, f"must be {spec.bound}, got {text!r}")
+    return value
+
+
+def _typed(key: str, text: str):
+    return _checked(key, _PARSERS[_spec(key).kind](text, key), text)
+
+
+@dataclass
+class RunConfig:
+    values: dict[str, str] = field(default_factory=dict)
+    typed: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.typed = {key: _typed(key, text) for key, text in self.values.items()}
+
+    @classmethod
+    def from_file(cls, path: str) -> "RunConfig":
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls(parse_config_text(fh.read()))
+
+    def __getitem__(self, key: str):
+        """Typed value of ``key``: the configured one, else the table default."""
+        if key in self.typed:
+            return self.typed[key]
+        default = KEYS[key].default
+        if default is REQUIRED:
+            raise ConfigError(key, "required but missing")
+        return _typed(key, default) if isinstance(default, str) else default
+
+    def record(self, block: str,
+               required: bool = False) -> MediumParams | DriveParams | AtomicPhysics | None:
+        """The SI record of ``block`` (medium, drive or physics), or None when
+        none of its required keys is given.  A block is all or nothing; a
+        record's rejection of a value is re-raised under that value's key."""
+        keys = [key for key in KEYS if key.startswith(block + ".")]
+        needed = [key for key in keys if KEYS[key].default is REQUIRED]
+        missing = [key for key in needed if key not in self.typed]
+        if len(missing) == len(needed):
+            if required:
+                raise ConfigError(needed[0], "required but missing")
+            return None
+        if missing:
+            raise ConfigError(missing[0], "SI block is incomplete")
+        try:
+            return _RECORDS[block](**{KEYS[key].field: self[key] for key in keys})
+        except ValueError as exc:
+            name = re.match(r"\w*", str(exc)).group()
+            raise ConfigError(
+                next((key for key in keys if KEYS[key].field == name), block), str(exc)
+            ) from None
+
+    # -- derived dimensionless quantities ------------------------------------
+    def _declared_or_derived(self, key: str, derived: float | None) -> float | None:
+        declared = self.typed.get(key)
+        if declared is not None and derived is not None:
+            if not math.isclose(declared, derived, rel_tol=SI_AGREEMENT_RTOL, abs_tol=0.0):
+                raise ConfigError(
+                    key, f"declared {declared!r} disagrees with SI-derived {derived!r}"
+                )
+        return declared if declared is not None else derived
+
+    def alpha(self) -> float:
+        """Optical depth: dimensionless block, cross-checked against SI."""
+        medium, drive = self.record("medium"), self.record("drive")
+        derived = None if medium is None or drive is None else optical_depth(medium, drive)
+        alpha = self._declared_or_derived("dimensionless.alpha", derived)
+        if alpha is None:
+            raise ConfigError("dimensionless.alpha", "required but missing (no SI block either)")
+        return alpha
+
+    def squeezing_model(self) -> SqueezingModel:
+        """Input-light model; Gamma = 1 in engine units, so b doubles as gamma_q."""
+        if self["dimensionless.input"] == "flat":
+            return SqueezingModel.flat(self["dimensionless.x0_sq"])
+        medium, drive, physics = (self.record(block) for block in ("medium", "drive", "physics"))
+        derived = None
+        if medium is not None and drive is not None and physics is not None:
+            derived = physics.gamma_q / total_dephasing(medium, drive, drive_on=True)
+        b = self._declared_or_derived("dimensionless.b", derived)
+        if b is None:
+            raise ConfigError("dimensionless.b", "required for lorentzian input")
+        return SqueezingModel.lorentzian(gamma_q=b, s=self["dimensionless.s"])
+
+    def quad_tol(self, override: float | None = None) -> float:
+        """Quadrature tolerance; an override (``--tol``) passes the same check."""
+        if override is None:
+            return self["tolerance.quad_abs"]
+        return _checked("tolerance.quad_abs", override, str(override))

@@ -35,12 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .specfun import bessel_i0e, bessel_i1e, integrate_adaptive
 
 DEFAULT_SPECTRAL_TOL = 1e-9
-DEFAULT_ALPHA_GRID = np.geomspace(1e-2, 1e3, 200)
 
 
 @dataclass(frozen=True)
@@ -80,17 +77,15 @@ class SqueezingModel:
     def lorentzian(cls, gamma_q: float, s: float = 1.0) -> "SqueezingModel":
         return cls(kind="lorentzian", gamma_q=gamma_q, s=s)
 
-    def bandwidth_ratio(self, gamma: float) -> float:
-        """b = Gamma_q / Gamma."""
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        return self.gamma_q / gamma
+    def spectral_density(self, x: float) -> float:
+        """Input noise spectral density S0 at dimensionless detuning x.
 
-    def spectral_density(self, x: float, gamma: float = 1.0) -> float:
-        """Input noise spectral density S0 at dimensionless detuning x."""
+        x is in units of the dephasing rate Gamma, so gamma_q is read in the
+        same units: the bandwidth ratio b = Gamma_q / Gamma.
+        """
         if self.kind == "flat":
             return self.x0_sq
-        b = self.bandwidth_ratio(gamma)
+        b = self.gamma_q
         return 1.0 - self.s * b * b / (b * b + x * x)
 
     @property
@@ -197,14 +192,11 @@ def _light_weight(alpha: float, x: float) -> float:
     return mod_sq / (2.0 * math.pi * alpha)
 
 
-def atomic_spectral_density(alpha: float, x: float, s0: float, gamma: float = 1.0) -> float:
+def atomic_spectral_density(alpha: float, x: float, s0: float) -> float:
     """Spectral density of the collective-spin quadrature at detuning x = Delta/Gamma.
 
-    Normalized so that its integral over x equals the variance in nL units;
-    gamma is accepted for interface symmetry but enters only through ratios
-    already folded into x.
+    Normalized so that its integral over x equals the variance in nL units.
     """
-    del gamma
     if s0 < 0:
         raise ValueError(f"s0 must be nonnegative, got {s0}")
     return _langevin_density(alpha, x) + s0 * _light_weight(alpha, x)
@@ -213,7 +205,6 @@ def atomic_spectral_density(alpha: float, x: float, s0: float, gamma: float = 1.
 def variance_spectral(
     alpha: float,
     model: SqueezingModel,
-    gamma: float = 1.0,
     tol: float = DEFAULT_SPECTRAL_TOL,
 ) -> NoiseReport:
     """Frequency-integrated variance; agrees with the closed form for flat input.
@@ -235,7 +226,7 @@ def variance_spectral(
         lambda x: _langevin_density(alpha, x), 0.0, math.inf, tol=tol / 2
     ).value
     light = 2.0 * integrate_adaptive(
-        lambda x: model.spectral_density(x, gamma) * _light_weight(alpha, x),
+        lambda x: model.spectral_density(x) * _light_weight(alpha, x),
         0.0, math.inf, tol=tol / 2,
     ).value
     return NoiseReport(
@@ -249,7 +240,6 @@ def variance_spectral(
 def efficiency_curve(
     alpha_grid,
     model: SqueezingModel,
-    gamma: float = 1.0,
     tol: float = DEFAULT_SPECTRAL_TOL,
 ) -> list[tuple[float, float]]:
     """Tabulate (alpha, eta) over a sorted nonnegative grid.
@@ -269,6 +259,6 @@ def efficiency_curve(
         if model.kind == "flat":
             eta = eta_closed(a) if model.x0_sq != 1.0 else math.nan
         else:
-            eta = variance_spectral(a, model, gamma, tol).eta
+            eta = variance_spectral(a, model, tol).eta
         out.append((a, eta))
     return out

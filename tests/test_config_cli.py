@@ -55,16 +55,16 @@ class TestConfigParsing:
             "dimensionless.alpha_grid = logspace:0.1:10:3\n"
             "dimensionless.x_grid = 0,1,2.5\n"
         ))
-        grid = cfg.get_grid("dimensionless.alpha_grid")
+        grid = cfg["dimensionless.alpha_grid"]
         assert grid == pytest.approx([0.1, 1.0, 10.0])
-        assert list(cfg.get_grid("dimensionless.x_grid")) == [0.0, 1.0, 2.5]
+        assert list(cfg["dimensionless.x_grid"]) == [0.0, 1.0, 2.5]
 
     def test_profile_parsing(self):
         cfg = RunConfig(parse_config_text(
             "drive.g_per_m_per_s = 1.0\ndrive.gamma_s_per_s = 0.0\n"
             "drive.tau_pulse_s = 2.0\ndrive.profile = 1.0:1.0, 1.0:0.5\n"
         ))
-        drive = cfg.drive()
+        drive = cfg.record("drive")
         assert drive.profile == ((1.0, 1.0), (1.0, 0.5))
 
     def test_alpha_resolution_consistency(self):
@@ -89,7 +89,7 @@ class TestConfigParsing:
 
     def test_incomplete_si_block_named(self):
         with pytest.raises(ConfigError) as err:
-            RunConfig(parse_config_text("medium.length_m = 1.0")).medium()
+            RunConfig(parse_config_text("medium.length_m = 1.0")).record("medium")
         assert "medium." in str(err.value)
 
 
@@ -290,3 +290,53 @@ class TestNumericsExitCode:
                              "dimensionless.alpha = 2\ngrid.nz = 20\ngrid.ntau = 40\n")
         assert code == 3 and text == ""
         assert "diverged at step" in capfd.readouterr().err
+
+
+def _example_with(key, value):
+    """The shipped SI example with one key set to ``value``."""
+    lines = [ln for ln in EXAMPLE_CFG.read_text().splitlines()
+             if ln.split("=", 1)[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+BAD_VALUE_CASES = [
+    ("spectrum", "dimensionless.alpha = nan\n", "dimensionless.alpha"),
+    ("spectrum", "dimensionless.alpha = 1\ndimensionless.x0_sq = nan\n",
+     "dimensionless.x0_sq"),
+    ("teleport", "teleport.alpha_pulse = 0.01\nteleport.epr_residual = nan\n",
+     "teleport.epr_residual"),
+    ("efficiency", "tolerance.quad_abs = inf\n", "tolerance.quad_abs"),
+    ("transient", "dimensionless.alpha = 1\ndimensionless.input = lorentzian\n"
+     "dimensionless.b = nan\n", "dimensionless.b"),
+    ("efficiency", "dimensionless.b_list = nan\n", "dimensionless.b_list"),
+    ("feasibility", _example_with("feasibility.fresnel_min", "nan"), "feasibility.fresnel_min"),
+    ("feasibility", _example_with("feasibility.ratio", "inf"), "feasibility.ratio"),
+    ("feasibility", _example_with("physics.k_mismatch_per_m", "nan"),
+     "physics.k_mismatch_per_m"),
+    ("transient", "dimensionless.alpha = 1\ntransient.points = 0\n", "transient.points"),
+    ("simulate", "dimensionless.alpha = 1\ngrid.tau_max_gamma = nan\n", "grid.tau_max_gamma"),
+    ("teleport", "teleport.alpha_pulse = nan\n", "teleport.alpha_pulse"),
+    ("efficiency", "dimensionless.alpha_grid = 2,1\ndimensionless.b_list =\n",
+     "dimensionless.alpha_grid"),
+    ("efficiency", "dimensionless.alpha_grid = 2,1\n", "dimensionless.alpha_grid"),
+    ("feasibility", _example_with("medium.length_m", "-1"), "medium.length_m"),
+    ("feasibility", _example_with("drive.profile", "5e-3:1, 5e-3:-1"), "drive.profile"),
+]
+
+
+class TestBadValuesExitTwo:
+    """Non-finite or out-of-bound values fail at the config boundary with
+    exit 2 and name their key, whichever command reads them."""
+
+    @pytest.mark.parametrize("command, text, key", BAD_VALUE_CASES,
+                             ids=[f"{command}-{key}" for command, _, key in BAD_VALUE_CASES])
+    def test_bad_value_named(self, command, text, key, tmp_path, capsys):
+        code, out = run_cli([command], tmp_path, text)
+        assert code == 2 and out == ""
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_tol_flag_checked_like_config_key(self, tol, tmp_path, capsys):
+        code, _ = run_cli(["efficiency", f"--tol={tol}"], tmp_path)
+        assert code == 2
+        assert "'tolerance.quad_abs'" in capsys.readouterr().err

@@ -211,15 +211,11 @@ class TestSqueezingModel:
 
     def test_lorentzian_density_shape(self):
         model = SqueezingModel.lorentzian(gamma_q=10.0, s=1.0)
-        assert model.spectral_density(0.0, gamma=1.0) == pytest.approx(0.0, abs=1e-15)
-        assert model.spectral_density(1e6, gamma=1.0) == pytest.approx(1.0, rel=1e-9)
+        assert model.spectral_density(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert model.spectral_density(1e6) == pytest.approx(1.0, rel=1e-9)
         # at x = b the dip is half depth
-        assert model.spectral_density(10.0, gamma=1.0) == pytest.approx(0.5, rel=1e-12)
+        assert model.spectral_density(10.0) == pytest.approx(0.5, rel=1e-12)
         assert model.noise_floor == 0.0
-
-    def test_bandwidth_ratio_uses_gamma(self):
-        model = SqueezingModel.lorentzian(gamma_q=50.0, s=1.0)
-        assert model.bandwidth_ratio(5.0) == 10.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
