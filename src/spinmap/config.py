@@ -8,9 +8,9 @@ are comma-separated ``duration:relative_power`` segments.
 Every key is declared once, in ``KEYS``; a key's block is the part before
 its dot.  Loading types every present value and checks that it is finite
 and within its bound, so a bad value fails with a ``ConfigError`` naming its
-key whichever command runs.  SI keys are bounded by the record they fill
-(``MediumParams``, ``DriveParams``, ``AtomicPhysics``) when that record is
-built.
+key whichever command runs.  An SI key's bound is the one the record it
+fills (``MediumParams``, ``DriveParams``, ``AtomicPhysics``) enforces, so a
+record built from a loaded config accepts every value.
 
 Engines run from the dimensionless block; the SI blocks feed the feasibility
 checks and may be used to derive dimensionless values.  When a quantity is
@@ -20,7 +20,6 @@ given both ways the two must agree to one part in 1e9 or the run aborts.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -37,7 +36,7 @@ REQUIRED = None  # no default: the value must be given where it is used
 class Key(NamedTuple):
     kind: str                # float, int, grid, profile or choice
     default: object = REQUIRED  # config text, or the typed value when no text means it
-    bound: str = ""          # a _BOUNDS entry; SI keys are bounded by their record
+    bound: str = ""          # a _BOUNDS entry; an SI key's is the one its record enforces
     field: str = ""          # record field filled by an SI key
 
 
@@ -56,21 +55,22 @@ KEYS = {
     "grid.ntau": Key("int", "200", ">= 2"),
     "grid.tau_max_gamma": Key("float", "1", "> 0"),
     "tolerance.quad_abs": Key("float", str(DEFAULT_SPECTRAL_TOL), "> 0"),
-    "medium.density_per_m3": Key("float", field="density"),
-    "medium.length_m": Key("float", field="length"),
-    "medium.area_m2": Key("float", field="area"),
-    "medium.gamma0_per_s": Key("float", field="gamma0"),
-    "medium.wavelength_m": Key("float", field="wavelength"),
-    "drive.g_per_m_per_s": Key("float", field="g"),
-    "drive.gamma_s_per_s": Key("float", field="gamma_s"),
-    "drive.tau_pulse_s": Key("float", field="tau_pulse"),
-    "drive.profile": Key("profile", (), field="profile"),  # () is constant unit power
-    "physics.omega_rad_per_s": Key("float", field="omega"),
-    "physics.delta_1photon_rad_per_s": Key("float", field="delta_1photon"),
-    "physics.gamma_i_per_s": Key("float", field="gamma_i"),
-    "physics.dipole_sum_si": Key("float", field="dipole_sum"),
-    "physics.saturation": Key("float", field="saturation"),
-    "physics.gamma_q_per_s": Key("float", field="gamma_q"),
+    "medium.density_per_m3": Key("float", bound="> 0", field="density"),
+    "medium.length_m": Key("float", bound="> 0", field="length"),
+    "medium.area_m2": Key("float", bound="> 0", field="area"),
+    "medium.gamma0_per_s": Key("float", bound="> 0", field="gamma0"),
+    "medium.wavelength_m": Key("float", bound="> 0", field="wavelength"),
+    "drive.g_per_m_per_s": Key("float", bound=">= 0", field="g"),
+    "drive.gamma_s_per_s": Key("float", bound=">= 0", field="gamma_s"),
+    "drive.tau_pulse_s": Key("float", bound="> 0", field="tau_pulse"),
+    # () is constant unit power
+    "drive.profile": Key("profile", (), "durations > 0, powers >= 0", field="profile"),
+    "physics.omega_rad_per_s": Key("float", bound="> 0", field="omega"),
+    "physics.delta_1photon_rad_per_s": Key("float", bound="> 0", field="delta_1photon"),
+    "physics.gamma_i_per_s": Key("float", bound="> 0", field="gamma_i"),
+    "physics.dipole_sum_si": Key("float", bound="> 0", field="dipole_sum"),
+    "physics.saturation": Key("float", bound=">= 0", field="saturation"),
+    "physics.gamma_q_per_s": Key("float", bound="> 0", field="gamma_q"),
     "physics.k_mismatch_per_m": Key("float", "0", field="k_mismatch"),
     "feasibility.ratio": Key("float", "10", "> 0"),
     "feasibility.fresnel_min": Key("float", "0.3"),
@@ -88,6 +88,7 @@ _BOUNDS = {
     "in [0, 1]": lambda v: 0 <= v <= 1,
     ">= 0, ascending": lambda v: np.all(v >= 0) and np.all(np.diff(v) >= 0),
     "flat or lorentzian": lambda v: v in ("flat", "lorentzian"),
+    "durations > 0, powers >= 0": lambda v: all(d > 0 and p >= 0 for d, p in v),
 }
 
 _RECORDS = {"medium": MediumParams, "drive": DriveParams, "physics": AtomicPhysics}
@@ -216,8 +217,7 @@ class RunConfig:
     def record(self, block: str,
                required: bool = False) -> MediumParams | DriveParams | AtomicPhysics | None:
         """The SI record of ``block`` (medium, drive or physics), or None when
-        none of its required keys is given.  A block is all or nothing; a
-        record's rejection of a value is re-raised under that value's key."""
+        none of its required keys is given.  A block is all or nothing."""
         keys = [key for key in KEYS if key.startswith(block + ".")]
         needed = [key for key in keys if KEYS[key].default is REQUIRED]
         missing = [key for key in needed if key not in self.typed]
@@ -227,13 +227,7 @@ class RunConfig:
             return None
         if missing:
             raise ConfigError(missing[0], "SI block is incomplete")
-        try:
-            return _RECORDS[block](**{KEYS[key].field: self[key] for key in keys})
-        except ValueError as exc:
-            name = re.match(r"\w*", str(exc)).group()
-            raise ConfigError(
-                next((key for key in keys if KEYS[key].field == name), block), str(exc)
-            ) from None
+        return _RECORDS[block](**{KEYS[key].field: self[key] for key in keys})
 
     # -- derived dimensionless quantities ------------------------------------
     def _declared_or_derived(self, key: str, derived: float | None) -> float | None:

@@ -32,20 +32,29 @@ refinement (declared order 2); kernel tables are cell-averaged influence
 coefficients labeled at the left grid node and converge at first order.
 
 Every output is a contraction of the coefficients with the quadrature
-weights w.  A step inside one drive segment uses that segment's exact rate,
-so when the whole horizon has one rate every step applies the same operator
-M and only the row vectors r_m = w M^m are propagated: r_K gives the
-initial-coherence weights at step K, r_m v_inj the field weight of an input
-cell m steps back (a Toeplitz table), and sum_{m<K} r_m lang r_m the
-Langevin part.  That run builds three step exponentials, O(nz^2) each, and
-costs O(ntau nz^2).  Only a drive with more than one rate in the horizon
-steps the full coefficient matrices (``_propagate_dense``, O(ntau nz^3),
-three exponentials per distinct rate); it is also the tests' reference for
-the contracted path.
+weights w, and every step operator M_k = e^{-Gamma dt} exp(-x_k T) is a
+function of the same cumulative-trapezoid matrix T.  So the operators
+commute and a product of steps depends only on the summed area.  A step
+inside one drive segment takes that segment's exact rate, so the steps form
+runs of equal rate (one run for a constant drive).  Inside a run the field
+weights of its own input cells form a Toeplitz table and its Langevin terms
+a cumulative sum; a later node sees the run only through the row
+w exp(-(area since the run's end) T), against the run's field columns and,
+for the Langevin part, its Gramian, which the Toeplitz structure gives as
+outer products of the symbols summed along diagonals.  Rows and columns
+are O(nz) closed forms at any area (sums of the Laguerre symbol of
+``expm``), all evaluated from one table per call; no matrix exponential
+and no O(nz^3) product is formed.  Cost under one rate: O(ntau nz) for the
+table and the rows, O(ntau^2) for the kernel tables; each further run adds
+O(ntau nz^2) for its columns and Gramian, and the light variance of every
+node against the input correlator is one BLAS product, O(ntau^3).  The
+dense loop that steps the full coefficient matrices is kept in the tests as
+the reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -89,10 +98,10 @@ class PulseArea:
             raise ValueError("breakpoints and rates must have equal length")
         last = 0.0
         for t in self.breakpoints:
-            if t <= last:
+            if not t > last:  # "not >" rejects NaN too
                 raise ValueError("breakpoints must be strictly increasing and positive")
             last = t
-        if any(r < 0 for r in self.rates) or self.final_rate < 0:
+        if not all(r >= 0 for r in (*self.rates, self.final_rate)):
             raise ValueError("rates must be nonnegative")
 
     @classmethod
@@ -325,6 +334,55 @@ class KernelTable:
     light_part_trace: np.ndarray
 
 
+def _symbols(t: np.ndarray, nz: int) -> np.ndarray:
+    """Symbol coefficients e_k = e^{-t/2} L_k^{(-1)}(t), k < nz, of exp(-x T)
+    at t = x dz, one column per entry of t.
+
+    The generalized Laguerre polynomials follow their three-term recurrence
+    (k + 1) e_{k+1} = (2k - t) e_k - (k - 1) e_{k-1}.  With e_k = mu_k f_k,
+    mu_k = 1/k for odd k and 2/k for even k, it reads
+    f_{k+1} = v_k f_k - f_{k-1}, v_k = 1 - t/(2k) (k odd), 4 - 2t/k (k even),
+    for k >= 2: two vector operations per k, vectorized over t, with v_k
+    held in the row the recurrence is about to fill.
+    """
+    e = np.empty((nz, t.size))
+    e[0] = np.exp(-t / 2.0)
+    np.multiply(-t, e[0], out=e[1])
+    if nz > 2:
+        np.multiply(1.0 - t / 2.0, e[1], out=e[2])
+        k = np.arange(2.0, nz - 1.0)
+        odd = k % 2 == 1
+        np.multiply.outer(np.where(odd, -0.5, -2.0) / k, t, out=e[3:])
+        e[3:] += np.where(odd, 1.0, 4.0)[:, None]
+        f = list(e)
+        for i in range(2, nz - 1):
+            np.multiply(f[i + 1], f[i], out=f[i + 1])
+            np.subtract(f[i + 1], f[i - 1], out=f[i + 1])
+        k = np.arange(3.0, nz)
+        e[3:] *= (np.where(k % 2 == 1, 1.0, 2.0) / k)[:, None]
+    return e
+
+
+def _running_sums(a: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """a_i + sign a_{i-1} + sign^2 a_{i-2} + ... down the rows, in place.
+    One vector operation per row (numpy's cumulative sum down the rows is
+    several times slower on these tables)."""
+    step = np.add if sign > 0 else np.subtract
+    rows = list(a) if a.size else []
+    for i in range(1, len(rows)):
+        step(rows[i], rows[i - 1], out=rows[i])
+    return a
+
+
+def _first_column(e: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Nodes 1..nz of the first column of exp(-x T), one column per column
+    of the symbol table e: the series (E(y) - 1) / (1 + y), c_i = e_i -
+    c_{i-1} from c_0 = expm1(-t/2)."""
+    c = e.copy()
+    c[:1] = np.expm1(-t / 2.0)
+    return _running_sums(c, -1.0)
+
+
 def expm(x: float, nz: int, dz: float) -> np.ndarray:
     """exp(-x T) for the cumulative-trapezoid matrix T on nz + 1 nodes,
     (T f)_i = trapezoid integral of f from node 0 to node i.
@@ -333,25 +391,56 @@ def expm(x: float, nz: int, dz: float) -> np.ndarray:
     (1 + y) / (2 (1 - y)).  So the exponential has first row (1, 0, ..., 0),
     a lower-right block that is lower-triangular Toeplitz of symbol
     E(y) = e^{-t/2} exp(-t y / (1 - y)) = e^{-t/2} sum_k L_k^{(-1)}(t) y^k,
-    t = x dz (generalized Laguerre polynomials, by their three-term
-    recurrence), and the series (E(y) - 1) / (1 + y) below it in the first
-    column.  A closed form, O(nz^2) to fill where a general matrix
+    t = x dz (``_symbols``), and the series (E(y) - 1) / (1 + y) below it in
+    the first column.  A closed form, O(nz^2) to fill where a general matrix
     exponential is O(nz^3), and closer to the exact entries than scipy's
-    Pade approximant.
+    Pade approximant.  The propagator never builds it: it needs only the
+    contractions ``_rows`` and ``_cols`` and, for Gramians, the symbol and
+    the first column.
     """
-    t = x * dz
-    lag = [1.0, -t]
-    for k in range(1, nz - 1):
-        lag.append(((2 * k - t) * lag[k] - (k - 1) * lag[k - 1]) / (k + 1))
-    symbol = math.exp(-t / 2.0) * np.array(lag[:nz])
-    shifted = symbol.copy()
-    shifted[0] = math.expm1(-t / 2.0)
-    sign = (-1.0) ** np.arange(nz)
+    t = np.array([x * dz])
+    symbol = _symbols(t, nz)
     out = np.zeros((nz + 1, nz + 1))
     out[0, 0] = 1.0
-    out[1:, 0] = sign * np.cumsum(sign * shifted)  # series division by 1 + y
-    out[1:, 1:] = toeplitz(symbol, np.zeros(nz))
+    out[1:, 0] = _first_column(symbol, t)[:, 0]
+    out[1:, 1:] = toeplitz(symbol[:, 0], np.zeros(nz))
     return out
+
+
+def _rows(h: np.ndarray, dz: float) -> np.ndarray:
+    """w exp(-x T) for the trapezoid weights w, one row per column of the
+    symbol's running sums h (h_{-1} = 0): node nz - i holds
+    dz (h_i - e_i / 2) = dz/2 (h_i + h_{i-1}), and node 0, through the first
+    column, telescopes to dz/2 h_{nz-1}.  O(nz) per area where a row-matrix
+    product is O(nz^2)."""
+    out = np.empty((len(h) + 1, h.shape[1]))
+    out[0] = h[-1]
+    out[-1] = h[0]
+    np.add(h[1:], h[:-1], out=out[-2:0:-1])
+    out *= dz / 2.0
+    return out.T
+
+
+def _cols(e: np.ndarray, h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(-x T) 1, one column per column of the symbol table e (running
+    sums h): node 0 holds 1 and node i + 1 the first column plus the
+    Toeplitz row sum, c_i + h_i.  O(nz) per area."""
+    out = np.empty((len(e) + 1, e.shape[1]))
+    out[0] = 1.0
+    np.add(_first_column(e, t), h, out=out[1:])
+    return out
+
+
+def _diagonal_cumsum(p: np.ndarray) -> np.ndarray:
+    """q[i, l] = sum_{m <= min(i, l)} p[i - m, l - m] for symmetric p: each
+    diagonal summed from the top-left corner.  Laid out with row stride
+    n + 1, the diagonals of p become columns."""
+    n = len(p)
+    skew = np.zeros(n * (n + 1))
+    skew[:n * n] = p.ravel()
+    skew = np.cumsum(skew.reshape(n, n + 1), axis=0).ravel()[:n * n].reshape(n, n)
+    upper = np.triu(skew)
+    return upper + np.triu(upper, 1).T
 
 
 def _mean_arrival(rate: float, dt: float) -> float:
@@ -380,17 +469,23 @@ def _cell_correlator(model: SqueezingModel, ntau: int, dt: float) -> np.ndarray:
 
 
 class _Discretization:
-    """What both propagators share: nodes, quadrature weights, per-step
-    rates, the input correlator and the step operators of each rate."""
+    """Nodes, quadrature weights, per-step rates grouped into runs of equal
+    rate, the constants of one step, and the flows they make.
 
-    def __init__(self, medium: MediumParams, drive: DriveParams, grid: GridSpec,
-                 model: SqueezingModel):
+    Step k applies M_k = d exp(-x_k T), x_k = rate_k dt, injects the input
+    cell k through v_k = phi sqrt(rate_k) exp(-rate_k s_field T) 1, and adds
+    lang_amp H_k diag(1/w) H_k^T, H_k = exp(-rate_k s_lang T), to the
+    Langevin covariance.  Every operator is a function of T, so a product of
+    steps is d^n exp(-(summed area) T).
+    """
+
+    def __init__(self, medium: MediumParams, drive: DriveParams, grid: GridSpec):
         self.length = length = medium.length
         gamma = total_dephasing(medium, drive, drive_on=True)
         area = PulseArea.from_drive(drive)
 
-        nz, ntau = grid.nz, grid.ntau
-        dz = length / nz
+        self.nz, self.ntau = nz, ntau = grid.nz, grid.ntau
+        self.dz = dz = length / nz
         self.dt = dt = grid.tau_max / ntau
 
         g_max = area.max_rate()
@@ -407,38 +502,101 @@ class _Discretization:
         self.tau = np.arange(ntau + 1) * dt
         self.w = w = np.full(nz + 1, dz)
         w[0] = w[-1] = dz / 2.0
-        self.corr = _cell_correlator(model, ntau, dt)
-        self.rates = area.step_rates(dt, ntau)
+        self.rates = rates = area.step_rates(dt, ntau)
+        edges = [0, *(np.flatnonzero(np.diff(rates)) + 1).tolist(), ntau]
+        self.runs = [(a, b, float(rates[a])) for a, b in zip(edges, edges[1:])]
+        # t = x dz of the area summed up to each node
+        self.node_t = np.concatenate(([0.0], np.cumsum(rates))) * (dt * dz)
 
-        d = math.exp(-gamma * dt)
-        phi = (1.0 - d) / gamma if gamma > 0 else dt
-        s_field = _mean_arrival(gamma, dt)
-        s_lang = _mean_arrival(2.0 * gamma, dt)
+        self.d = d = math.exp(-gamma * dt)
+        self.phi = (1.0 - d) / gamma if gamma > 0 else dt
+        self.s_field = _mean_arrival(gamma, dt)
+        self.s_lang = _mean_arrival(2.0 * gamma, dt)
         self.lang_amp = 1.0 - d * d  # vanishes with the dephasing, as the noise must
-        self.coeff_bound = 4.0 * max(1.0, phi * math.sqrt(g_max))
+        self.coeff_bound = 4.0 * max(1.0, self.phi * math.sqrt(g_max))
 
-        # (M, v_inj, Hl) per distinct rate: the one-step flow, the injection
-        # vector of an input cell, and the flow over the Langevin noise's mean
-        # arrival time (one step adds lang_amp Hl diag(1/w) Hl^T to sig)
-        self.ops: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for rate in dict.fromkeys(self.rates.tolist()):
-            self.ops[rate] = (
-                d * expm(rate * dt, nz, dz),
-                phi * math.sqrt(rate) * expm(rate * s_field, nz, dz).sum(axis=1),
-                expm(rate * s_lang, nz, dz),
-            )
+    @property
+    def run_ends(self) -> list[int]:
+        """Nodes where one run ends and the next begins."""
+        return [stop for _, stop, _ in self.runs[:-1]]
+
+    def flows(self, origins, langevin: bool):
+        """Every contraction of exp(-x T) the tables need, from one symbol
+        table.  Run a covers steps start..stop-1 at rate r; q counts steps
+        back from its end, and a later node sees it only through the row
+        from node stop.
+
+        rows[o][K - o] = d^{K-o} w exp(-x T), x the area from node o to K.
+        field[a] (None where r = 0, which injects nothing) = (s, cols):
+          s[q] = (phi / dt) d^q w exp(-y_q T) 1, y_q = r (q dt + s_field),
+          the light kernel of a cell q steps back inside the run, and
+          cols[:, q] the vectors (phi / dt) d^q exp(-y_q T) 1 behind it,
+          only where a later node needs them.
+        lang[a] = (g, e, c), with ``langevin``: g[q] = d^{2q}
+          |w exp(-y'_q T)|^2_{1/w}, y'_q = r (q dt + s_lang), and, where a
+          later node needs them, the symbols and first columns of
+          exp(-y'_q T), each scaled by d^q.
+        """
+        dt, dz, d, nz, w = self.dt, self.dz, self.d, self.nz, self.w
+        steps = [np.arange(stop - start) * dt for start, stop, _ in self.runs]
+        parts = [self.node_t[o:] - self.node_t[o] for o in origins]
+        if langevin:
+            parts += [rate * (q + self.s_lang) * dz for q, (_, _, rate) in zip(steps, self.runs)]
+        parts += [rate * (q + self.s_field) * dz if rate > 0 else q[:0]
+                  for q, (_, _, rate) in zip(steps, self.runs)]
+        t = np.concatenate(parts)
+        e = _symbols(t, nz)
+        edges = np.cumsum([0, *map(len, parts)])
+        blocks = [slice(a, b) for a, b in itertools.pairwise(edges)]
+        n_rows = len(origins) + (len(self.runs) if langevin else 0)
+
+        def powers(b):  # d^q for the q-th area of part b
+            return d ** np.arange(b.stop - b.start)
+
+        def part(table, b, group):  # part b's columns in a table of a group of parts
+            return table[:, b.start - group.start:b.stop - group.start]
+
+        # running sums serve the rows and the full columns; full and first
+        # columns serve only the runs a later node follows: all but the last,
+        # whose field and Langevin parts come last in their groups
+        h = _running_sums(e[:, :edges[-2]].copy())
+        r_all = _rows(h[:, :edges[n_rows]], dz)
+        r_all *= np.concatenate([np.empty(0), *map(powers, blocks[:n_rows])])[:, None]
+        followed = slice(edges[n_rows], edges[-2])
+        cols_all = _cols(e[:, followed], h[:, followed], t[followed])
+        lang_followed = slice(edges[len(origins)], edges[n_rows - 1] if langevin else 0)
+        c_all = _first_column(e[:, lang_followed], t[lang_followed])
+
+        rows = {o: r_all[b] for o, b in zip(origins, blocks)}
+        field = []
+        for (_, stop, rate), b in zip(self.runs, blocks[n_rows:]):
+            scale = (self.phi / dt) * powers(b)
+            field.append(None if rate == 0 else (
+                (dz * np.arange(nz, 0, -1.0)) @ e[:, b] * scale,  # w exp(-y T) 1
+                part(cols_all, b, followed) * scale if stop < self.ntau else None))
+        lang = []
+        for (_, stop, _), b in zip(self.runs, blocks[len(origins):n_rows]):
+            scale = powers(b)
+            g = r_all[b] ** 2 @ (1.0 / w)
+            if stop == self.ntau:
+                lang.append((g, None, None))
+                continue
+            c = np.vstack([np.ones(len(scale)), part(c_all, b, lang_followed)])
+            lang.append((g, e[:, b] * scale, c * scale))
+        return rows, field, lang
 
     def table(self, init_weights, lang_part, light_part, light_kernel,
               field_pass) -> KernelTable:
         """Assemble the tables from w c_init (init_weights), w sig w
         (lang_part) and the light variance of every step."""
-        w, length = self.w, self.length
-        atom = (np.sum(init_weights * init_weights / w, axis=1) + lang_part) / length
+        length = self.length
+        init_kernel = init_weights / self.w
+        atom = (np.einsum("ij,ij->i", init_weights, init_kernel) + lang_part) / length
         light = light_part / length
         return KernelTable(
             z=self.z,
             tau=self.tau,
-            init_kernel=init_weights / w,
+            init_kernel=init_kernel,
             light_kernel=light_kernel,
             field_pass=field_pass,
             variance_trace=atom + light,
@@ -447,94 +605,55 @@ class _Discretization:
         )
 
 
-def _propagate_single_rate(disc: _Discretization) -> KernelTable:
-    """All steps share one operator M, so only r_m = w M^m is propagated.
+def _light_kernel(disc: _Discretization, rows, field) -> tuple[np.ndarray, np.ndarray]:
+    """The light-kernel table and the field weights w c_field of every node.
 
-    At step K the initial-coherence weights are r_K, the field weight of the
-    input cell j < K is s_{K-1-j} with s_m = r_m v_inj, and the Langevin part
-    is sum_{m<K} r_m lang r_m.  O(ntau nz^2) against the dense O(ntau nz^3).
+    The cells of a run see the run's own nodes through a Toeplitz table,
+    and every later node through the row from the run's end times the
+    run's columns.  Raises GridGrowthError at the first node where a row
+    (per coherence sample, r / w) or a field weight (per unit length)
+    leaves the coefficient bound; "not <=" counts a NaN left by overflow as
+    growth.
     """
-    w, rate = disc.w, float(disc.rates[0])
-    M, v_inj, Hl = disc.ops[rate]
-    ntau = len(disc.rates)
+    ntau = disc.ntau
+    kernel = np.zeros((ntau + 1, ntau))
+    for (start, stop, _), run in zip(disc.runs, field):
+        if run is None:
+            continue
+        s, cols = run
+        kernel[start + 1:stop + 1, start:stop] = toeplitz(s, np.zeros(stop - start))
+        if cols is not None:
+            kernel[stop + 1:, start:stop] = rows[stop][1:] @ cols[:, ::-1]
+    field_weights = kernel * (disc.dt * np.sqrt(disc.rates))
 
-    r = np.empty((ntau + 1, len(w)))
-    r[0] = w
-    for m in range(ntau):
-        r[m + 1] = r[m] @ M
-    s = r[:-1] @ v_inj
-
-    # the dense guard bounds the coefficients; their contractions keep that
-    # scale as r_K / w (per coherence sample) and s_m / L.  Row i is step
-    # i + 1.  "not <=" counts a NaN left by overflow as growth.
     bound = disc.coeff_bound
-    bad = ~np.all(np.abs(r[1:] / w) <= bound, axis=1) | ~(np.abs(s) / disc.length <= bound)
+    bad = ~np.all(np.abs(field_weights) <= bound * disc.length, axis=1)
+    for o, r in rows.items():
+        bad[o:] |= ~np.all(np.abs(r) <= bound * disc.w, axis=1)
     if bad.any():
-        raise GridGrowthError(f"influence coefficients diverged at step {np.argmax(bad) + 1}")
-
-    lang_part = np.zeros(ntau + 1)
-    rh = r[:-1] @ Hl
-    lang_part[1:] = np.cumsum(disc.lang_amp * np.sum(rh * rh / w, axis=1))
-    # the correlator is Toeplitz, so the light variance at step K is the
-    # quadratic form of s_0..s_{K-1} with its leading K x K block, and each
-    # step adds one row and column
-    light_part = np.zeros(ntau + 1)
-    cross = np.tril(disc.corr, -1) @ s
-    light_part[1:] = np.cumsum(s * (2.0 * cross + disc.corr[0, 0] * s))
-
-    field_weights = toeplitz(s, np.zeros(ntau))  # row K - 1 holds w c_field at step K
-    sqrt_rate = math.sqrt(rate)
-    light_kernel = np.zeros((ntau + 1, ntau))
-    if rate > 0:
-        light_kernel[1:] = field_weights / (disc.dt * sqrt_rate)
-    field_pass = np.eye(ntau)
-    field_pass[1:] -= sqrt_rate * field_weights[:-1]
-    return disc.table(r, lang_part, light_part, light_kernel, field_pass)
+        raise GridGrowthError(f"influence coefficients diverged at step {np.argmax(bad)}")
+    return kernel, field_weights
 
 
-def _propagate_dense(disc: _Discretization) -> KernelTable:
-    """Step the full influence-coefficient matrices; needed when the step
-    operators differ (more than one drive rate in the horizon)."""
-    w, rates, dt, corr = disc.w, disc.rates, disc.dt, disc.corr
-    nz1, ntau = len(w), len(rates)
-    sqrt_rates = np.sqrt(rates)
-    langs = {rate: disc.lang_amp * (Hl * (1.0 / w)) @ Hl.T
-             for rate, (_, _, Hl) in disc.ops.items()}
-
-    c_init = np.eye(nz1)
-    c_field = np.zeros((nz1, ntau))
-    sig = np.zeros((nz1, nz1))
-
-    init_weights = np.zeros((ntau + 1, nz1))
-    lang_part = np.zeros(ntau + 1)
-    light_part = np.zeros(ntau + 1)
-    light_kernel = np.zeros((ntau + 1, ntau))
-    field_pass = np.zeros((ntau, ntau))
-    init_weights[0] = w
-
-    for k in range(ntau):
-        rate = float(rates[k])
-        M, v_inj, _ = disc.ops[rate]
-        # transmitted field at the current step, before injecting input k
-        field_pass[k] = -sqrt_rates[k] * (w @ c_field)
-        field_pass[k, k] += 1.0
-
-        c_init = M @ c_init
-        c_field = M @ c_field
-        c_field[:, k] += v_inj
-        sig = M @ (M @ sig).T + langs[rate]
-
-        wf = w @ c_field
-        with np.errstate(invalid="ignore", divide="ignore"):
-            light_kernel[k + 1] = np.where(rates > 0, wf / (dt * sqrt_rates), 0.0)
-        init_weights[k + 1] = w @ c_init
-        lang_part[k + 1] = w @ sig @ w
-        light_part[k + 1] = wf @ corr @ wf
-
-        if np.max(np.abs(c_init)) > disc.coeff_bound or np.max(np.abs(c_field)) > disc.coeff_bound:
-            raise GridGrowthError(f"influence coefficients diverged at step {k + 1}")
-
-    return disc.table(init_weights, lang_part, light_part, light_kernel, field_pass)
+def _langevin_part(disc: _Discretization, rows, lang) -> np.ndarray:
+    """w sig w at every node.  A run adds the cumulative sum of its own
+    terms g at its nodes, and at every later node the quadratic form of the
+    row from its end with the run's Gramian sum_q H_q diag(1/w) H_q^T.
+    Node 0 of each H_q gives the outer products of its first column; its
+    Toeplitz block gives those of its symbol summed along diagonals.
+    O(nz^2) per run and later node."""
+    w, dz = disc.w, disc.dz
+    part = np.zeros(disc.ntau + 1)
+    for (start, stop, _), (g, e, c) in zip(disc.runs, lang):
+        part[start + 1:stop + 1] += np.cumsum(g)
+        if c is not None:
+            rho = rows[stop][1:]
+            p = e @ e.T
+            gram = _diagonal_cumsum(p) / dz
+            gram[-1, -1] += p[0, 0] / dz  # the last node's half weight
+            part[stop + 1:] += (np.sum((rho @ c) ** 2, axis=1) / w[0]
+                                + np.einsum("ij,ij->i", rho[:, 1:] @ gram, rho[:, 1:]))
+    return disc.lang_amp * part
 
 
 def simulate_grid(
@@ -549,9 +668,17 @@ def simulate_grid(
     Raises GridConfigError when the declared stability bounds are violated
     and GridGrowthError if any influence coefficient grows without bound.
     """
-    disc = _Discretization(medium, drive, grid, model)
-    single_rate = bool(np.all(disc.rates == disc.rates[0]))
-    table = _propagate_single_rate(disc) if single_rate else _propagate_dense(disc)
+    disc = _Discretization(medium, drive, grid)
+    rows, field, lang = disc.flows([0, *disc.run_ends], langevin=True)
+    light_kernel, field_weights = _light_kernel(disc, rows, field)
+    corr = _cell_correlator(model, disc.ntau, disc.dt)
+    # flat input has a diagonal correlator
+    weighted = corr[0, 0] * field_weights if model.kind == "flat" else field_weights @ corr
+    light_part = np.einsum("ij,ij->i", weighted, field_weights)
+    field_pass = -np.sqrt(disc.rates)[:, None] * field_weights[:-1]
+    field_pass.flat[::disc.ntau + 1] += 1.0
+    table = disc.table(rows[0], _langevin_part(disc, rows, lang), light_part,
+                       light_kernel, field_pass)
     variance = float(table.variance_trace[-1])
     report = NoiseReport(
         variance_norm=variance,
@@ -622,9 +749,11 @@ def light_kernel_convergence(
     for level in range(levels):
         shrink = 2 ** (levels - 1 - level)
         sub = GridSpec(nz=grid.nz // shrink, ntau=grid.ntau // shrink, tau_max=grid.tau_max)
-        table, _ = simulate_grid(medium, drive, sub, SqueezingModel.flat(1.0))
-        reference = light_kernel_reference(area, medium.length, gamma, table.tau)
-        err = float(np.linalg.norm(table.light_kernel - reference) / np.linalg.norm(reference))
+        disc = _Discretization(medium, drive, sub)
+        rows, field, _ = disc.flows(disc.run_ends, langevin=False)
+        kernel, _ = _light_kernel(disc, rows, field)
+        reference = light_kernel_reference(area, medium.length, gamma, disc.tau)
+        err = float(np.linalg.norm(kernel - reference) / np.linalg.norm(reference))
         sizes.append((sub.nz, sub.ntau))
         errors.append(err)
     orders = tuple(

@@ -61,10 +61,11 @@ class SqueezingModel:
     def __post_init__(self):
         if self.kind not in ("flat", "lorentzian"):
             raise ValueError(f"unknown squeezing kind {self.kind!r}")
-        if self.x0_sq < 0:
+        # "not >=" and "not >" reject NaN too
+        if not self.x0_sq >= 0:
             raise ValueError("x0_sq must be nonnegative")
         if self.kind == "lorentzian":
-            if self.gamma_q <= 0:
+            if not self.gamma_q > 0:
                 raise ValueError("lorentzian squeezing requires gamma_q > 0")
             if not 0.0 <= self.s <= 1.0:
                 raise ValueError("squeezing degree s must lie in [0, 1]")
@@ -136,7 +137,7 @@ def eta_from_variance(variance_norm: float, noise_floor: float) -> float:
 
 def atomic_vacuum_fraction(alpha: float) -> float:
     """A(alpha) = e^{-alpha}(I0(alpha) + I1(alpha)), the unmapped noise share."""
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     return bessel_i0e(alpha) + bessel_i1e(alpha)
 
@@ -148,7 +149,7 @@ def eta_closed(alpha: float) -> float:
 
 def variance_closed(alpha: float, x0_sq: float) -> NoiseReport:
     """Steady-state variance for flat (white) input at level X0^2."""
-    if x0_sq < 0:
+    if not x0_sq >= 0:
         raise ValueError(f"x0_sq must be nonnegative, got {x0_sq}")
     atom = atomic_vacuum_fraction(alpha)
     light = x0_sq * (1.0 - atom)
@@ -166,8 +167,10 @@ def transmitted_spectrum(alpha: float, x: float, s0: float) -> float:
     A convex combination of the input level and vacuum: absorbed frequencies
     exit at the vacuum level, untouched ones pass through.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if not s0 >= 0:
+        raise ValueError(f"s0 must be nonnegative, got {s0}")
     t = math.exp(-alpha / (1.0 + x * x))
     return s0 * t + (1.0 - t)
 
@@ -197,7 +200,7 @@ def atomic_spectral_density(alpha: float, x: float, s0: float) -> float:
 
     Normalized so that its integral over x equals the variance in nL units.
     """
-    if s0 < 0:
+    if not s0 >= 0:
         raise ValueError(f"s0 must be nonnegative, got {s0}")
     return _langevin_density(alpha, x) + s0 * _light_weight(alpha, x)
 
@@ -212,7 +215,7 @@ def variance_spectral(
     Both density pieces are even in x, so the integration runs over [0, inf)
     and is doubled.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if alpha == 0.0:
         # no light absorbed; pure atomic vacuum for any input statistics
@@ -249,7 +252,7 @@ def efficiency_curve(
     output never depends on evaluation order.
     """
     grid = [float(a) for a in alpha_grid]
-    if any(a < 0 for a in grid):
+    if not all(a >= 0 for a in grid):
         raise ValueError("alpha grid must be nonnegative")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("alpha grid must be sorted ascending")

@@ -26,7 +26,7 @@ def _require_positive(value: float, name: str) -> float:
 
 
 def _require_nonnegative(value: float, name: str) -> float:
-    if value < 0:
+    if not value >= 0:  # "not >=" rejects NaN too
         raise ValueError(f"{name} must be nonnegative, got {value}")
     return float(value)
 

@@ -51,7 +51,7 @@ class TwoModeGaussian:
             raise ValueError("cov must have shape (4, 4)")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("covariance must be symmetric")
-        if np.any(np.diag(cov) < 0):
+        if not np.all(np.diag(cov) >= 0):  # "not >=" rejects NaN too
             raise ValueError("covariance diagonal must be nonnegative")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -69,7 +69,7 @@ class BsReport:
     commutator_defect: float
 
     def __post_init__(self):
-        if self.r < 0:
+        if not self.r >= 0:
             raise ValueError("r must be nonnegative")
 
 
@@ -106,7 +106,7 @@ def coupling_r(alpha_pulse: float, threshold: float = DEFAULT_R_THRESHOLD) -> Bs
     resource must carry residual noise below r for the read-out to beat the
     classical baseline.
     """
-    if alpha_pulse < 0:
+    if not alpha_pulse >= 0:
         raise ValueError(f"alpha_pulse must be nonnegative, got {alpha_pulse}")
     r = math.sqrt(alpha_pulse)
     return BsReport(
@@ -139,9 +139,9 @@ def readout_noise_budget(r: float, epr_residual: float) -> ReadoutBudget:
     Zero coupling never passes; the report carries the residual-to-coupling
     ratio and the one-vacuum-unit classical baseline for comparison.
     """
-    if r < 0:
+    if not r >= 0:
         raise ValueError(f"r must be nonnegative, got {r}")
-    if epr_residual < 0:
+    if not epr_residual >= 0:
         raise ValueError(f"epr_residual must be nonnegative, got {epr_residual}")
     passes = epr_residual < r
     ratio = epr_residual / r if r > 0 else math.inf

@@ -285,7 +285,13 @@ class TestNumericsExitCode:
     def test_grid_growth_maps_to_exit_three(self, tmp_path, monkeypatch, capfd):
         from spinmap import cli
 
-        monkeypatch.setattr(cli.dynamics, "expm", lambda x, nz, dz: 1.5 * np.eye(nz + 1))
+        def growing_symbols(t, nz):
+            # every exp(-x T) grows with its area instead of decaying
+            e = np.zeros((nz, len(t)))
+            e[0] = np.exp(100.0 * t)
+            return e
+
+        monkeypatch.setattr(cli.dynamics, "_symbols", growing_symbols)
         code, text = run_cli(["simulate"], tmp_path,
                              "dimensionless.alpha = 2\ngrid.nz = 20\ngrid.ntau = 40\n")
         assert code == 3 and text == ""
@@ -321,6 +327,10 @@ BAD_VALUE_CASES = [
     ("efficiency", "dimensionless.alpha_grid = 2,1\n", "dimensionless.alpha_grid"),
     ("feasibility", _example_with("medium.length_m", "-1"), "medium.length_m"),
     ("feasibility", _example_with("drive.profile", "5e-3:1, 5e-3:-1"), "drive.profile"),
+    # SI keys are bounded at load, also under commands that never build their block
+    ("teleport", "teleport.alpha_pulse = 0.01\nmedium.length_m = -1\n", "medium.length_m"),
+    ("spectrum", "dimensionless.alpha = 1\ndrive.profile = 1:0.5, 0:1\n", "drive.profile"),
+    ("efficiency", "physics.gamma_q_per_s = 0\n", "physics.gamma_q_per_s"),
 ]
 
 

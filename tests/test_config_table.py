@@ -23,6 +23,7 @@ IN_BOUND = {
     "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
     ">= 0, ascending": lambda v: all(a >= 0 for a in v) and list(v) == sorted(v),
     "flat or lorentzian": lambda v: v in ("flat", "lorentzian"),
+    "durations > 0, powers >= 0": lambda v: all(d > 0 and p >= 0 for d, p in v),
 }
 TYPES = {"float": float, "int": int, "grid": np.ndarray, "profile": tuple, "choice": str}
 
@@ -69,9 +70,8 @@ def test_record_rejection_named_by_key():
         "drive.g_per_m_per_s": "1", "drive.gamma_s_per_s": "0", "drive.tau_pulse_s": "1",
     }
     for key in si:
-        cfg = RunConfig({**si, key: "-1"})
         with pytest.raises(ConfigError) as err:
-            cfg.record(key.split(".")[0])
+            RunConfig({**si, key: "-1"}).record(key.split(".")[0])
         assert err.value.field == key
 
 

@@ -256,6 +256,18 @@ class TestSimulateGrid:
         for order in study.orders:
             assert 0.8 <= order <= 1.2
 
+    def test_kernel_convergence_under_drive_profile(self):
+        # three segments with breakpoints on quarter points and one free power
+        # ratio, on the 100/200/400 ladder, at acceptance criterion 5's bounds
+        drive = DriveParams(g=0.5, gamma_s=0.0, tau_pulse=0.5,
+                            profile=((0.125, 1.0), (0.25, 0.5), (0.125, 0.8137)))
+        study = light_kernel_convergence(unit_medium(), drive,
+                                         GridSpec(nz=400, ntau=400, tau_max=0.5), levels=3)
+        assert study.monotone
+        for order in study.orders:
+            assert 0.8 <= order <= 1.2
+        assert study.errors[-1] <= 1e-3
+
     def test_initial_kernel_converges_under_refinement(self):
         medium = unit_medium()
         drive = constant_drive(2.0)
@@ -318,30 +330,37 @@ class TestSimulateGrid:
         (((0.25, 1.0), (0.25, 0.5), (0.25, 0.8)), 4),  # drive off for the last quarter
     ])
     def test_three_operators_per_distinct_rate(self, monkeypatch, profile, distinct_rates):
+        # no operator is built per step: one symbol table serves the whole
+        # run, with at most three areas per step for each run of equal rate
+        # (field, Langevin and the rows from its start) and the initial rows
         calls = []
-        original = dynamics.expm
+        original = dynamics._symbols
 
-        def counting_expm(*args):
-            calls.append(args)
-            return original(*args)
+        def counting_symbols(t, nz):
+            calls.append(len(t))
+            return original(t, nz)
 
-        monkeypatch.setattr(dynamics, "expm", counting_expm)
+        monkeypatch.setattr(dynamics, "_symbols", counting_symbols)
+        monkeypatch.setattr(dynamics, "expm", None)  # the propagator never builds a matrix
         drive = DriveParams(g=2.0, gamma_s=0.0, tau_pulse=2.0, profile=profile)
         simulate_grid(unit_medium(), drive, GridSpec(nz=20, ntau=40, tau_max=1.0),
                       SqueezingModel.flat(1.0))
-        assert len(calls) == 3 * distinct_rates
-
-    def test_single_rate_skips_dense_loop(self, monkeypatch):
-        def refuse(disc):
-            raise AssertionError("dense loop ran for a single-rate drive")
-
-        monkeypatch.setattr(dynamics, "_propagate_dense", refuse)
-        simulate_grid(unit_medium(), constant_drive(2.0), GridSpec(nz=20, ntau=40, tau_max=1.0),
-                      SqueezingModel.flat(1.0))
+        assert len(calls) == 1
+        assert calls[0] <= (distinct_rates + 2) * 41
 
     @pytest.mark.parametrize("profile", [(), ((0.5, 1.0), (0.5, 0.5))])
     def test_growth_guard_names_step(self, monkeypatch, profile):
-        monkeypatch.setattr(dynamics, "expm", lambda x, nz, dz: 1.5 * np.eye(nz + 1))
+        # every step of rate 2 (the first one in both drives) advances
+        # t = x dz by 2 dt dz; the patched symbol grows by 1.5 per such step
+        # on the diagonal only, as if each step operator were 1.5 I
+        t_step = 2.0 * (1.0 / 200) * (1.0 / 20)
+
+        def growing_symbols(t, nz):
+            e = np.zeros((nz, len(t)))
+            e[0] = 1.5 ** (t / t_step)
+            return e
+
+        monkeypatch.setattr(dynamics, "_symbols", growing_symbols)
         drive = DriveParams(g=2.0, gamma_s=0.0, tau_pulse=2.0, profile=profile)
         with pytest.raises(GridGrowthError, match="at step 4$"):
             # 1.5 e^{-Gamma dt} = 1.4925 per step passes the bound 4 at step 4

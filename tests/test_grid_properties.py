@@ -1,12 +1,15 @@
 """Property tests of the grid oracle: the closed-form step exponential against
-a general matrix exponential, and the single-rate contracted path against the
-dense reference loop, on random small grids."""
+a general matrix exponential, and the contracted propagator against the dense
+reference loop (``grid_reference``) on random small grids and drive
+profiles, and on one long run at the exchange bound."""
 
 import numpy as np
 import scipy.linalg
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grid_reference import dense_table
 from spinmap import dynamics
 from spinmap.dynamics import GridSpec, STABILITY_EXCHANGE_BOUND
 from spinmap.mapping import SqueezingModel
@@ -44,30 +47,46 @@ models = st.one_of(
 )
 
 
+def assert_matches_dense(medium, drive, grid, model):
+    table, report = dynamics.simulate_grid(medium, drive, grid, model)
+    dense = dense_table(medium, drive, grid, model)
+    for name in TABLE_ARRAYS:
+        np.testing.assert_allclose(getattr(table, name), getattr(dense, name),
+                                   rtol=0.0, atol=1e-12, err_msg=name)
+    assert report.variance_norm == table.variance_trace[-1]
+    return table
+
+
 @st.composite
-def single_rate_runs(draw):
+def grid_runs(draw):
     nz = draw(st.integers(2, 40))
     ntau = draw(st.integers(2, 40))
     length = draw(st.floats(0.5, 2.0))
     tau_max = draw(st.floats(0.05, 1.0))  # Gamma dt <= 0.5 for every ntau >= 2
     # alpha from 0 up to the exchange stability bound g dt dz <= 0.1
     g_max = STABILITY_EXCHANGE_BOUND * nz * ntau / (length * tau_max)
-    g = draw(st.just(0.0) | st.floats(0.0, 1.0).map(lambda f: f * g_max))
+    # (g = 0 is one case in five)
+    g = draw(st.sampled_from([0.0, 1.0, 1.0, 1.0, 1.0])) * draw(st.floats(0.0, 1.0)) * g_max
+    # no segments: one rate past the horizon.  Otherwise 1-4 segments whose
+    # breakpoints lie on grid nodes (whole steps) or between them, with zero,
+    # full or any power, ending inside the horizon or past it
+    n_segments = draw(st.integers(0, 4))
+    on_nodes = st.integers(1, ntau).map(lambda k: k * tau_max / ntau)
+    between = st.floats(0.01, 1.0).map(lambda f: f * tau_max)
+    durations = draw(st.lists(on_nodes | between, min_size=n_segments, max_size=n_segments))
+    powers = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                           min_size=n_segments, max_size=n_segments))
     medium = MediumParams(density=1.0, length=length, area=1.0, gamma0=1.0, wavelength=1.0)
-    drive = DriveParams(g=g, gamma_s=0.0, tau_pulse=2.0 * tau_max)
+    drive = DriveParams(g=g, gamma_s=0.0, tau_pulse=2.0 * tau_max,
+                        profile=tuple(zip(durations, powers)))
     return medium, drive, GridSpec(nz=nz, ntau=ntau, tau_max=tau_max), draw(models)
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(single_rate_runs())
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(grid_runs())
 def test_contracted_path_matches_dense_reference(run):
     medium, drive, grid, model = run
-    table, report = dynamics.simulate_grid(medium, drive, grid, model)
-    dense = dynamics._propagate_dense(dynamics._Discretization(medium, drive, grid, model))
-    for name in TABLE_ARRAYS:
-        np.testing.assert_allclose(getattr(table, name), getattr(dense, name),
-                                   rtol=0.0, atol=1e-12, err_msg=name)
-    assert report.variance_norm == table.variance_trace[-1]
+    table = assert_matches_dense(medium, drive, grid, model)
 
     # causality holds exactly: no weight on input cells at or after the node
     for k in range(grid.ntau + 1):
@@ -76,3 +95,18 @@ def test_contracted_path_matches_dense_reference(run):
     if drive.g == 0.0:
         assert np.all(table.field_pass == np.eye(grid.ntau))
         assert np.all(table.light_kernel == 0.0)
+
+
+@pytest.mark.parametrize("profile", [(), ((0.4, 1.0), (0.3, 0.37), (0.2, 1.0))])
+def test_exchange_bound_long_horizon_matches_dense_reference(profile):
+    # g dt dz at the exchange bound for 1000 steps: the summed area reaches
+    # x dz = 100 (71 under the profile), where the rows, columns and
+    # Gramians are evaluated at e^{-t/2} L_k(t) for t up to that value
+    nz, ntau, tau_max = 40, 1000, 1.0
+    medium = MediumParams(density=1.0, length=1.0, area=1.0, gamma0=1.0, wavelength=1.0)
+    g = STABILITY_EXCHANGE_BOUND * nz * ntau / tau_max
+    drive = DriveParams(g=g, gamma_s=0.0, tau_pulse=2.0 * tau_max, profile=profile)
+    grid = GridSpec(nz=nz, ntau=ntau, tau_max=tau_max)
+    if not profile:
+        assert dynamics._Discretization(medium, drive, grid).node_t[-1] == pytest.approx(100.0)
+    assert_matches_dense(medium, drive, grid, SqueezingModel.lorentzian(5.0, s=0.7))

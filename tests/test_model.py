@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from spinmap import dynamics, mapping, teleport
 from spinmap.model import (
     AtomicPhysics,
     DriveParams,
@@ -223,3 +225,44 @@ class TestFeasibility:
             make_drive(g=-1.0)
         with pytest.raises(ValueError):
             DriveParams(g=1.0, gamma_s=0.0, tau_pulse=1e-2, profile=((1.0, -0.5),))
+
+
+NAN = float("nan")
+FLAT = mapping.SqueezingModel.flat(1.0)
+
+
+NAN_CASES = {
+    "DriveParams.g": lambda: DriveParams(g=NAN, gamma_s=0.0, tau_pulse=1.0),
+    "DriveParams.gamma_s": lambda: DriveParams(g=1.0, gamma_s=NAN, tau_pulse=1.0),
+    "DriveParams.profile_power": lambda: DriveParams(g=1.0, gamma_s=0.0, tau_pulse=1.0,
+                                                     profile=((0.5, NAN),)),
+    "AtomicPhysics.saturation": lambda: make_physics(saturation=NAN),
+    "power_broadening.es_sq": lambda: power_broadening(make_physics(), 1.0, NAN),
+    "flat.x0_sq": lambda: mapping.SqueezingModel.flat(NAN),
+    "lorentzian.gamma_q": lambda: mapping.SqueezingModel.lorentzian(NAN),
+    "lorentzian.s": lambda: mapping.SqueezingModel.lorentzian(1.0, s=NAN),
+    "atomic_vacuum_fraction.alpha": lambda: mapping.atomic_vacuum_fraction(NAN),
+    "variance_closed.x0_sq": lambda: mapping.variance_closed(1.0, NAN),
+    "transmitted_spectrum.alpha": lambda: mapping.transmitted_spectrum(NAN, 0.0, 1.0),
+    "transmitted_spectrum.s0": lambda: mapping.transmitted_spectrum(1.0, 0.0, NAN),
+    "atomic_spectral_density.s0": lambda: mapping.atomic_spectral_density(1.0, 0.0, NAN),
+    "variance_spectral.alpha": lambda: mapping.variance_spectral(NAN, FLAT),
+    "efficiency_curve.grid": lambda: mapping.efficiency_curve([0.0, NAN], FLAT),
+    "coupling_r.alpha_pulse": lambda: teleport.coupling_r(NAN),
+    "BsReport.r": lambda: teleport.BsReport(r=NAN, valid=True, epr_requirement=0.0,
+                                            commutator_defect=0.0),
+    "readout_noise_budget.r": lambda: teleport.readout_noise_budget(NAN, 0.0),
+    "readout_noise_budget.epr_residual": lambda: teleport.readout_noise_budget(1.0, NAN),
+    "TwoModeGaussian.cov": lambda: teleport.TwoModeGaussian(mean=np.zeros(4),
+                                                            cov=np.diag([1.0, NAN, 1.0, 1.0])),
+    "PulseArea.breakpoints": lambda: dynamics.PulseArea(breakpoints=(NAN,), rates=(1.0,)),
+    "PulseArea.rates": lambda: dynamics.PulseArea(breakpoints=(1.0,), rates=(NAN,)),
+    "PulseArea.final_rate": lambda: dynamics.PulseArea.constant(NAN),
+}
+
+
+@pytest.mark.parametrize("build", NAN_CASES.values(), ids=NAN_CASES.keys())
+def test_records_and_arguments_reject_nan(build):
+    # a "< 0" check lets NaN through; every one of these is written "not >= 0"
+    with pytest.raises(ValueError):
+        build()
