@@ -6,14 +6,35 @@ Analytic route
 For a drive with accumulated area a(tau) the collective spin responds to the
 initial coherence through a J0 kernel, to the Langevin force through the same
 J0 kernel integrated over the sample, and to the input light through the
-collective J1 kernel.  Squaring those kernels against delta-correlated inputs
-gives the variance in nL units as three one-dimensional time integrals; the
+collective J1 kernel A(t).  Squaring those kernels against delta-correlated
+inputs gives the variance in nL units as one-dimensional time integrals; the
 spatial integrals collapse through
 
     int_0^L J0^2(2 sqrt(u w)) dw = L [J0^2(2 sqrt(uL)) + J1^2(2 sqrt(uL))].
 
-For constant drive and Gamma tau >> 1 these reproduce the closed-form
-steady state exactly.
+Lorentzian input adds the correlator's double integral over
+e^{-Gq |t - t'|}.  For t' < t that is e^{-Gq (t - t')}, so the double
+integral is 2 int_0^tau A(t) y(t) dt with the causal first-order filter
+y(t) = int_0^t A(t') e^{-Gq (t - t')} dt', y' = -Gq y + A.
+
+``transient_variance`` evaluates every integral in one vectorized pass of
+composite Gauss-Legendre panels (``specfun.integrate_panels``, 16 nodes a
+panel).  The panels split at the drive breakpoints, where the integrands
+kink, and are cut so that none spans more than PANEL_DECAY e-folds of the
+fastest exponential (2 Gamma + Gq) or PANEL_PHASE radians of the Bessel
+phase 2 sqrt(uL), spaced uniformly in that phase.  At the nodes of a panel
+[a, b] the filter is its value at a, damped by e^{-Gq (t - a)}, plus a
+Gauss rule on [a, t]; from panel to panel it carries over by one scalar
+recursion.  One evaluation covers the panels and the panels halved; the
+halved values are returned and their change is the error estimate, which
+must meet ``tol`` or the round-off floor the adaptive rule accepts, else
+QuadratureConvergenceError (exit 3).  Cost: flat input evaluates the
+kernels at 16 nodes a panel, lorentzian input 16 more for each node's
+filter rule (272 a panel), on the panels and on their halves; 1-25 panels
+cover the parameter ranges the CLI and the benchmark use.  The nested adaptive
+quadrature this replaces is kept in the tests as the reference.  For
+constant drive and Gamma tau >> 1 these reproduce the closed-form and
+spectral steady states.
 
 Grid oracle
 -----------
@@ -54,6 +75,7 @@ the reference.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,7 +86,9 @@ from scipy.linalg import toeplitz
 
 from .mapping import NoiseReport, SqueezingModel, eta_from_variance
 from .model import DriveParams, MediumParams, total_dephasing
-from .specfun import bessel_j0, bessel_j1, integrate_adaptive
+from .specfun import bessel_j0, bessel_j1, gauss_panels, integrate_panels
+# the benchmark's span binding spinmap.dynamics.integrate_adaptive (bench/spans.py)
+from .specfun import integrate_adaptive  # noqa: F401
 
 STABILITY_EXCHANGE_BOUND = 0.1   # g * dt * dz
 STABILITY_DECAY_BOUND = 0.5      # Gamma * dt
@@ -123,27 +147,34 @@ class PulseArea:
             rates.append(drive.g * power)
         return cls(breakpoints=tuple(breakpoints), rates=tuple(rates), final_rate=0.0)
 
-    def value(self, tau: float) -> float:
-        """a(tau); a(0) = 0, nondecreasing."""
-        if tau < 0:
-            raise ValueError(f"tau must be nonnegative, got {tau}")
-        a = 0.0
-        prev = 0.0
-        for t, r in zip(self.breakpoints, self.rates):
-            if tau <= t:
-                return a + r * (tau - prev)
-            a += r * (t - prev)
-            prev = t
-        return a + self.final_rate * (tau - prev)
+    @functools.cached_property
+    def _segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Start, rate and area at the start of every segment, the open
+        last one included."""
+        starts = np.array([0.0, *self.breakpoints])
+        rates = np.array([*self.rates, self.final_rate])
+        return starts, rates, np.concatenate(([0.0], np.cumsum(rates[:-1] * np.diff(starts))))
 
-    def rate(self, tau: float) -> float:
-        """Instantaneous coupling rate a'(tau) (right-continuous)."""
-        if tau < 0:
+    def _locate(self, tau, side: str):
+        t = np.asarray(tau, dtype=float)
+        if not (t >= 0).all():  # "not >=" rejects NaN too
             raise ValueError(f"tau must be nonnegative, got {tau}")
-        for t, r in zip(self.breakpoints, self.rates):
-            if tau < t:
-                return r
-        return self.final_rate
+        return t, self._segments[0][1:].searchsorted(t, side=side)
+
+    def value(self, tau):
+        """a(tau); a(0) = 0, nondecreasing.  A float gives a float, an array
+        of times an array."""
+        t, k = self._locate(tau, "left")  # the first segment ending at or after tau
+        starts, rates, areas = self._segments
+        a = areas[k] + rates[k] * (t - starts[k])
+        return float(a) if a.ndim == 0 else a
+
+    def rate(self, tau):
+        """Instantaneous coupling rate a'(tau) (right-continuous); a float
+        gives a float, an array of times an array."""
+        _, k = self._locate(tau, "right")
+        r = self._segments[1][k]
+        return float(r) if r.ndim == 0 else r
 
     def step_rates(self, dt: float, n: int) -> np.ndarray:
         """Mean coupling rate over each step [k dt, (k+1) dt], k < n.
@@ -165,9 +196,6 @@ class PulseArea:
             rates[k] = (self.value(hi[k]) - self.value(lo[k])) / dt
         return rates
 
-    def knots_up_to(self, tau: float) -> list[float]:
-        return [t for t in self.breakpoints if t < tau]
-
     def max_rate(self) -> float:
         return max((*self.rates, self.final_rate), default=self.final_rate)
 
@@ -183,15 +211,6 @@ def collective_initial_kernel(zp: float, tau: float, area: PulseArea, length: fl
     return math.exp(-gamma * tau) * bessel_j0(2.0 * math.sqrt(area.value(tau) * (length - zp)))
 
 
-def _j1_over_sqrt(y: float) -> float:
-    """sqrt(1/y) J1(2 sqrt(y)) with its removable singularity; equals the
-    series 1 - y/2 + y^2/12 - ... near zero."""
-    if y < 1e-8:
-        return 1.0 - y / 2.0 + y * y / 12.0
-    root = math.sqrt(y)
-    return bessel_j1(2.0 * root) / root
-
-
 def collective_light_kernel(tau: float, tau_p: float, area: PulseArea, length: float,
                             gamma: float) -> float:
     """Weight of the input light at tau' < tau in the collective spin:
@@ -204,22 +223,36 @@ def collective_light_kernel(tau: float, tau_p: float, area: PulseArea, length: f
     if tau_p >= tau:
         raise ValueError(f"tau_p must precede tau, got tau_p={tau_p} tau={tau}")
     u = area.value(tau) - area.value(tau_p)
-    return math.exp(-gamma * (tau - tau_p)) * length * _j1_over_sqrt(u * length)
+    return math.exp(-gamma * (tau - tau_p)) * length * float(_j1_over_sqrt_vec(u * length))
 
 
-def _phi2(y: float) -> float:
-    """J0^2 + J1^2 at argument 2 sqrt(y); the z-integrated squared J0 kernel / L."""
-    r = 2.0 * math.sqrt(y)
-    return bessel_j0(r) ** 2 + bessel_j1(r) ** 2
+PANEL_PHASE = 10.0   # most Bessel phase 2 sqrt(u L) a transient panel spans [rad]
+PANEL_DECAY = 12.0   # most e-folds of the fastest exponential a transient panel spans
+FILTER_BLOCK = 32    # panels per block of the filter's node-by-node Gauss rules, which
+                     # keeps their temporaries at 64 KB however many panels there are
 
 
-def _integrate_with_knots(f, lo: float, hi: float, knots, tol: float) -> float:
-    """Adaptive quadrature split at interior drive-profile breakpoints."""
-    points = sorted({lo, hi, *(k for k in knots if lo < k < hi)})
-    total = 0.0
-    for a, b in zip(points, points[1:]):
-        total += integrate_adaptive(f, a, b, tol=tol / max(1, len(points) - 1)).value
-    return total
+def _panel_edges(area: PulseArea, length: float, rate: float, tau: float) -> np.ndarray:
+    """Panel edges on [0, tau] for integrands smooth between breakpoints.
+
+    The edges hold every drive breakpoint before tau, a uniform grid that
+    spans at most PANEL_DECAY e-folds of the exponential rate ``rate`` per
+    step, and the times where the Bessel phase 2 sqrt(u L),
+    u = a(tau) - a(t), crosses a multiple of its step (at most PANEL_PHASE),
+    so no panel spans more of either.
+    """
+    ends = np.array([0.0, *(t for t in area.breakpoints if t < tau), tau])
+    a = area.value(ends)
+    ul = (a[-1] - a) * length  # nonincreasing
+    phase = 2.0 * math.sqrt(ul[0])
+    n_phase = max(math.ceil(phase / PANEL_PHASE), 1)
+    n_decay = max(math.ceil(tau * rate / PANEL_DECAY), 1)
+    crossings = (np.arange(1, n_phase) * (phase / n_phase / 2.0)) ** 2
+    return np.sort(np.concatenate([
+        ends,
+        np.arange(1, n_decay) * (tau / n_decay),
+        np.interp(crossings, ul[::-1], ends[::-1]),
+    ]))
 
 
 def transient_variance(
@@ -233,16 +266,20 @@ def transient_variance(
     """Collective-spin variance at finite time, in nL units.
 
     Sums the decayed initial coherence, the Langevin restoration and the
-    absorbed-light contribution.  Flat input reduces every piece to a single
-    time integral; lorentzian input needs the double time integral over the
-    exponential part of its correlator.
+    absorbed-light contribution, all in one composite Gauss-Legendre pass
+    (``specfun.integrate_panels``) whose panels split at the drive
+    breakpoints.  Lorentzian input adds the correlator's double integral
+    through a causal filter at the same nodes.
+
+    Raises QuadratureConvergenceError when halving the panels moves the
+    Langevin or the light part by more than the budget: ``tol``, or the
+    round-off floor where that is larger.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     a_tau = area.value(tau)
-    knots = area.knots_up_to(tau)
-
-    var_init = math.exp(-2.0 * gamma * tau) * _phi2(a_tau * length)
+    root = 2.0 * math.sqrt(a_tau * length)
+    var_init = math.exp(-2.0 * gamma * tau) * (bessel_j0(root) ** 2 + bessel_j1(root) ** 2)
 
     if tau == 0.0:
         return NoiseReport(
@@ -252,44 +289,68 @@ def transient_variance(
             light_part=0.0,
         )
 
-    def lang_integrand(tp: float) -> float:
-        u = a_tau - area.value(tp)
-        return 2.0 * gamma * math.exp(-2.0 * gamma * (tau - tp)) * _phi2(u * length)
+    gq = model.gamma_q if model.kind == "lorentzian" else 0.0
 
-    var_lang = _integrate_with_knots(lang_integrand, 0.0, tau, knots, tol)
+    def light_kernel(t):
+        # u L at t, j = sqrt(1/(u L)) J1(2 sqrt(u L)), and the kernel on the
+        # white input without its decay: j with the drive weight sqrt(a'(t) L)
+        ul = (a_tau - area.value(t)) * length
+        j = _j1_over_sqrt_vec(ul)
+        return ul, j, np.sqrt(area.rate(t) * length) * j
 
-    def light_amplitude(tp: float) -> float:
-        # kernel on the white input, including the drive weight sqrt(a'(tau'))
-        u = a_tau - area.value(tp)
-        return (
-            math.exp(-gamma * (tau - tp))
-            * math.sqrt(area.rate(tp) * length)
-            * _j1_over_sqrt(u * length)
-        )
+    def rule(partitions):
+        # every partition's panels in one array: one evaluation of the kernels
+        lo = np.concatenate([e[:-1] for e in partitions])
+        hi = np.concatenate([e[1:] for e in partitions])
+        first = list(itertools.accumulate((len(e) - 1 for e in partitions), initial=0))
+        t, w = gauss_panels(lo, hi)
+        ul, j, amp = light_kernel(t)
+        damp = np.exp(-gamma * (tau - t))
+        amp *= damp
+        # the Langevin kernel J0^2 + J1^2 at 2 sqrt(u L), with J1 = sqrt(u L) j
+        lang = 2.0 * gamma * (w * damp * damp * (special.j0(2.0 * np.sqrt(ul)) ** 2
+                                                 + ul * j * j)).sum(axis=1)
+        white = (w * amp * amp).sum(axis=1)
+        if model.kind == "flat":
+            light, evaluations = model.x0_sq * white, t.size
+        else:
+            # e^{-Gq |t - t'|} = e^{-Gq (t - t')} for t' < t, so the
+            # correlator's double integral is 2 int A(t) y(t) dt with the
+            # causal filter y(t) = int_0^t A(t') e^{-Gq (t - t')} dt'.  At the
+            # nodes t of a panel [a, b], y is its value at a, damped by
+            # e^{-Gq (t - a)}, plus a Gauss rule on [a, t]; from panel to
+            # panel it carries over as one scalar,
+            # y(b) = e^{-Gq (b - a)} y(a) + int_a^b A(t') e^{-Gq (b - t')} dt'.
+            a, b = lo[:, None], hi[:, None]
+            local = np.empty_like(t)
+            for block in range(0, len(lo), FILTER_BLOCK):
+                rows = slice(block, block + FILTER_BLOCK)
+                ts, ws = gauss_panels(a[rows], t[rows])
+                local[rows] = (ws * light_kernel(ts)[2] * np.exp(
+                    -gamma * (tau - ts) - gq * (t[rows, :, None] - ts))).sum(axis=-1)
+            gains = (w * amp * np.exp(-gq * (b - t))).sum(axis=1)
+            fades = np.exp(-gq * (hi - lo))
+            y_start = np.empty(len(lo))
+            for start, stop in itertools.pairwise(first):
+                y = 0.0  # y(0) = 0 in every partition
+                for p in range(start, stop):
+                    y_start[p] = y
+                    y = fades[p] * y + gains[p]
+            corr = 2.0 * (w * amp * (y_start[:, None] * np.exp(-gq * (t - a)) + local)).sum(axis=1)
+            light, evaluations = white - model.s * (gq / 2.0) * corr, t.size * (1 + t.shape[1])
+        sums = {"Langevin part": np.add.reduceat(lang, first[:-1]),
+                "light part": np.add.reduceat(light, first[:-1])}
+        return ([{name: v[k] for name, v in sums.items()} for k in range(len(partitions))],
+                evaluations)
 
-    var_white = _integrate_with_knots(lambda tp: light_amplitude(tp) ** 2, 0.0, tau, knots, tol)
-
-    if model.kind == "flat":
-        var_light = model.x0_sq * var_white
-    else:
-        gq = model.gamma_q
-        inner_tol = max(tol, 1e-8)
-        def inner(tp: float) -> float:
-            def f(ts: float) -> float:
-                return light_amplitude(ts) * math.exp(-gq * abs(tp - ts))
-            # the correlator kink at ts = tp needs an explicit split
-            return light_amplitude(tp) * _integrate_with_knots(
-                f, 0.0, tau, [*knots, tp], inner_tol
-            )
-        corr = _integrate_with_knots(inner, 0.0, tau, knots, inner_tol)
-        var_light = var_white - model.s * (gq / 2.0) * corr
-
-    variance = var_init + var_lang + var_light
+    parts = integrate_panels(rule, _panel_edges(area, length, 2.0 * gamma + gq, tau), tol)
+    atom = var_init + parts["Langevin part"].value
+    light = parts["light part"].value
     return NoiseReport(
-        variance_norm=variance,
-        eta=eta_from_variance(variance, model.noise_floor),
-        atom_langevin_part=var_init + var_lang,
-        light_part=var_light,
+        variance_norm=atom + light,
+        eta=eta_from_variance(atom + light, model.noise_floor),
+        atom_langevin_part=atom,
+        light_part=light,
     )
 
 
@@ -690,14 +751,11 @@ def simulate_grid(
 
 
 def _j1_over_sqrt_vec(y: np.ndarray) -> np.ndarray:
+    """sqrt(1/y) J1(2 sqrt(y)) with its removable singularity; equals the
+    series 1 - y/2 + y^2/12 - ... near zero."""
     y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    small = y < 1e-8
-    ys = y[small]
-    out[small] = 1.0 - ys / 2.0 + ys * ys / 12.0
-    root = np.sqrt(y[~small])
-    out[~small] = special.j1(2.0 * root) / root
-    return out
+    root = np.sqrt(np.maximum(y, 1e-8))  # y itself wherever the quotient is used
+    return np.where(y < 1e-8, 1.0 - y / 2.0 + y * y / 12.0, special.j1(2.0 * root) / root)
 
 
 def light_kernel_reference(area: PulseArea, length: float, gamma: float,
@@ -708,7 +766,7 @@ def light_kernel_reference(area: PulseArea, length: float, gamma: float,
     every earlier node tau_kp; the layout matches KernelTable.light_kernel.
     """
     t = np.asarray(tau_nodes, dtype=float)
-    avals = np.array([area.value(x) for x in t])
+    avals = area.value(t)
     ntau = len(t) - 1
     kernel = np.zeros((ntau + 1, ntau))
     k, kp = np.tril_indices(ntau + 1, -1, ntau)

@@ -282,6 +282,17 @@ class TestNumericsExitCode:
         cfg.write_text("dimensionless.alpha = 1\n")
         assert cli.main(["transient", "--config", str(cfg)]) == 3
 
+    def test_panel_budget_miss_maps_to_exit_three(self, tmp_path, monkeypatch, capfd):
+        from spinmap import specfun
+
+        # two Gauss nodes a panel: the doubling estimate misses the budget
+        monkeypatch.setattr(specfun, "PANEL_NODES", 2)
+        for model in ("", "dimensionless.input = lorentzian\ndimensionless.b = 5\n"):
+            code, text = run_cli(["transient"], tmp_path,
+                                 "dimensionless.alpha = 5\ntransient.points = 4\n" + model)
+            assert code == 3 and text == ""
+            assert "did not converge" in capfd.readouterr().err
+
     def test_grid_growth_maps_to_exit_three(self, tmp_path, monkeypatch, capfd):
         from spinmap import cli
 

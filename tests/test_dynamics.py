@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
-from spinmap import dynamics
+from spinmap import dynamics, specfun
 from spinmap.dynamics import (
     GridConfigError,
     GridGrowthError,
@@ -19,7 +20,13 @@ from spinmap.dynamics import (
 )
 from spinmap.mapping import SqueezingModel, variance_closed, variance_spectral
 from spinmap.model import DriveParams, MediumParams
-from spinmap.specfun import bessel_j0, bessel_j1, integrate_adaptive
+from spinmap.specfun import (
+    QuadratureConvergenceError,
+    QuadratureResult,
+    bessel_j0,
+    bessel_j1,
+    integrate_adaptive,
+)
 
 # first positive roots of J0 and J1, squared over four (series-oracle bisection)
 J0_ROOT_SQ_OVER_4 = 1.4457964907366961
@@ -57,6 +64,22 @@ class TestPulseArea:
         assert area.value(5.0) == pytest.approx(3.0, rel=1e-15)  # drive off after pulse
         assert area.rate(1.2) == 1.0
         assert area.rate(3.0) == 0.0
+
+    def test_value_and_rate_take_arrays(self):
+        area = PulseArea.from_drive(DriveParams(g=2.0, gamma_s=0.0, tau_pulse=1.0,
+                                                profile=((0.5, 1.0), (0.5, 0.25))))
+        taus = np.array([0.0, 0.25, 0.5, 0.7, 1.0, 3.0])
+        assert area.value(taus) == pytest.approx([0.0, 0.5, 1.0, 1.1, 1.25, 1.25], rel=1e-15)
+        assert area.rate(taus).tolist() == [2.0, 2.0, 0.5, 0.5, 0.0, 0.0]  # right-continuous
+        assert area.value(taus.reshape(2, 3)).shape == (2, 3)
+        # a float in gives a float out, equal to the array's entry
+        assert type(area.value(0.7)) is float and type(area.rate(0.7)) is float
+        assert area.value(0.7) == area.value(taus)[3]
+        for bad in (-0.1, math.nan, np.array([0.5, -1.0])):
+            with pytest.raises(ValueError):
+                area.value(bad)
+            with pytest.raises(ValueError):
+                area.rate(bad)
 
     def test_step_rates_exact_inside_segments(self):
         area = PulseArea.from_drive(DriveParams(g=2.0, gamma_s=0.0, tau_pulse=1.0,
@@ -191,6 +214,17 @@ class TestTransientVariance:
         assert just_after.light_part <= before.light_part
         assert just_after.variance_norm == pytest.approx(before.variance_norm, abs=5e-3)
 
+    @pytest.mark.parametrize("model", [SqueezingModel.flat(0.3),
+                                       SqueezingModel.lorentzian(5.0, s=0.8)])
+    def test_budget_miss_raises_with_best_estimate(self, monkeypatch, model):
+        # two nodes a panel leave the doubling estimate far above the budget
+        monkeypatch.setattr(specfun, "PANEL_NODES", 2)
+        with pytest.raises(QuadratureConvergenceError, match="Langevin part did not converge") as err:
+            transient_variance(PulseArea.constant(5.0), 1.0, 1.0, model, 3.0)
+        best = err.value.best
+        assert isinstance(best, QuadratureResult)
+        assert math.isfinite(best.value) and best.error_estimate > 1e-8
+
     def test_decomposition_invariant(self):
         rep = transient_variance(PulseArea.constant(3.0), 1.0, 1.0, SqueezingModel.flat(0.2), 1.5)
         assert rep.variance_norm == pytest.approx(
@@ -247,6 +281,24 @@ class TestSimulateGrid:
         ref = light_kernel_reference(PulseArea.from_drive(drive), 1.0, 1.0, table.tau)
         err = np.linalg.norm(table.light_kernel - ref) / np.linalg.norm(ref)
         assert err < 4e-3
+
+    @pytest.mark.parametrize("profile", [
+        ((0.125, 1.0), (0.25, 0.5), (0.125, 0.8137)),  # the benchmark's profile ladder
+        ((0.1, 1.0), (0.15, 0.0), (0.1, 0.8137)),      # a dark segment, off before the horizon
+    ])
+    def test_light_kernel_reference_matches_double_loop(self, profile):
+        drive = DriveParams(g=0.5, gamma_s=0.0, tau_pulse=0.5, profile=profile)
+        area = PulseArea.from_drive(drive)
+        tau = np.arange(101) * (0.5 / 100)
+        length, gamma = 1.0, 1.0
+        expected = np.zeros((101, 100))
+        for k in range(101):
+            for kp in range(k):
+                y = (area.value(float(tau[k])) - area.value(float(tau[kp]))) * length
+                root = np.sqrt(y)
+                j = 1.0 - y / 2.0 + y * y / 12.0 if y < 1e-8 else special.j1(2.0 * root) / root
+                expected[k, kp] = np.exp(-gamma * (tau[k] - tau[kp])) * length * j
+        assert np.array_equal(light_kernel_reference(area, length, gamma, tau), expected)
 
     def test_kernel_convergence_first_order(self):
         medium = unit_medium()

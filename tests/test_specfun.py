@@ -6,13 +6,16 @@ from scipy.special import jn
 
 import oracles
 from spinmap.specfun import (
+    PANEL_NODES,
     QuadratureConvergenceError,
     QuadratureResult,
     bessel_i0e,
     bessel_i1e,
     bessel_j0,
     bessel_j1,
+    gauss_panels,
     integrate_adaptive,
+    integrate_panels,
 )
 
 # frozen from the independent series oracles in oracles.py
@@ -158,3 +161,65 @@ class TestIntegrateAdaptive:
             QuadratureResult(value=1.0, error_estimate=-1e-3, evaluations=5)
         with pytest.raises(ValueError):
             QuadratureResult(value=1.0, error_estimate=0.0, evaluations=0)
+
+
+def panel_rule(**integrands):
+    """A rule for integrate_panels: each named integrand by the panel rule,
+    on every partition."""
+    def rule(partitions):
+        results, evaluations = [], 0
+        for edges in partitions:
+            t, w = gauss_panels(edges[:-1], edges[1:])
+            results.append({name: np.sum(w * f(t)) for name, f in integrands.items()})
+            evaluations += t.size
+        return results, evaluations
+    return rule
+
+
+class TestIntegratePanels:
+    def test_nodes_broadcast_and_weights_sum_to_width(self):
+        lo = np.array([[0.0], [1.0]])
+        hi = np.array([[0.5, 1.0, 2.0], [1.5, 3.0, 4.0]])
+        t, w = gauss_panels(lo, hi)
+        assert t.shape == w.shape == (2, 3, PANEL_NODES)
+        np.testing.assert_allclose(w.sum(axis=-1), hi - lo, rtol=1e-14)
+        assert np.all((t > lo[..., None]) & (t < hi[..., None]))
+
+    def test_polynomials_exact_with_zero_estimate(self):
+        # degree 2n - 1 is the rule's exactness limit
+        degree = 2 * PANEL_NODES - 1
+        res = integrate_panels(panel_rule(p=lambda x: x ** degree), [-1.0, 0.5, 2.0])["p"]
+        exact = (2.0 ** (degree + 1) - 1.0) / (degree + 1)
+        assert res.value == pytest.approx(exact, rel=1e-13)
+        assert res.error_estimate <= 1e-13 * exact
+        assert res.evaluations == PANEL_NODES * (2 + 4)
+
+    def test_named_integrals_share_the_nodes(self):
+        res = integrate_panels(panel_rule(exp=np.exp, cos=np.cos), np.linspace(0.0, 3.0, 4))
+        assert res["exp"].value == pytest.approx(math.expm1(3.0), rel=1e-14)
+        assert res["cos"].value == pytest.approx(math.sin(3.0), abs=1e-14)
+        assert res["exp"].evaluations == res["cos"].evaluations
+
+    def test_budget_miss_names_the_integral_and_carries_best(self):
+        with pytest.raises(QuadratureConvergenceError, match="of the wave did not") as err:
+            integrate_panels(panel_rule(flat=np.ones_like, wave=lambda x: np.sin(40.0 * x)),
+                             [0.0, 3.0])
+        assert isinstance(err.value.best, QuadratureResult)
+        assert math.isfinite(err.value.best.value) and err.value.best.error_estimate > 1e-8
+
+    def test_budget_is_tol_with_the_round_off_floor(self):
+        def rule(shift):
+            # whole and halved values differ by ``shift``
+            return lambda partitions: ([{"v": 1.0}, {"v": 1.0 + shift}], 1)
+        # the floor 1e-8 max(1, |value|) admits what tol alone would not
+        assert integrate_panels(rule(5e-9), [0.0, 1.0], tol=1e-12)["v"].error_estimate > 1e-12
+        with pytest.raises(QuadratureConvergenceError):
+            integrate_panels(rule(2e-8), [0.0, 1.0], tol=1e-12)
+        assert integrate_panels(rule(2e-8), [0.0, 1.0], tol=1e-7)["v"].value == 1.0 + 2e-8
+        with pytest.raises(QuadratureConvergenceError):
+            integrate_panels(rule(math.nan), [0.0, 1.0], tol=1.0)
+
+    def test_invalid_tol(self):
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                integrate_panels(panel_rule(one=np.ones_like), [0.0, 1.0], tol=tol)
