@@ -81,12 +81,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.linalg import toeplitz
 
 from .mapping import NoiseReport, SqueezingModel, eta_from_variance
 from .model import DriveParams, MediumParams, total_dephasing
-from .specfun import bessel_j0, bessel_j1, gauss_panels, integrate_panels
+from .specfun import bessel_kernels, gauss_panels, integrate_panels
 # the benchmark's span binding spinmap.dynamics.integrate_adaptive (bench/spans.py)
 from .specfun import integrate_adaptive  # noqa: F401
 
@@ -208,7 +206,8 @@ def collective_initial_kernel(zp: float, tau: float, area: PulseArea, length: fl
     """
     if not 0.0 <= zp <= length:
         raise ValueError(f"zp must lie in [0, {length}], got {zp}")
-    return math.exp(-gamma * tau) * bessel_j0(2.0 * math.sqrt(area.value(tau) * (length - zp)))
+    return math.exp(-gamma * tau) * float(
+        bessel_kernels(area.value(tau) * (length - zp), (0,))[0])
 
 
 def collective_light_kernel(tau: float, tau_p: float, area: PulseArea, length: float,
@@ -278,10 +277,14 @@ def transient_variance(
     if not tau >= 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     a_tau = area.value(tau)
-    root = 2.0 * math.sqrt(a_tau * length)
-    var_init = math.exp(-2.0 * gamma * tau) * (bessel_j0(root) ** 2 + bessel_j1(root) ** 2)
+    # the initial coherence decays through J0^2 + J1^2 at 2 sqrt(a(tau) L),
+    # with J0 and sqrt(1/y) J1 at y = a(tau) L the exchange kernels
+    y_init = a_tau * length
+    decay = math.exp(-2.0 * gamma * tau)
 
     if tau == 0.0:
+        j0, j = bessel_kernels(y_init)
+        var_init = decay * float(j0 * j0 + y_init * j * j)
         return NoiseReport(
             variance_norm=var_init,
             eta=eta_from_variance(var_init, model.noise_floor),
@@ -290,13 +293,7 @@ def transient_variance(
         )
 
     gq = model.gamma_q if model.kind == "lorentzian" else 0.0
-
-    def light_kernel(t):
-        # u L at t, j = sqrt(1/(u L)) J1(2 sqrt(u L)), and the kernel on the
-        # white input without its decay: j with the drive weight sqrt(a'(t) L)
-        ul = (a_tau - area.value(t)) * length
-        j = _j1_over_sqrt_vec(ul)
-        return ul, j, np.sqrt(area.rate(t) * length) * j
+    init = []  # the kernels at y_init, from the rule's Bessel evaluation
 
     def rule(partitions):
         # every partition's panels in one array: one evaluation of the kernels
@@ -304,15 +301,26 @@ def transient_variance(
         hi = np.concatenate([e[1:] for e in partitions])
         first = list(itertools.accumulate((len(e) - 1 for e in partitions), initial=0))
         t, w = gauss_panels(lo, hi)
-        ul, j, amp = light_kernel(t)
+        # the edges hold every breakpoint, so inside a panel the rate a' is
+        # constant and u L falls linearly from its value at the panel's start
+        a, b = lo[:, None], hi[:, None]
+        ul_start = ((a_tau - area.value(lo)) * length)[:, None]
+        slope = area.rate((lo + hi) / 2.0)[:, None] * length
+        weight = np.sqrt(slope)  # the drive weight sqrt(a' L) of the light kernel
+        ul = ul_start - slope * (t - a)
+        # J0 and j = sqrt(1/(u L)) J1 at 2 sqrt(u L) for every node and, last,
+        # for the initial coherence: one evaluation
+        j0, j = bessel_kernels(np.append(ul, y_init))
+        init[:] = j0[-1], j[-1]
+        j0, j = j0[:-1].reshape(t.shape), j[:-1].reshape(t.shape)
         damp = np.exp(-gamma * (tau - t))
-        amp *= damp
-        # the Langevin kernel J0^2 + J1^2 at 2 sqrt(u L), with J1 = sqrt(u L) j
-        lang = 2.0 * gamma * (w * damp * damp * (special.j0(2.0 * np.sqrt(ul)) ** 2
-                                                 + ul * j * j)).sum(axis=1)
+        # the light kernel on the white input, sqrt(a'(t) L) j, decayed
+        amp = weight * j * damp
+        # the Langevin kernel J0^2 + J1^2 at 2 sqrt(u L); it and white are nonnegative
+        lang = 2.0 * gamma * (w * damp * damp * (j0 * j0 + ul * j * j)).sum(axis=1)
         white = (w * amp * amp).sum(axis=1)
         if model.kind == "flat":
-            light, evaluations = model.x0_sq * white, t.size
+            light, light_abs, evaluations = model.x0_sq * white, None, t.size
         else:
             # e^{-Gq |t - t'|} = e^{-Gq (t - t')} for t' < t, so the
             # correlator's double integral is 2 int A(t) y(t) dt with the
@@ -321,12 +329,12 @@ def transient_variance(
             # e^{-Gq (t - a)}, plus a Gauss rule on [a, t]; from panel to
             # panel it carries over as one scalar,
             # y(b) = e^{-Gq (b - a)} y(a) + int_a^b A(t') e^{-Gq (b - t')} dt'.
-            a, b = lo[:, None], hi[:, None]
             local = np.empty_like(t)
             for block in range(0, len(lo), FILTER_BLOCK):
                 rows = slice(block, block + FILTER_BLOCK)
                 ts, ws = gauss_panels(a[rows], t[rows])
-                local[rows] = (ws * light_kernel(ts)[2] * np.exp(
+                uls = ul_start[rows, :, None] - slope[rows, :, None] * (ts - a[rows, :, None])
+                local[rows] = (ws * weight[rows, :, None] * _j1_over_sqrt_vec(uls) * np.exp(
                     -gamma * (tau - ts) - gq * (t[rows, :, None] - ts))).sum(axis=-1)
             gains = (w * amp * np.exp(-gq * (b - t))).sum(axis=1)
             fades = np.exp(-gq * (hi - lo))
@@ -336,15 +344,19 @@ def transient_variance(
                 for p in range(start, stop):
                     y_start[p] = y
                     y = fades[p] * y + gains[p]
-            corr = 2.0 * (w * amp * (y_start[:, None] * np.exp(-gq * (t - a)) + local)).sum(axis=1)
-            light, evaluations = white - model.s * (gq / 2.0) * corr, t.size * (1 + t.shape[1])
-        sums = {"Langevin part": np.add.reduceat(lang, first[:-1]),
-                "light part": np.add.reduceat(light, first[:-1])}
-        return ([{name: v[k] for name, v in sums.items()} for k in range(len(partitions))],
-                evaluations)
+            corr = 2.0 * w * amp * (y_start[:, None] * np.exp(-gq * (t - a)) + local)
+            light = white - model.s * (gq / 2.0) * corr.sum(axis=1)
+            light_abs = white + model.s * (gq / 2.0) * np.abs(corr).sum(axis=1)
+            evaluations = t.size * (1 + t.shape[1])
+        # per partition: each integral and the integral of its |integrand|,
+        # the same where the integrand is nonnegative
+        lang, light = np.add.reduceat(lang, first[:-1]), np.add.reduceat(light, first[:-1])
+        light_abs = light if light_abs is None else np.add.reduceat(light_abs, first[:-1])
+        return ([{"Langevin part": (lang[k], lang[k]), "light part": (light[k], light_abs[k])}
+                 for k in range(len(partitions))], evaluations)
 
     parts = integrate_panels(rule, _panel_edges(area, length, 2.0 * gamma + gq, tau), tol)
-    atom = var_init + parts["Langevin part"].value
+    atom = decay * float(init[0] ** 2 + y_init * init[1] ** 2) + parts["Langevin part"].value
     light = parts["light part"].value
     return NoiseReport(
         variance_norm=atom + light,
@@ -444,6 +456,18 @@ def _first_column(e: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _running_sums(c, -1.0)
 
 
+def _toeplitz(column: np.ndarray, row: np.ndarray | None = None) -> np.ndarray:
+    """The Toeplitz matrix with this first column and first row (row[0] is
+    ignored; symmetric when row is omitted): a strided view of its diagonals,
+    copied."""
+    row = column if row is None else row
+    # entry (i, j) is diagonals[len(row) - 1 + i - j]
+    diagonals = np.concatenate((row[:0:-1], column))
+    step = diagonals.strides[0]
+    return np.lib.stride_tricks.as_strided(diagonals[len(row) - 1:], shape=(len(column), len(row)),
+                                           strides=(step, -step)).copy()
+
+
 def expm(x: float, nz: int, dz: float) -> np.ndarray:
     """exp(-x T) for the cumulative-trapezoid matrix T on nz + 1 nodes,
     (T f)_i = trapezoid integral of f from node 0 to node i.
@@ -464,7 +488,7 @@ def expm(x: float, nz: int, dz: float) -> np.ndarray:
     out = np.zeros((nz + 1, nz + 1))
     out[0, 0] = 1.0
     out[1:, 0] = _first_column(symbol, t)[:, 0]
-    out[1:, 1:] = toeplitz(symbol[:, 0], np.zeros(nz))
+    out[1:, 1:] = _toeplitz(symbol[:, 0], np.zeros(nz))
     return out
 
 
@@ -526,7 +550,7 @@ def _cell_correlator(model: SqueezingModel, ntau: int, dt: float) -> np.ndarray:
     first_row[0] = 1.0 / dt - s * diag
     if ntau > 1:
         first_row[1:] = -s * off
-    return toeplitz(first_row)
+    return _toeplitz(first_row)
 
 
 class _Discretization:
@@ -682,7 +706,7 @@ def _light_kernel(disc: _Discretization, rows, field) -> tuple[np.ndarray, np.nd
         if run is None:
             continue
         s, cols = run
-        kernel[start + 1:stop + 1, start:stop] = toeplitz(s, np.zeros(stop - start))
+        kernel[start + 1:stop + 1, start:stop] = _toeplitz(s, np.zeros(stop - start))
         if cols is not None:
             kernel[stop + 1:, start:stop] = rows[stop][1:] @ cols[:, ::-1]
     field_weights = kernel * (disc.dt * np.sqrt(disc.rates))
@@ -751,11 +775,21 @@ def simulate_grid(
 
 
 def _j1_over_sqrt_vec(y: np.ndarray) -> np.ndarray:
-    """sqrt(1/y) J1(2 sqrt(y)) with its removable singularity; equals the
-    series 1 - y/2 + y^2/12 - ... near zero."""
-    y = np.asarray(y, dtype=float)
-    root = np.sqrt(np.maximum(y, 1e-8))  # y itself wherever the quotient is used
-    return np.where(y < 1e-8, 1.0 - y / 2.0 + y * y / 12.0, special.j1(2.0 * root) / root)
+    """sqrt(1/y) J1(2 sqrt(y)), an entire function of y: the series
+    1 - y/2 + y^2/12 - ... near zero."""
+    return bessel_kernels(y, (1,))[0]
+
+
+@functools.lru_cache(maxsize=8)
+def _lower_pairs(ntau: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and flat index of every entry below the diagonal of an
+    (ntau + 1) x ntau table; a refinement ladder asks for the same sizes
+    again and again."""
+    k, kp = np.tril_indices(ntau + 1, -1, ntau)
+    pairs = k, kp, k * ntau + kp
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def light_kernel_reference(area: PulseArea, length: float, gamma: float,
@@ -768,11 +802,11 @@ def light_kernel_reference(area: PulseArea, length: float, gamma: float,
     t = np.asarray(tau_nodes, dtype=float)
     avals = area.value(t)
     ntau = len(t) - 1
-    kernel = np.zeros((ntau + 1, ntau))
-    k, kp = np.tril_indices(ntau + 1, -1, ntau)
+    k, kp, flat = _lower_pairs(ntau)
     u = avals[k] - avals[kp]
-    kernel[k, kp] = np.exp(-gamma * (t[k] - t[kp])) * length * _j1_over_sqrt_vec(u * length)
-    return kernel
+    kernel = np.zeros((ntau + 1) * ntau)
+    kernel[flat] = np.exp(-gamma * (t[k] - t[kp])) * length * _j1_over_sqrt_vec(u * length)
+    return kernel.reshape(ntau + 1, ntau)
 
 
 @dataclass(frozen=True)

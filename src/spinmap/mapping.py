@@ -35,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .specfun import bessel_i0e, bessel_i1e, integrate_adaptive
 
 DEFAULT_SPECTRAL_TOL = 1e-9
@@ -78,8 +80,9 @@ class SqueezingModel:
     def lorentzian(cls, gamma_q: float, s: float = 1.0) -> "SqueezingModel":
         return cls(kind="lorentzian", gamma_q=gamma_q, s=s)
 
-    def spectral_density(self, x: float) -> float:
-        """Input noise spectral density S0 at dimensionless detuning x.
+    def spectral_density(self, x):
+        """Input noise spectral density S0 at dimensionless detuning x (a
+        float or an array).
 
         x is in units of the dephasing rate Gamma, so gamma_q is read in the
         same units: the bandwidth ratio b = Gamma_q / Gamma.
@@ -175,23 +178,26 @@ def transmitted_spectrum(alpha: float, x: float, s0: float) -> float:
     return s0 * t + (1.0 - t)
 
 
-def _langevin_density(alpha: float, x: float) -> float:
-    # removable alpha -> 0 limit: a unit-normalized Lorentzian (1/pi)/(1+x^2)
+def _langevin_density(alpha: float, x):
+    # removable alpha -> 0 limit: a unit-normalized Lorentzian (1/pi)/(1+x^2);
+    # x may be an array
     q = 1.0 + x * x
     if alpha == 0.0:
         return 1.0 / (math.pi * q)
-    return -math.expm1(-2.0 * alpha / q) / (2.0 * math.pi * alpha)
+    return -np.expm1(-2.0 * alpha / q) / (2.0 * math.pi * alpha)
 
 
-def _light_weight(alpha: float, x: float) -> float:
-    # |1 - e^{-alpha/(1-ix)}|^2 / (2 pi alpha); -> 0 as alpha -> 0
+def _light_weight(alpha: float, x):
+    # |1 - e^{-alpha/(1-ix)}|^2 / (2 pi alpha); -> 0 as alpha -> 0.  With
+    # alpha/(1-ix) = a + ib the square is (1 - e^{-a})^2 + 4 e^{-a} sin^2(b/2):
+    # positive terms, so it keeps its digits where it is small (far detuning,
+    # small depth) instead of cancelling 1 - 2 e^{-a} cos b + e^{-2a}
     if alpha == 0.0:
-        return 0.0
+        return 0.0 * x
     q = 1.0 + x * x
-    a_re = alpha / q
-    a_im = alpha * x / q
-    e = math.exp(-a_re)
-    mod_sq = 1.0 - 2.0 * e * math.cos(a_im) + e * e
+    a = alpha / q
+    half_b = np.sin(0.5 * a * x)
+    mod_sq = np.expm1(-a) ** 2 + 4.0 * np.exp(-a) * half_b * half_b
     return mod_sq / (2.0 * math.pi * alpha)
 
 
@@ -202,7 +208,7 @@ def atomic_spectral_density(alpha: float, x: float, s0: float) -> float:
     """
     if not s0 >= 0:
         raise ValueError(f"s0 must be nonnegative, got {s0}")
-    return _langevin_density(alpha, x) + s0 * _light_weight(alpha, x)
+    return float(_langevin_density(alpha, x) + s0 * _light_weight(alpha, x))
 
 
 def variance_spectral(
@@ -213,7 +219,7 @@ def variance_spectral(
     """Frequency-integrated variance; agrees with the closed form for flat input.
 
     Both density pieces are even in x, so the integration runs over [0, inf)
-    and is doubled.
+    and is doubled; the integrands are evaluated on arrays of detunings.
     """
     if not alpha >= 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")

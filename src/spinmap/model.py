@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from scipy.constants import c as C_LIGHT
-from scipy.constants import hbar as HBAR
-
 PI = math.pi
+C_LIGHT = 299792458.0              # speed of light [m/s], exact in SI
+HBAR = 6.62607015e-34 / (2.0 * PI)  # reduced Planck constant [J s]; h is exact in SI
 
 
 def _require_positive(value: float, name: str) -> float:

@@ -1,23 +1,44 @@
-"""Special functions and adaptive quadrature used by every engine.
+"""Special functions and quadrature used by every engine, in numpy alone.
 
-Bessel evaluations are delegated to scipy.special, which meets the accuracy
-contract (relative error well below 1e-12 over the working range).  The
-modified Bessel functions are only ever exposed in exponentially scaled form
-e^{-x} I_n(x), so optical depths up to 1e6 never overflow.
+Bessel functions of the first kind come from one vectorized evaluation of
+the exchange kernels J0(2 sqrt(y)) and sqrt(1/y) J1(2 sqrt(y))
+(``bessel_kernels``), which the engines call at y = u L and the scalar
+``bessel_j0``/``bessel_j1`` call at y = x^2/4.  Both kernels are entire in
+y, so no square root and no removable singularity is handled at run time.
+Below y = TABLE_END (x = ASYMPTOTIC_FROM) they are Taylor polynomials of
+degree 7 about every multiple of 1/4, each used within 1/8 of its center.
+The values at the centers follow from the integral representation
 
-Semi-infinite integrals are mapped onto the unit interval with the rational
-substitution
+    J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt,
+
+whose integrand is even and periodic, so a midpoint rule of MIDPOINT_NODES
+nodes is exact to round-off; the higher coefficients follow from the Bessel
+equation.  The tables are built at first use (~2 ms).  Their coefficients
+are at most 1/(m!)^2, so the truncation error is below (1/8)^8 / (8!)^2
+~ 4e-17, and the evaluation is accurate to a few units of 1e-16 absolute.
+Beyond ASYMPTOTIC_FROM Hankel's asymptotic series (Abramowitz & Stegun
+9.2.5) takes over.  The modified Bessel functions are only ever exposed in
+exponentially scaled form e^{-x} I_n(x), from the positive-term power series
+times e^{-x} below ASYMPTOTIC_FROM and the asymptotic series A&S 9.7.1
+above, so optical depths up to 1e6 never overflow.
+
+``integrate_adaptive`` is a globally adaptive Gauss-Legendre rule for
+vectorized integrands.  Semi-infinite integrals are mapped onto the unit
+interval with the rational substitution
 
     x = lo + t / (1 - t),    dx = dt / (1 - t)^2,    t in [0, 1),
 
-and doubly infinite integrals are split at zero into two such half-lines.
-The transformed finite integrals are then handled by adaptive Gauss-Kronrod
-quadrature (scipy.integrate.quad).
+and doubly infinite integrals are folded onto the half-line, f(x) + f(-x).
+Every panel carries ``PANEL_NODES`` nodes and its error is estimated by
+halving it; while the summed estimate misses the budget, every panel but
+those with the smallest estimates (which together spend at most half the
+budget) is bisected.
 
 Integrals whose integrand is evaluated on arrays, where the caller knows
-where it is smooth, use composite Gauss-Legendre panels instead
-(``integrate_panels``): ``PANEL_NODES`` nodes per panel, the error estimated
-by halving every panel.  Both rules accept a result under the same budget.
+where it is smooth, use fixed composite panels (``integrate_panels``), the
+error again estimated by halving every panel.  Both rules accept a result
+under the same budget: ``tol``, or the round-off floor ROUND_OFF times the
+integral of |f| where that is larger.
 """
 
 from __future__ import annotations
@@ -28,8 +49,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy import special
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -63,14 +82,177 @@ def _check_finite(x: float, name: str) -> float:
     return x
 
 
+ASYMPTOTIC_FROM = 26.0  # x where the asymptotic series take over
+TABLE_END = (ASYMPTOTIC_FROM / 2.0) ** 2  # y = x^2 / 4 the Taylor tables cover
+PIECES_PER_UNIT = 4     # Taylor pieces per unit of y, each about its center
+TAYLOR_TERMS = 8        # terms of each Taylor piece (degree 7), a multiple of 4
+MIDPOINT_NODES = 96     # midpoint-rule nodes on [0, pi] for the values at the centers
+ASYMPTOTIC_TERMS = 24   # terms of the asymptotic series (P and Q together for J)
+BESSEL_BLOCK = 8192     # arguments per block of a vectorized Bessel evaluation
+
+
+@functools.lru_cache(maxsize=None)
+def _taylor_coefficients() -> np.ndarray:
+    """Taylor coefficients of J0(2 sqrt(y)) and J1(2 sqrt(y)) / sqrt(y) about
+    every center c = k / PIECES_PER_UNIT <= TABLE_END, laid out [m, n, k].
+
+    Both are 0F1(; b; -y), b = n + 1: entire in y and solutions of
+    y f'' + b f' + f = 0.  Their values at c come from the midpoint rule for
+    J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt, x = 2 sqrt(c); the first
+    derivatives are -J1/sqrt(y) for the first and (J0 - J1/sqrt(y)) / y for
+    the second, and the equation gives every further coefficient:
+    a_{m+2} = -((m + 1)(m + b) a_{m+1} + a_m) / (c (m + 1)(m + 2)).  About
+    c = 0 they are the power series (-1)^m / (m! (b)_m).
+    """
+    theta = (np.arange(MIDPOINT_NODES) + 0.5) * (np.pi / MIDPOINT_NODES)
+    centers = np.arange(TABLE_END * PIECES_PER_UNIT + 1.0) / PIECES_PER_UNIT
+    c = centers[1:]
+    phase = 2.0 * np.sqrt(c[:, None]) * np.sin(theta)  # x sin t
+    b = np.array([[1.0], [2.0]])
+    table = np.empty((TAYLOR_TERMS, 2, len(centers)))
+    table[0, :, 1:] = np.cos(phase).mean(axis=1), np.cos(theta - phase).mean(axis=1) / np.sqrt(c)
+    table[1, :, 1:] = -table[0, 1, 1:], (table[0, 0, 1:] - table[0, 1, 1:]) / c
+    for m in range(TAYLOR_TERMS - 2):
+        table[m + 2, :, 1:] = -((m + 1) * (m + b) * table[m + 1, :, 1:]
+                                + table[m, :, 1:]) / (c * (m + 1) * (m + 2))
+    m = np.arange(TAYLOR_TERMS)
+    factorial = np.cumprod(np.maximum(m, 1.0))
+    table[:, 0, 0] = (-1.0) ** m / factorial ** 2
+    table[:, 1, 0] = (-1.0) ** m / (factorial ** 2 * (m + 1))
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _taylor_table(orders: tuple[int, ...]) -> np.ndarray:
+    """The coefficients of the orders asked for, laid out [m // 4, m % 4, n, k]
+    for evaluation in h^4."""
+    table = _taylor_coefficients()[:, list(orders)]
+    table = np.ascontiguousarray(table.reshape(TAYLOR_TERMS // 4, 4, *table.shape[1:]))
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _asymptotic_coefficients() -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of P and Q in A&S 9.2.5 as polynomials in 1/x^2, highest
+    power first, one column per order: a_k = prod_{j <= k} (mu - (2j - 1)^2)
+    / (k! 8^k), mu = 4 n^2; P = sum (-1)^k a_{2k} / x^{2k}, Q x = sum (-1)^k
+    a_{2k+1} / x^{2k}."""
+    mu = 4.0 * np.arange(2.0) ** 2
+    a = np.ones((ASYMPTOTIC_TERMS, 2))
+    for k in range(1, ASYMPTOTIC_TERMS):
+        a[k] = a[k - 1] * (mu - (2 * k - 1) ** 2) / (8.0 * k)
+    signs = (-1.0) ** np.arange(ASYMPTOTIC_TERMS // 2)[:, None]
+    return (signs * a[0::2])[::-1].copy(), (signs * a[1::2])[::-1].copy()
+
+
+def _taylor(y: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
+    """The Taylor piece about the nearest center c, in h = y - c:
+    p_0 + h p_1 + h^2 p_2 + h^3 p_3 with p_r the terms m = r mod 4, each a
+    polynomial in h^4 whose coefficients are gathered one power at a time."""
+    scaled = y * PIECES_PER_UNIT
+    centers = np.rint(scaled)
+    h = (scaled - centers) * (1.0 / PIECES_PER_UNIT)
+    centers = centers.astype(np.intp)
+    table = _taylor_table(orders)  # [m // 4, m % 4, n, k]
+    h2 = h * h
+    h4 = h2 * h2
+    # clipped indices keep a NaN argument a NaN value
+    p = table[-1].take(centers, axis=-1, mode="clip")
+    for row in table[-2::-1]:
+        p *= h4
+        p += row.take(centers, axis=-1, mode="clip")
+    q = p[0::2] + h * p[1::2]
+    return q[0] + h2 * q[1]
+
+
+def _hankel(x: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
+    """A&S 9.2.5: J_n(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi),
+    chi = x - (n/2 + 1/4) pi.  chi is rounded to double as cephes rounds it,
+    so at large x the absolute error grows like 1e-16 sqrt(x)."""
+    p_coeffs, q_coeffs = (c[:, list(orders), None] for c in _asymptotic_coefficients())
+    y = 1.0 / (x * x)
+    p = np.zeros((len(orders), len(x)))
+    q = np.zeros_like(p)
+    for pc, qc in zip(p_coeffs, q_coeffs):
+        p *= y
+        p += pc
+        q *= y
+        q += qc
+    chi = x - (np.array(orders)[:, None] / 2.0 + 0.25) * np.pi
+    return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) - q / x * np.sin(chi))
+
+
+def _kernels(y: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
+    if not y.size or y.max() < TABLE_END:
+        return _taylor(y, orders)
+    far = y >= TABLE_END
+    out = np.empty((len(orders), y.size))
+    out[:, ~far] = _taylor(y[~far], orders)
+    x = 2.0 * np.sqrt(y[far])
+    j = _hankel(x, orders)
+    if orders[-1] == 1:
+        j[-1] *= 2.0 / x  # J1 / sqrt(y)
+    out[:, far] = j
+    return out
+
+
+def bessel_kernels(y, orders: tuple[int, ...] = (0, 1)) -> np.ndarray:
+    """The exchange kernels J0(2 sqrt(y)) (order 0) and sqrt(1/y) J1(2 sqrt(y))
+    (order 1, 1 at y = 0) for the orders asked for, stacked along a new first
+    axis.  y is an array of finite nonnegative values, evaluated in blocks of
+    BESSEL_BLOCK so the temporaries stay in cache."""
+    orders = tuple(orders)
+    y = np.asarray(y, dtype=float)
+    flat = y.reshape(-1)
+    if flat.size <= BESSEL_BLOCK:
+        out = _kernels(flat, orders)
+    else:
+        out = np.empty((len(orders), flat.size))
+        for start in range(0, flat.size, BESSEL_BLOCK):
+            out[:, start:start + BESSEL_BLOCK] = _kernels(flat[start:start + BESSEL_BLOCK],
+                                                         orders)
+    return out.reshape(out.shape[:1] + y.shape)
+
+
 def bessel_j0(x: float) -> float:
     """Bessel function of the first kind J0(x)."""
-    return float(special.j0(_check_finite(x, "x")))
+    x = abs(_check_finite(x, "x"))
+    if x >= ASYMPTOTIC_FROM:
+        return float(_hankel(np.array([x]), (0,))[0, 0])
+    return float(bessel_kernels(x * x / 4.0, (0,))[0])
 
 
 def bessel_j1(x: float) -> float:
     """Bessel function of the first kind J1(x)."""
-    return float(special.j1(_check_finite(x, "x")))
+    x = _check_finite(x, "x")
+    if abs(x) >= ASYMPTOTIC_FROM:
+        value = float(_hankel(np.array([abs(x)]), (1,))[0, 0])
+        return -value if x < 0 else value  # J1 is odd
+    return x / 2.0 * float(bessel_kernels(x * x / 4.0, (1,))[0])
+
+
+def _scaled_bessel_i(x: float, n: int) -> float:
+    """e^{-x} I_n(x), n = 0 or 1, x >= 0."""
+    if x < ASYMPTOTIC_FROM:
+        # I_n(x) = (x/2)^n sum_k (x^2/4)^k / (k! (k + n)!), every term positive
+        q = x * x / 4.0
+        term = total = 1.0 if n == 0 else x / 2.0
+        k = 0
+        while term > 1e-17 * total:
+            k += 1
+            term *= q / (k * (k + n))
+            total += term
+        return total * math.exp(-x)
+    # A&S 9.7.1: I_n(x) ~ e^x / sqrt(2 pi x) sum_k (-1)^k a_k / x^k
+    mu = 4.0 * n * n
+    term = total = 1.0
+    for k in range(1, ASYMPTOTIC_TERMS):
+        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * x)
+        total += term
+        if abs(term) < 1e-17 * total:
+            break
+    return total / math.sqrt(2.0 * math.pi * x)
 
 
 def bessel_i0e(x: float) -> float:
@@ -78,7 +260,7 @@ def bessel_i0e(x: float) -> float:
     x = _check_finite(x, "x")
     if x < 0:
         raise ValueError(f"bessel_i0e requires x >= 0, got {x}")
-    return float(special.i0e(x))
+    return _scaled_bessel_i(x, 0)
 
 
 def bessel_i1e(x: float) -> float:
@@ -86,91 +268,20 @@ def bessel_i1e(x: float) -> float:
     x = _check_finite(x, "x")
     if x < 0:
         raise ValueError(f"bessel_i1e requires x >= 0, got {x}")
-    return float(special.i1e(x))
+    return _scaled_bessel_i(x, 1)
 
 
-def integrate_adaptive(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    limit: int = 500,
-) -> QuadratureResult:
-    """Adaptive quadrature of ``f`` over [lo, hi]; either end may be infinite.
-
-    Parameters
-    ----------
-    f : callable
-        Integrand; must be integrable on the interval.
-    lo, hi : float
-        Interval ends; ``-inf``/``+inf`` are allowed.
-    tol : float
-        Absolute tolerance target.  The returned ``error_estimate`` is the
-        quadrature routine's own bound; the contract is
-        |value - integral| <= max(tol, error_estimate) for smooth integrands.
-    limit : int
-        Subdivision budget before giving up.
-
-    Raises
-    ------
-    QuadratureConvergenceError
-        When the subdivision budget is exhausted before reaching ``tol``.
-        The exception carries the best estimate obtained.
-    """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    lo = float(lo)
-    hi = float(hi)
-    if math.isnan(lo) or math.isnan(hi):
-        raise ValueError("integration limits must not be NaN")
-    if lo > hi:
-        raise ValueError(f"lo={lo} exceeds hi={hi}")
-
-    lo_inf = math.isinf(lo)
-    hi_inf = math.isinf(hi)
-
-    if lo_inf and hi_inf:
-        left = integrate_adaptive(lambda x: f(-x), 0.0, math.inf, tol=tol / 2, limit=limit)
-        right = integrate_adaptive(f, 0.0, math.inf, tol=tol / 2, limit=limit)
-        return QuadratureResult(
-            value=left.value + right.value,
-            error_estimate=left.error_estimate + right.error_estimate,
-            evaluations=left.evaluations + right.evaluations,
-        )
-    if lo_inf:
-        return integrate_adaptive(lambda x: f(-x), -hi, math.inf, tol=tol, limit=limit)
-    if hi_inf:
-        def g(t: float) -> float:
-            u = 1.0 - t
-            return f(lo + t / u) / (u * u)
-        return _quad_finite(g, 0.0, 1.0, tol=tol, limit=limit)
-    return _quad_finite(f, lo, hi, tol=tol, limit=limit)
+PANEL_NODES = 16     # Gauss-Legendre nodes per panel
+INITIAL_PANELS = 16  # panels of the adaptive rule's first pass
+ROUND_OFF = 64 * np.finfo(float).eps  # round-off floor per unit of the integral of |f|
 
 
-def _within_budget(result: QuadratureResult, tol: float) -> bool:
-    """The absolute target, or the round-off floor 1e-8 max(1, |value|)
-    where that is larger; a NaN value or estimate fails."""
-    value = result.value
-    return bool(np.isfinite(value)
-                and result.error_estimate <= max(tol, 1e-8 * max(1.0, abs(value))))
-
-
-def _quad_finite(f, lo, hi, tol, limit) -> QuadratureResult:
-    value, abserr, info, *rest = integrate.quad(
-        f, lo, hi, epsabs=tol, epsrel=1e-12, limit=limit, full_output=1
-    )
-    result = QuadratureResult(value=value, error_estimate=abserr, evaluations=int(info["neval"]))
-    # quad appends a message when ier != 0.  Roundoff-limited results within
-    # the budget are accepted; genuine failures propagate with the best
-    # estimate attached.
-    if rest and not _within_budget(result, tol):
-        raise QuadratureConvergenceError(
-            f"quadrature did not converge on [{lo}, {hi}]: {rest[0]}", result
-        )
-    return result
-
-
-PANEL_NODES = 16  # Gauss-Legendre nodes per panel
+def _within_budget(result: QuadratureResult, magnitude: float, tol: float) -> bool:
+    """The absolute target ``tol``, or the round-off floor ROUND_OFF times
+    the integrand's magnitude (the integral of |f|) where that is larger; a
+    NaN value or estimate fails."""
+    return bool(math.isfinite(result.value)
+                and result.error_estimate <= max(tol, ROUND_OFF * magnitude))
 
 
 def _legendre_p(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,24 +322,145 @@ def gauss_panels(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return lo + width * x, width * w
 
 
+def _halve(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The left halves of the panels [lo, hi], then their right halves."""
+    mid = (lo + hi) / 2.0
+    return np.concatenate([lo, mid]), np.concatenate([mid, hi])
+
+
+def _unit_nodes(lo, hi, mapped: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights on the panels [lo, hi] of the unit interval;
+    with ``mapped``, moved onto [0, inf) by x = t / (1 - t)."""
+    t, w = gauss_panels(lo, hi)
+    if not mapped:
+        return t, w
+    u = 1.0 - t
+    return t / u, w / (u * u)
+
+
+@functools.lru_cache(maxsize=None)
+def _first_pass(panels: int, mapped: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``_unit_nodes`` of the adaptive rule's first pass: ``panels`` equal
+    panels of the unit interval whole, then their left and right halves."""
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    left, right = _halve(edges[:-1], edges[1:])
+    x, w = _unit_nodes(np.concatenate([edges[:-1], left]),
+                       np.concatenate([edges[1:], right]), mapped)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def integrate_adaptive(
+    f: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    tol: float = 1e-10,
+    limit: int = 500,
+) -> QuadratureResult:
+    """Globally adaptive Gauss-Legendre quadrature of ``f`` over [lo, hi];
+    either end may be infinite.
+
+    Parameters
+    ----------
+    f : callable
+        Vectorized integrand: takes an array of points, returns the
+        integrand at each.  Must be integrable on the interval.
+    lo, hi : float
+        Interval ends; ``-inf``/``+inf`` are allowed.
+    tol : float
+        Absolute tolerance target.  The returned ``error_estimate`` is the
+        summed change of every panel under halving; it meets ``tol``, or
+        the round-off floor where that is larger.
+    limit : int
+        Panel budget before giving up.
+
+    Raises
+    ------
+    QuadratureConvergenceError
+        When bisecting further would exceed ``limit`` panels before the
+        estimate meets the budget.  The exception carries the best estimate
+        obtained.
+    """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    lo = float(lo)
+    hi = float(hi)
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValueError("integration limits must not be NaN")
+    if lo > hi:
+        raise ValueError(f"lo={lo} exceeds hi={hi}")
+
+    # panels live on the unit interval: x = offset + scale s, or on a
+    # half-line x = offset + s / (1 - s)
+    g, offset, scale, calls = f, lo, hi - lo, 1
+    mapped = math.isinf(lo) or math.isinf(hi)
+    if math.isinf(lo) and math.isinf(hi):
+        g, offset, calls = (lambda x: f(x) + f(-x)), 0.0, 2
+    elif math.isinf(lo):
+        g, offset = (lambda x: f(-x)), -hi
+    if mapped:
+        scale = 1.0
+
+    def panel_sums(nodes, weights):
+        # integrals of f and |f| on every panel, from one call of f
+        values = g(offset + scale * nodes) * (scale * weights)
+        return values.sum(axis=-1), np.abs(values).sum(axis=-1)
+
+    # the first pass evaluates every panel whole and halved
+    n = min(INITIAL_PANELS, limit)
+    nodes, weights = _first_pass(n, mapped)
+    sums, mags = panel_sums(nodes, weights)
+    evaluations = nodes.size
+    edges = np.linspace(0.0, 1.0, n + 1)
+    panels = np.stack([edges[:-1], edges[1:]])  # [lo, hi] of every panel
+    whole, halves, mags = sums[:n], sums[n:].reshape(2, n), mags[n:].reshape(2, n)
+    while True:
+        fine = halves.sum(axis=0)
+        errors = np.abs(fine - whole)
+        result = QuadratureResult(value=float(fine.sum()), error_estimate=float(errors.sum()),
+                                  evaluations=calls * evaluations)
+        magnitude = float(mags.sum())
+        if _within_budget(result, magnitude, tol):
+            return result
+        # keep the panels with the smallest estimates while together they
+        # spend at most half the budget; bisect the rest (NaN sorts last)
+        order = np.argsort(errors)
+        kept = np.cumsum(errors[order]) <= max(tol, ROUND_OFF * magnitude) / 2.0
+        keep, split = order[kept], order[~kept]
+        if not len(split) or panels.shape[1] + len(split) > limit:
+            raise QuadratureConvergenceError(
+                f"adaptive quadrature did not converge on [{lo}, {hi}]: estimate "
+                f"{result.error_estimate:.3g} against tol {tol:.3g} at the limit of {limit} "
+                f"panels", result)
+        children = np.stack(_halve(*panels[:, split]))
+        nodes, weights = _unit_nodes(*_halve(*children), mapped)
+        sums, new_mags = panel_sums(nodes, weights)
+        evaluations += nodes.size
+        panels = np.concatenate([panels[:, keep], children], axis=1)
+        whole = np.concatenate([whole[keep], halves[0, split], halves[1, split]])
+        halves = np.concatenate([halves[:, keep], sums.reshape(2, -1)], axis=1)
+        mags = np.concatenate([mags[:, keep], new_mags.reshape(2, -1)], axis=1)
+
+
 def integrate_panels(rule, edges, tol: float = 1e-10) -> dict[str, QuadratureResult]:
     """Composite Gauss-Legendre quadrature of named integrals over the
     panels between ``edges``, with the error of each estimated by doubling.
 
     ``rule(partitions)`` gets a list of edge arrays and returns, for each,
     the integrals by the panel rule on its panels (``gauss_panels``) as a
-    dict by name, together with the number of integrand evaluations made
-    for all of them; one call lets the rule evaluate every node at once.
-    The partitions are ``edges`` and ``edges`` with every panel halved.
-    Each result is the halved value, with |halved - whole| as its error
-    estimate, and counts the evaluations of both.  The integrand must be
-    smooth inside every panel: put its kinks and breakpoints on edges.
+    dict by name of (integral of f, integral of |f|) pairs, together with
+    the number of integrand evaluations made for all of them; one call lets
+    the rule evaluate every node at once.  The partitions are ``edges`` and
+    ``edges`` with every panel halved.  Each result is the halved value,
+    with |halved - whole| as its error estimate, and counts the evaluations
+    of both.  The integrand must be smooth inside every panel: put its
+    kinks and breakpoints on edges.
 
     Raises
     ------
     QuadratureConvergenceError
         When an estimate misses the budget ``integrate_adaptive`` accepts:
-        ``tol``, or its round-off floor where that is larger.  The exception
+        ``tol``, or the round-off floor where that is larger.  The exception
         names the integral and carries its best estimate.
     """
     if not tol > 0:
@@ -239,11 +471,11 @@ def integrate_panels(rule, edges, tol: float = 1e-10) -> dict[str, QuadratureRes
     halved[1::2] = (edges[1:] + edges[:-1]) / 2.0
     (whole, values), evaluations = rule([edges, halved])
     results = {}
-    for name, value in values.items():
+    for name, (value, magnitude) in values.items():
         result = QuadratureResult(value=float(value),
-                                  error_estimate=abs(float(value - whole[name])),
+                                  error_estimate=abs(float(value - whole[name][0])),
                                   evaluations=evaluations)
-        if not _within_budget(result, tol):
+        if not _within_budget(result, float(magnitude), tol):
             raise QuadratureConvergenceError(
                 f"panel quadrature of the {name} did not converge on [{edges[0]}, {edges[-1]}]: "
                 f"it changed by {result.error_estimate:.3g} when {len(edges) - 1} panels were "

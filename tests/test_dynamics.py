@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy.integrate import quad
 
 from spinmap import dynamics, specfun
 from spinmap.dynamics import (
@@ -25,7 +25,6 @@ from spinmap.specfun import (
     QuadratureResult,
     bessel_j0,
     bessel_j1,
-    integrate_adaptive,
 )
 
 # first positive roots of J0 and J1, squared over four (series-oracle bisection)
@@ -215,6 +214,40 @@ class TestTransientVariance:
         assert just_after.variance_norm == pytest.approx(before.variance_norm, abs=5e-3)
 
     @pytest.mark.parametrize("model", [SqueezingModel.flat(0.3),
+                                       SqueezingModel.lorentzian(5.0, s=0.8),
+                                       SqueezingModel.lorentzian(40.0, s=1.0)])
+    def test_tight_tol_is_met_or_raises(self, monkeypatch, model):
+        # no fixed floor: below 1e-8 the estimate meets tol, or the run exits 3
+        tol = 1e-12
+        estimates = []
+
+        def recording(rule, edges, tol):
+            results = specfun.integrate_panels(rule, edges, tol)
+            estimates.extend(r.error_estimate for r in results.values())
+            return results
+        monkeypatch.setattr(dynamics, "integrate_panels", recording)
+        outcomes = set()
+        for alpha, tau in ((0.5, 0.7), (8.0, 3.0), (60.0, 10.0)):
+            try:
+                transient_variance(PulseArea.constant(alpha), 1.0, 1.0, model, tau, tol=tol)
+                outcomes.add("met")
+            except QuadratureConvergenceError as exc:
+                assert exc.best.error_estimate > tol
+                outcomes.add("raised")
+        assert all(e <= tol for e in estimates)
+        assert "met" in outcomes
+
+    def test_tol_binds_below_the_old_floor(self, monkeypatch):
+        # halving moves the Langevin part by ~4e-10 with six nodes a panel:
+        # the old floor 1e-8 max(1, |value|) accepted that under any tol
+        monkeypatch.setattr(specfun, "PANEL_NODES", 6)
+        model = SqueezingModel.flat(0.3)
+        with pytest.raises(QuadratureConvergenceError) as err:
+            transient_variance(PulseArea.constant(2.0), 1.0, 1.0, model, 1.0, tol=1e-12)
+        assert 1e-12 < err.value.best.error_estimate < 1e-8
+        transient_variance(PulseArea.constant(2.0), 1.0, 1.0, model, 1.0, tol=1e-8)
+
+    @pytest.mark.parametrize("model", [SqueezingModel.flat(0.3),
                                        SqueezingModel.lorentzian(5.0, s=0.8)])
     def test_budget_miss_raises_with_best_estimate(self, monkeypatch, model):
         # two nodes a panel leave the doubling estimate far above the budget
@@ -240,13 +273,13 @@ class TestLangevinKernelIdentity:
         length = 1.0
         for u in (0.3, 2.0, 7.0):
             for zp in (0.0, 0.25, 0.8):
-                res = integrate_adaptive(
+                value, _ = quad(
                     lambda z: math.sqrt(u / (z - zp)) * bessel_j1(2.0 * math.sqrt(u * (z - zp)))
                     if z > zp else 0.0,
-                    zp, length, tol=1e-12,
+                    zp, length, epsabs=1e-12, epsrel=1e-12, limit=500,
                 )
                 expected = 1.0 - bessel_j0(2.0 * math.sqrt(u * (length - zp)))
-                assert res.value == pytest.approx(expected, abs=1e-10)
+                assert value == pytest.approx(expected, abs=1e-10)
 
 
 class TestSimulateGrid:
@@ -295,8 +328,7 @@ class TestSimulateGrid:
         for k in range(101):
             for kp in range(k):
                 y = (area.value(float(tau[k])) - area.value(float(tau[kp]))) * length
-                root = np.sqrt(y)
-                j = 1.0 - y / 2.0 + y * y / 12.0 if y < 1e-8 else special.j1(2.0 * root) / root
+                j = float(dynamics._j1_over_sqrt_vec(y))
                 expected[k, kp] = np.exp(-gamma * (tau[k] - tau[kp])) * length * j
         assert np.array_equal(light_kernel_reference(area, length, gamma, tau), expected)
 

@@ -6,7 +6,9 @@ from scipy.special import jn
 
 import oracles
 from spinmap.specfun import (
+    INITIAL_PANELS,
     PANEL_NODES,
+    ROUND_OFF,
     QuadratureConvergenceError,
     QuadratureResult,
     bessel_i0e,
@@ -125,7 +127,7 @@ class TestIntegrateAdaptive:
             assert res.value == pytest.approx(exact, abs=1e-12)
 
     def test_gaussian_half_line(self):
-        res = integrate_adaptive(lambda x: math.exp(-x * x), 0.0, math.inf, tol=1e-10)
+        res = integrate_adaptive(lambda x: np.exp(-x * x), 0.0, math.inf, tol=1e-10)
         assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-10)
         assert res.error_estimate >= 0
         assert res.evaluations >= 1
@@ -139,16 +141,42 @@ class TestIntegrateAdaptive:
         # pi alpha e^{-alpha/2} (I0 + I1)(alpha/2); checked at alpha = 1
         alpha = 1.0
         res = integrate_adaptive(
-            lambda x: -math.expm1(-alpha / (1.0 + x * x)), -math.inf, math.inf, tol=1e-10
+            lambda x: -np.expm1(-alpha / (1.0 + x * x)), -math.inf, math.inf, tol=1e-10
         )
         closed = math.pi * alpha * I0E_PLUS_I1E_AT_HALF
         assert res.value == pytest.approx(closed, abs=1e-8)
 
     def test_non_convergence_carries_best_estimate(self):
         with pytest.raises(QuadratureConvergenceError) as err:
-            integrate_adaptive(lambda x: math.sin(1.0 / x), 1e-12, 1.0, tol=1e-14, limit=3)
+            integrate_adaptive(lambda x: np.sin(1.0 / x), 1e-12, 1.0, tol=1e-14, limit=3)
         assert isinstance(err.value.best, QuadratureResult)
         assert math.isfinite(err.value.best.value)
+
+    def test_first_pass_counts_every_node(self):
+        first = 3 * INITIAL_PANELS * PANEL_NODES  # panels whole and halved
+        assert integrate_adaptive(lambda x: x * x, 0.0, 2.0).evaluations == first
+        # the line folds onto the half-line: two calls of f a node
+        assert integrate_adaptive(lambda x: np.exp(-x * x), -math.inf, math.inf).evaluations \
+            == 2 * first
+
+    def test_refines_where_the_integrand_is_sharp(self):
+        eps = 1e-6
+        res = integrate_adaptive(lambda x: 1.0 / (eps + x * x), -1.0, 1.0, tol=1e-7)
+        assert res.value == pytest.approx(2.0 / math.sqrt(eps) * math.atan(1.0 / math.sqrt(eps)),
+                                          abs=1e-7)
+        assert res.error_estimate <= 1e-7
+        assert res.evaluations > 3 * INITIAL_PANELS * PANEL_NODES
+
+    def test_round_off_floor_scales_with_the_magnitude(self):
+        # no rule meets 1e-300; the estimate stops at the round-off floor
+        # of the integral of |f|
+        res = integrate_adaptive(lambda x: 1e6 * np.cos(x), 0.0, 3.0, tol=1e-300)
+        assert res.value == pytest.approx(1e6 * math.sin(3.0), abs=1e-8)
+        assert res.error_estimate <= ROUND_OFF * 1e6 * (2.0 - math.sin(3.0))
+
+    def test_nan_integrand_exhausts_the_panel_budget(self):
+        with pytest.raises(QuadratureConvergenceError, match="limit of 40 panels"):
+            integrate_adaptive(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0, limit=40)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -164,13 +192,14 @@ class TestIntegrateAdaptive:
 
 
 def panel_rule(**integrands):
-    """A rule for integrate_panels: each named integrand by the panel rule,
-    on every partition."""
+    """A rule for integrate_panels: each named integrand and its absolute
+    value by the panel rule, on every partition."""
     def rule(partitions):
         results, evaluations = [], 0
         for edges in partitions:
             t, w = gauss_panels(edges[:-1], edges[1:])
-            results.append({name: np.sum(w * f(t)) for name, f in integrands.items()})
+            results.append({name: (np.sum(w * f(t)), np.sum(w * np.abs(f(t))))
+                            for name, f in integrands.items()})
             evaluations += t.size
         return results, evaluations
     return rule
@@ -208,14 +237,23 @@ class TestIntegratePanels:
         assert math.isfinite(err.value.best.value) and err.value.best.error_estimate > 1e-8
 
     def test_budget_is_tol_with_the_round_off_floor(self):
-        def rule(shift):
-            # whole and halved values differ by ``shift``
-            return lambda partitions: ([{"v": 1.0}, {"v": 1.0 + shift}], 1)
-        # the floor 1e-8 max(1, |value|) admits what tol alone would not
-        assert integrate_panels(rule(5e-9), [0.0, 1.0], tol=1e-12)["v"].error_estimate > 1e-12
+        def rule(shift, magnitude=1.0):
+            # whole and halved values differ by ``shift``; |f| integrates to ``magnitude``
+            return lambda partitions: ([{"v": (1.0, magnitude)},
+                                        {"v": (1.0 + shift, magnitude)}], 1)
+        # below the floor ROUND_OFF times the integral of |f|, tol binds
+        assert ROUND_OFF < 1e-13
         with pytest.raises(QuadratureConvergenceError):
-            integrate_panels(rule(2e-8), [0.0, 1.0], tol=1e-12)
+            integrate_panels(rule(5e-9), [0.0, 1.0], tol=1e-12)
+        with pytest.raises(QuadratureConvergenceError):
+            integrate_panels(rule(2e-12), [0.0, 1.0], tol=1e-12)
+        assert integrate_panels(rule(5e-13), [0.0, 1.0], tol=1e-12)["v"].value == 1.0 + 5e-13
         assert integrate_panels(rule(2e-8), [0.0, 1.0], tol=1e-7)["v"].value == 1.0 + 2e-8
+        # the floor scales with the integrand's magnitude, not with the value
+        shift = 0.5 * ROUND_OFF * 1e6
+        assert integrate_panels(rule(shift, 1e6), [0.0, 1.0], tol=1e-16)["v"].value == 1.0 + shift
+        with pytest.raises(QuadratureConvergenceError):
+            integrate_panels(rule(shift, 1.0), [0.0, 1.0], tol=1e-16)
         with pytest.raises(QuadratureConvergenceError):
             integrate_panels(rule(math.nan), [0.0, 1.0], tol=1.0)
 

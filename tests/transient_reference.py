@@ -1,17 +1,21 @@
 """Nested adaptive-quadrature reference of the transient engine.
 
 This is the implementation ``dynamics.transient_variance`` replaced: every
-integral is an adaptive ``quad`` split at the drive breakpoints, and the
-lorentzian correlator is a double integral, an inner adaptive quadrature
-per outer node with an explicit split at the correlator's kink.  It uses
-scalar Bessel functions and ``PulseArea.value`` one point at a time, and
-shares no quadrature rule, node or filter with the panel engine.
+integral is an adaptive ``scipy.integrate.quad`` split at the drive
+breakpoints, and the lorentzian correlator is a double integral, an inner
+adaptive quadrature per outer node with an explicit split at the
+correlator's kink.  It uses scipy's scalar Bessel functions and
+``PulseArea.value`` one point at a time, and shares no quadrature rule,
+node, filter or Bessel evaluation with the panel engine.
 """
 
 import math
 
+from scipy.integrate import quad
+from scipy.special import j0 as bessel_j0
+from scipy.special import j1 as bessel_j1
+
 from spinmap.mapping import NoiseReport, eta_from_variance
-from spinmap.specfun import bessel_j0, bessel_j1, integrate_adaptive
 
 
 def _phi2(y):
@@ -33,7 +37,7 @@ def _integrate_with_knots(f, lo, hi, knots, tol):
     points = sorted({lo, hi, *(k for k in knots if lo < k < hi)})
     total = 0.0
     for a, b in zip(points, points[1:]):
-        total += integrate_adaptive(f, a, b, tol=tol / max(1, len(points) - 1)).value
+        total += quad(f, a, b, epsabs=tol / max(1, len(points) - 1), epsrel=1e-12, limit=500)[0]
     return total
 
 
