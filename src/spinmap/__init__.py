@@ -13,8 +13,6 @@ from .dynamics import (
     GridSpec,
     KernelTable,
     PulseArea,
-    collective_initial_kernel,
-    collective_light_kernel,
     light_kernel_convergence,
     light_kernel_reference,
     simulate_grid,

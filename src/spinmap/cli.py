@@ -16,7 +16,7 @@ from . import dynamics, mapping, teleport
 from .config import RunConfig
 from .dynamics import GridGrowthError, GridSpec, PulseArea
 from .model import DriveParams, MediumParams, check_feasibility, total_dephasing
-from .specfun import QuadratureConvergenceError, bessel_j0, integrate_adaptive
+from .specfun import QuadratureConvergenceError, bessel_j0, bessel_kernels, integrate_adaptive
 
 EXIT_OK = 0
 EXIT_PHYSICS = 1
@@ -235,7 +235,7 @@ def _verify_checks(cfg: RunConfig, tol: float):
     for u in (0.3, 2.0):
         for zp in (0.0, 0.4, 0.9):
             val = integrate_adaptive(
-                lambda z: u * dynamics._j1_over_sqrt_vec(u * (z - zp)), zp, 1.0, tol=1e-12,
+                lambda z: u * bessel_kernels(u * (z - zp), (1,))[0], zp, 1.0, tol=1e-12,
             ).value
             ref = 1.0 - bessel_j0(2.0 * math.sqrt(u * (1.0 - zp)))
             add("langevin_kernel_identity", f"u={_fmt(u)},zp={_fmt(zp)}", val, ref, 1e-9)

@@ -18,23 +18,25 @@ integral is 2 int_0^tau A(t) y(t) dt with the causal first-order filter
 y(t) = int_0^t A(t') e^{-Gq (t - t')} dt', y' = -Gq y + A.
 
 ``transient_variance`` evaluates every integral in one vectorized pass of
-composite Gauss-Legendre panels (``specfun.integrate_panels``, 16 nodes a
+composite Gauss-Legendre panels (``specfun.gauss_panels``, 16 nodes a
 panel).  The panels split at the drive breakpoints, where the integrands
 kink, and are cut so that none spans more than PANEL_DECAY e-folds of the
 fastest exponential (2 Gamma + Gq) or PANEL_PHASE radians of the Bessel
 phase 2 sqrt(uL), spaced uniformly in that phase.  At the nodes of a panel
 [a, b] the filter is its value at a, damped by e^{-Gq (t - a)}, plus a
 Gauss rule on [a, t]; from panel to panel it carries over by one scalar
-recursion.  One evaluation covers the panels and the panels halved; the
-halved values are returned and their change is the error estimate, which
-must meet ``tol`` or the round-off floor the adaptive rule accepts, else
-QuadratureConvergenceError (exit 3).  Cost: flat input evaluates the
-kernels at 16 nodes a panel, lorentzian input 16 more for each node's
-filter rule (272 a panel), on the panels and on their halves; 1-25 panels
-cover the parameter ranges the CLI and the benchmark use.  The nested adaptive
-quadrature this replaces is kept in the tests as the reference.  For
-constant drive and Gamma tau >> 1 these reproduce the closed-form and
-spectral steady states.
+recursion.  One evaluation of the exchange kernels covers the panels, then
+the panels halved (the filter restarts from y(0) = 0 where the halved pass
+begins), and the initial coherence.  The halved values are returned and
+their change is the error estimate, which must meet the budget the
+adaptive rule accepts (``specfun.within_budget``: ``tol`` or the round-off
+floor), else QuadratureConvergenceError (exit 3).  Cost: flat input
+evaluates the kernels at 16 nodes a panel, lorentzian input 16 more for
+each node's filter rule (272 a panel), on the panels and on their halves;
+1-25 panels cover the parameter ranges the CLI and the benchmark use.  The
+nested adaptive quadrature this replaces is kept in the tests as the
+reference.  For constant drive and Gamma tau >> 1 these reproduce the
+closed-form and spectral steady states.
 
 Grid oracle
 -----------
@@ -84,7 +86,8 @@ import numpy as np
 
 from .mapping import NoiseReport, SqueezingModel, eta_from_variance
 from .model import DriveParams, MediumParams, total_dephasing
-from .specfun import bessel_kernels, gauss_panels, integrate_panels
+from .specfun import (QuadratureConvergenceError, QuadratureResult, bessel_kernels,
+                      gauss_panels, within_budget)
 # the benchmark's span binding spinmap.dynamics.integrate_adaptive (bench/spans.py)
 from .specfun import integrate_adaptive  # noqa: F401
 
@@ -198,33 +201,6 @@ class PulseArea:
         return max((*self.rates, self.final_rate), default=self.final_rate)
 
 
-def collective_initial_kernel(zp: float, tau: float, area: PulseArea, length: float,
-                              gamma: float) -> float:
-    """Weight of the initial coherence at z' in the collective spin at time tau:
-
-        e^{-Gamma tau} J0(2 sqrt(a(tau) (L - z'))).
-    """
-    if not 0.0 <= zp <= length:
-        raise ValueError(f"zp must lie in [0, {length}], got {zp}")
-    return math.exp(-gamma * tau) * float(
-        bessel_kernels(area.value(tau) * (length - zp), (0,))[0])
-
-
-def collective_light_kernel(tau: float, tau_p: float, area: PulseArea, length: float,
-                            gamma: float) -> float:
-    """Weight of the input light at tau' < tau in the collective spin:
-
-        e^{-Gamma (tau - tau')} sqrt(L/u) J1(2 sqrt(u L)),  u = a(tau) - a(tau'),
-
-    with the u -> 0 limit L.  The classical-field factor E_s(tau') is not
-    included; callers weight by the drive where needed.
-    """
-    if tau_p >= tau:
-        raise ValueError(f"tau_p must precede tau, got tau_p={tau_p} tau={tau}")
-    u = area.value(tau) - area.value(tau_p)
-    return math.exp(-gamma * (tau - tau_p)) * length * float(_j1_over_sqrt_vec(u * length))
-
-
 PANEL_PHASE = 10.0   # most Bessel phase 2 sqrt(u L) a transient panel spans [rad]
 PANEL_DECAY = 12.0   # most e-folds of the fastest exponential a transient panel spans
 FILTER_BLOCK = 32    # panels per block of the filter's node-by-node Gauss rules, which
@@ -266,9 +242,8 @@ def transient_variance(
 
     Sums the decayed initial coherence, the Langevin restoration and the
     absorbed-light contribution, all in one composite Gauss-Legendre pass
-    (``specfun.integrate_panels``) whose panels split at the drive
-    breakpoints.  Lorentzian input adds the correlator's double integral
-    through a causal filter at the same nodes.
+    whose panels split at the drive breakpoints.  Lorentzian input adds the
+    correlator's double integral through a causal filter at the same nodes.
 
     Raises QuadratureConvergenceError when halving the panels moves the
     Langevin or the light part by more than the budget: ``tol``, or the
@@ -276,88 +251,85 @@ def transient_variance(
     """
     if not tau >= 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     a_tau = area.value(tau)
     # the initial coherence decays through J0^2 + J1^2 at 2 sqrt(a(tau) L),
     # with J0 and sqrt(1/y) J1 at y = a(tau) L the exchange kernels
     y_init = a_tau * length
-    decay = math.exp(-2.0 * gamma * tau)
-
-    if tau == 0.0:
-        j0, j = bessel_kernels(y_init)
-        var_init = decay * float(j0 * j0 + y_init * j * j)
-        return NoiseReport(
-            variance_norm=var_init,
-            eta=eta_from_variance(var_init, model.noise_floor),
-            atom_langevin_part=var_init,
-            light_part=0.0,
-        )
-
     gq = model.gamma_q if model.kind == "lorentzian" else 0.0
-    init = []  # the kernels at y_init, from the rule's Bessel evaluation
 
-    def rule(partitions):
-        # every partition's panels in one array: one evaluation of the kernels
-        lo = np.concatenate([e[:-1] for e in partitions])
-        hi = np.concatenate([e[1:] for e in partitions])
-        first = list(itertools.accumulate((len(e) - 1 for e in partitions), initial=0))
-        t, w = gauss_panels(lo, hi)
-        # the edges hold every breakpoint, so inside a panel the rate a' is
-        # constant and u L falls linearly from its value at the panel's start
-        a, b = lo[:, None], hi[:, None]
-        ul_start = ((a_tau - area.value(lo)) * length)[:, None]
-        slope = area.rate((lo + hi) / 2.0)[:, None] * length
-        weight = np.sqrt(slope)  # the drive weight sqrt(a' L) of the light kernel
-        ul = ul_start - slope * (t - a)
-        # J0 and j = sqrt(1/(u L)) J1 at 2 sqrt(u L) for every node and, last,
-        # for the initial coherence: one evaluation
-        j0, j = bessel_kernels(np.append(ul, y_init))
-        init[:] = j0[-1], j[-1]
-        j0, j = j0[:-1].reshape(t.shape), j[:-1].reshape(t.shape)
-        damp = np.exp(-gamma * (tau - t))
-        # the light kernel on the white input, sqrt(a'(t) L) j, decayed
-        amp = weight * j * damp
-        # the Langevin kernel J0^2 + J1^2 at 2 sqrt(u L); it and white are nonnegative
-        lang = 2.0 * gamma * (w * damp * damp * (j0 * j0 + ul * j * j)).sum(axis=1)
-        white = (w * amp * amp).sum(axis=1)
-        if model.kind == "flat":
-            light, light_abs, evaluations = model.x0_sq * white, None, t.size
-        else:
-            # e^{-Gq |t - t'|} = e^{-Gq (t - t')} for t' < t, so the
-            # correlator's double integral is 2 int A(t) y(t) dt with the
-            # causal filter y(t) = int_0^t A(t') e^{-Gq (t - t')} dt'.  At the
-            # nodes t of a panel [a, b], y is its value at a, damped by
-            # e^{-Gq (t - a)}, plus a Gauss rule on [a, t]; from panel to
-            # panel it carries over as one scalar,
-            # y(b) = e^{-Gq (b - a)} y(a) + int_a^b A(t') e^{-Gq (b - t')} dt'.
-            local = np.empty_like(t)
-            for block in range(0, len(lo), FILTER_BLOCK):
-                rows = slice(block, block + FILTER_BLOCK)
-                ts, ws = gauss_panels(a[rows], t[rows])
-                uls = ul_start[rows, :, None] - slope[rows, :, None] * (ts - a[rows, :, None])
-                local[rows] = (ws * weight[rows, :, None] * _j1_over_sqrt_vec(uls) * np.exp(
-                    -gamma * (tau - ts) - gq * (t[rows, :, None] - ts))).sum(axis=-1)
-            gains = (w * amp * np.exp(-gq * (b - t))).sum(axis=1)
-            fades = np.exp(-gq * (hi - lo))
-            y_start = np.empty(len(lo))
-            for start, stop in itertools.pairwise(first):
-                y = 0.0  # y(0) = 0 in every partition
-                for p in range(start, stop):
-                    y_start[p] = y
-                    y = fades[p] * y + gains[p]
-            corr = 2.0 * w * amp * (y_start[:, None] * np.exp(-gq * (t - a)) + local)
-            light = white - model.s * (gq / 2.0) * corr.sum(axis=1)
-            light_abs = white + model.s * (gq / 2.0) * np.abs(corr).sum(axis=1)
-            evaluations = t.size * (1 + t.shape[1])
-        # per partition: each integral and the integral of its |integrand|,
-        # the same where the integrand is nonnegative
-        lang, light = np.add.reduceat(lang, first[:-1]), np.add.reduceat(light, first[:-1])
-        light_abs = light if light_abs is None else np.add.reduceat(light_abs, first[:-1])
-        return ([{"Langevin part": (lang[k], lang[k]), "light part": (light[k], light_abs[k])}
-                 for k in range(len(partitions))], evaluations)
+    # the panels whole (n of them), then halved, each pass in time order
+    edges = _panel_edges(area, length, 2.0 * gamma + gq, tau)
+    n = len(edges) - 1
+    halved = np.empty(2 * n + 1)
+    halved[::2] = edges
+    halved[1::2] = (edges[1:] + edges[:-1]) / 2.0
+    lo = np.concatenate([edges[:-1], halved[:-1]])
+    hi = np.concatenate([edges[1:], halved[1:]])
+    t, w = gauss_panels(lo, hi)
+    # the edges hold every breakpoint, so inside a panel the rate a' is
+    # constant and u L falls linearly from its value at the panel's start
+    a, b = lo[:, None], hi[:, None]
+    ul_start = ((a_tau - area.value(lo)) * length)[:, None]
+    slope = area.rate((lo + hi) / 2.0)[:, None] * length
+    weight = np.sqrt(slope)  # the drive weight sqrt(a' L) of the light kernel
+    ul = ul_start - slope * (t - a)
+    # J0 and j = sqrt(1/(u L)) J1 at 2 sqrt(u L) for every node and, last,
+    # for the initial coherence: one evaluation
+    j0, j = bessel_kernels(np.append(ul, y_init))
+    atom_init = math.exp(-2.0 * gamma * tau) * float(j0[-1] ** 2 + y_init * j[-1] ** 2)
+    j0, j = j0[:-1].reshape(t.shape), j[:-1].reshape(t.shape)
+    damp = np.exp(-gamma * (tau - t))
+    # the light kernel on the white input, sqrt(a'(t) L) j, decayed
+    amp = weight * j * damp
+    # the Langevin kernel J0^2 + J1^2 at 2 sqrt(u L); it and white are nonnegative
+    lang = 2.0 * gamma * (w * damp * damp * (j0 * j0 + ul * j * j)).sum(axis=1)
+    white = (w * amp * amp).sum(axis=1)
+    if model.kind == "flat":
+        light = light_abs = model.x0_sq * white
+        evaluations = t.size
+    else:
+        # e^{-Gq |t - t'|} = e^{-Gq (t - t')} for t' < t, so the correlator's
+        # double integral is 2 int A(t) y(t) dt with the causal filter
+        # y(t) = int_0^t A(t') e^{-Gq (t - t')} dt'.  At the nodes t of a
+        # panel [a, b], y is its value at a, damped by e^{-Gq (t - a)}, plus a
+        # Gauss rule on [a, t]; from panel to panel it carries over as one
+        # scalar, y(b) = e^{-Gq (b - a)} y(a) + int_a^b A(t') e^{-Gq (b - t')} dt'.
+        local = np.empty_like(t)
+        for block in range(0, len(lo), FILTER_BLOCK):
+            rows = slice(block, block + FILTER_BLOCK)
+            ts, ws = gauss_panels(a[rows], t[rows])
+            uls = ul_start[rows, :, None] - slope[rows, :, None] * (ts - a[rows, :, None])
+            local[rows] = (ws * weight[rows, :, None] * bessel_kernels(uls, (1,))[0] * np.exp(
+                -gamma * (tau - ts) - gq * (t[rows, :, None] - ts))).sum(axis=-1)
+        gains = (w * amp * np.exp(-gq * (b - t))).sum(axis=1)
+        fades = np.exp(-gq * (hi - lo))
+        y_start = np.zeros(len(lo))
+        for p in range(1, len(lo)):
+            if p != n:  # y(0) = 0 where the halved pass starts again
+                y_start[p] = fades[p - 1] * y_start[p - 1] + gains[p - 1]
+        corr = 2.0 * w * amp * (y_start[:, None] * np.exp(-gq * (t - a)) + local)
+        light = white - model.s * (gq / 2.0) * corr.sum(axis=1)
+        light_abs = white + model.s * (gq / 2.0) * np.abs(corr).sum(axis=1)
+        evaluations = t.size * (1 + t.shape[1])
 
-    parts = integrate_panels(rule, _panel_edges(area, length, 2.0 * gamma + gq, tau), tol)
-    atom = decay * float(init[0] ** 2 + y_init * init[1] ** 2) + parts["Langevin part"].value
-    light = parts["light part"].value
+    # each part whole and halved, and the integral of its |integrand| halved
+    # (the same where the integrand is nonnegative); the halved value is
+    # kept and its change under halving is the error estimate
+    parts = {}
+    for name, value, magnitude in (("Langevin part", lang, lang),
+                                   ("light part", light, light_abs)):
+        whole, fine = np.add.reduceat(value, [0, n])
+        result = QuadratureResult(value=float(fine), error_estimate=abs(float(fine - whole)),
+                                  evaluations=evaluations)
+        if not within_budget(result, float(np.add.reduceat(magnitude, [0, n])[1]), tol):
+            raise QuadratureConvergenceError(
+                f"panel quadrature of the {name} did not converge on [{edges[0]}, {edges[-1]}]: "
+                f"it changed by {result.error_estimate:.3g} when {n} panels were halved", result)
+        parts[name] = result.value
+    atom = atom_init + parts["Langevin part"]
+    light = parts["light part"]
     return NoiseReport(
         variance_norm=atom + light,
         eta=eta_from_variance(atom + light, model.noise_floor),
@@ -537,9 +509,8 @@ def _mean_arrival(rate: float, dt: float) -> float:
 
 
 def _cell_correlator(model: SqueezingModel, ntau: int, dt: float) -> np.ndarray:
-    """Covariance matrix of cell-averaged input quadratures (Toeplitz)."""
-    if model.kind == "flat":
-        return (model.x0_sq / dt) * np.eye(ntau)
+    """Covariance matrix of cell-averaged lorentzian input quadratures
+    (Toeplitz); flat input has x0^2 / dt on the diagonal and nothing else."""
     gq, s = model.gamma_q, model.s
     x = gq * dt
     # exact cell-cell integrals of (Gq/2) e^{-Gq |t - t'|} / dt^2
@@ -756,9 +727,10 @@ def simulate_grid(
     disc = _Discretization(medium, drive, grid)
     rows, field, lang = disc.flows([0, *disc.run_ends], langevin=True)
     light_kernel, field_weights = _light_kernel(disc, rows, field)
-    corr = _cell_correlator(model, disc.ntau, disc.dt)
-    # flat input has a diagonal correlator
-    weighted = corr[0, 0] * field_weights if model.kind == "flat" else field_weights @ corr
+    if model.kind == "flat":
+        weighted = (model.x0_sq / disc.dt) * field_weights
+    else:
+        weighted = field_weights @ _cell_correlator(model, disc.ntau, disc.dt)
     light_part = np.einsum("ij,ij->i", weighted, field_weights)
     field_pass = -np.sqrt(disc.rates)[:, None] * field_weights[:-1]
     field_pass.flat[::disc.ntau + 1] += 1.0
@@ -772,12 +744,6 @@ def simulate_grid(
         light_part=float(table.light_part_trace[-1]),
     )
     return table, report
-
-
-def _j1_over_sqrt_vec(y: np.ndarray) -> np.ndarray:
-    """sqrt(1/y) J1(2 sqrt(y)), an entire function of y: the series
-    1 - y/2 + y^2/12 - ... near zero."""
-    return bessel_kernels(y, (1,))[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -805,7 +771,7 @@ def light_kernel_reference(area: PulseArea, length: float, gamma: float,
     k, kp, flat = _lower_pairs(ntau)
     u = avals[k] - avals[kp]
     kernel = np.zeros((ntau + 1) * ntau)
-    kernel[flat] = np.exp(-gamma * (t[k] - t[kp])) * length * _j1_over_sqrt_vec(u * length)
+    kernel[flat] = np.exp(-gamma * (t[k] - t[kp])) * length * bessel_kernels(u * length, (1,))[0]
     return kernel.reshape(ntau + 1, ntau)
 
 

@@ -147,9 +147,9 @@ def total_dephasing(medium: MediumParams, drive: DriveParams, drive_on: bool) ->
     return medium.gamma0 + (drive.gamma_s if drive_on else 0.0)
 
 
-def optical_depth(medium: MediumParams, drive: DriveParams, drive_on: bool = True) -> float:
-    """Optical depth alpha = g L / Gamma."""
-    gamma = total_dephasing(medium, drive, drive_on)
+def optical_depth(medium: MediumParams, drive: DriveParams) -> float:
+    """Optical depth alpha = g L / Gamma, Gamma the dephasing under drive."""
+    gamma = total_dephasing(medium, drive, drive_on=True)
     if gamma == 0:
         raise ZeroDivisionError("optical depth is singular at zero dephasing rate")
     return drive.g * medium.length / gamma
@@ -169,11 +169,9 @@ def coupling_kappa1(phys: AtomicPhysics) -> float:
     return phys.dipole_sum / (HBAR**2 * phys.delta_1photon)
 
 
-def coupling_kappa2(phys: AtomicPhysics, density: float, kappa1: float | None = None) -> float:
+def coupling_kappa2(phys: AtomicPhysics, density: float) -> float:
     """kappa2 = 2 pi n hbar omega kappa1 / c."""
-    if kappa1 is None:
-        kappa1 = coupling_kappa1(phys)
-    return 2.0 * PI * density * HBAR * phys.omega * kappa1 / C_LIGHT
+    return 2.0 * PI * density * HBAR * phys.omega * coupling_kappa1(phys) / C_LIGHT
 
 
 def power_broadening(phys: AtomicPhysics, kappa1: float, es_sq: float) -> float:

@@ -34,11 +34,11 @@ halving it; while the summed estimate misses the budget, every panel but
 those with the smallest estimates (which together spend at most half the
 budget) is bisected.
 
-Integrals whose integrand is evaluated on arrays, where the caller knows
-where it is smooth, use fixed composite panels (``integrate_panels``), the
-error again estimated by halving every panel.  Both rules accept a result
-under the same budget: ``tol``, or the round-off floor ROUND_OFF times the
-integral of |f| where that is larger.
+``gauss_panels`` gives the nodes and weights of the panel rule on any
+intervals, for callers that run their own composite pass where they know
+the integrand is smooth (the transient engine).  Every rule accepts a
+result under one budget (``within_budget``): ``tol``, or the round-off
+floor ROUND_OFF times the integral of |f| where that is larger.
 """
 
 from __future__ import annotations
@@ -205,13 +205,11 @@ def bessel_kernels(y, orders: tuple[int, ...] = (0, 1)) -> np.ndarray:
     orders = tuple(orders)
     y = np.asarray(y, dtype=float)
     flat = y.reshape(-1)
-    if flat.size <= BESSEL_BLOCK:
-        out = _kernels(flat, orders)
-    else:
-        out = np.empty((len(orders), flat.size))
-        for start in range(0, flat.size, BESSEL_BLOCK):
-            out[:, start:start + BESSEL_BLOCK] = _kernels(flat[start:start + BESSEL_BLOCK],
-                                                         orders)
+    # each block's result is allocated after its temporaries, then joined:
+    # filling an array allocated up front made lorentzian transient calls
+    # fault ~200 heap pages back in per call in some processes
+    out = np.concatenate([_kernels(flat[start:start + BESSEL_BLOCK], orders)
+                          for start in range(0, max(flat.size, 1), BESSEL_BLOCK)], axis=1)
     return out.reshape(out.shape[:1] + y.shape)
 
 
@@ -273,10 +271,11 @@ def bessel_i1e(x: float) -> float:
 
 PANEL_NODES = 16     # Gauss-Legendre nodes per panel
 INITIAL_PANELS = 16  # panels of the adaptive rule's first pass
+PANEL_LIMIT = 500    # panels the adaptive rule may bisect to before giving up
 ROUND_OFF = 64 * np.finfo(float).eps  # round-off floor per unit of the integral of |f|
 
 
-def _within_budget(result: QuadratureResult, magnitude: float, tol: float) -> bool:
+def within_budget(result: QuadratureResult, magnitude: float, tol: float) -> bool:
     """The absolute target ``tol``, or the round-off floor ROUND_OFF times
     the integrand's magnitude (the integral of |f|) where that is larger; a
     NaN value or estimate fails."""
@@ -355,7 +354,6 @@ def integrate_adaptive(
     lo: float,
     hi: float,
     tol: float = 1e-10,
-    limit: int = 500,
 ) -> QuadratureResult:
     """Globally adaptive Gauss-Legendre quadrature of ``f`` over [lo, hi];
     either end may be infinite.
@@ -371,13 +369,11 @@ def integrate_adaptive(
         Absolute tolerance target.  The returned ``error_estimate`` is the
         summed change of every panel under halving; it meets ``tol``, or
         the round-off floor where that is larger.
-    limit : int
-        Panel budget before giving up.
 
     Raises
     ------
     QuadratureConvergenceError
-        When bisecting further would exceed ``limit`` panels before the
+        When bisecting further would exceed ``PANEL_LIMIT`` panels before the
         estimate meets the budget.  The exception carries the best estimate
         obtained.
     """
@@ -407,7 +403,7 @@ def integrate_adaptive(
         return values.sum(axis=-1), np.abs(values).sum(axis=-1)
 
     # the first pass evaluates every panel whole and halved
-    n = min(INITIAL_PANELS, limit)
+    n = min(INITIAL_PANELS, PANEL_LIMIT)
     nodes, weights = _first_pass(n, mapped)
     sums, mags = panel_sums(nodes, weights)
     evaluations = nodes.size
@@ -420,17 +416,17 @@ def integrate_adaptive(
         result = QuadratureResult(value=float(fine.sum()), error_estimate=float(errors.sum()),
                                   evaluations=calls * evaluations)
         magnitude = float(mags.sum())
-        if _within_budget(result, magnitude, tol):
+        if within_budget(result, magnitude, tol):
             return result
         # keep the panels with the smallest estimates while together they
         # spend at most half the budget; bisect the rest (NaN sorts last)
         order = np.argsort(errors)
         kept = np.cumsum(errors[order]) <= max(tol, ROUND_OFF * magnitude) / 2.0
         keep, split = order[kept], order[~kept]
-        if not len(split) or panels.shape[1] + len(split) > limit:
+        if not len(split) or panels.shape[1] + len(split) > PANEL_LIMIT:
             raise QuadratureConvergenceError(
                 f"adaptive quadrature did not converge on [{lo}, {hi}]: estimate "
-                f"{result.error_estimate:.3g} against tol {tol:.3g} at the limit of {limit} "
+                f"{result.error_estimate:.3g} against tol {tol:.3g} at the limit of {PANEL_LIMIT} "
                 f"panels", result)
         children = np.stack(_halve(*panels[:, split]))
         nodes, weights = _unit_nodes(*_halve(*children), mapped)
@@ -440,45 +436,3 @@ def integrate_adaptive(
         whole = np.concatenate([whole[keep], halves[0, split], halves[1, split]])
         halves = np.concatenate([halves[:, keep], sums.reshape(2, -1)], axis=1)
         mags = np.concatenate([mags[:, keep], new_mags.reshape(2, -1)], axis=1)
-
-
-def integrate_panels(rule, edges, tol: float = 1e-10) -> dict[str, QuadratureResult]:
-    """Composite Gauss-Legendre quadrature of named integrals over the
-    panels between ``edges``, with the error of each estimated by doubling.
-
-    ``rule(partitions)`` gets a list of edge arrays and returns, for each,
-    the integrals by the panel rule on its panels (``gauss_panels``) as a
-    dict by name of (integral of f, integral of |f|) pairs, together with
-    the number of integrand evaluations made for all of them; one call lets
-    the rule evaluate every node at once.  The partitions are ``edges`` and
-    ``edges`` with every panel halved.  Each result is the halved value,
-    with |halved - whole| as its error estimate, and counts the evaluations
-    of both.  The integrand must be smooth inside every panel: put its
-    kinks and breakpoints on edges.
-
-    Raises
-    ------
-    QuadratureConvergenceError
-        When an estimate misses the budget ``integrate_adaptive`` accepts:
-        ``tol``, or the round-off floor where that is larger.  The exception
-        names the integral and carries its best estimate.
-    """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    edges = np.asarray(edges, dtype=float)
-    halved = np.empty(2 * len(edges) - 1)
-    halved[::2] = edges
-    halved[1::2] = (edges[1:] + edges[:-1]) / 2.0
-    (whole, values), evaluations = rule([edges, halved])
-    results = {}
-    for name, (value, magnitude) in values.items():
-        result = QuadratureResult(value=float(value),
-                                  error_estimate=abs(float(value - whole[name][0])),
-                                  evaluations=evaluations)
-        if not _within_budget(result, float(magnitude), tol):
-            raise QuadratureConvergenceError(
-                f"panel quadrature of the {name} did not converge on [{edges[0]}, {edges[-1]}]: "
-                f"it changed by {result.error_estimate:.3g} when {len(edges) - 1} panels were "
-                f"halved", result)
-        results[name] = result
-    return results

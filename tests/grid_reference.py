@@ -34,7 +34,10 @@ def step_operators(disc):
 def dense_table(medium, drive, grid, model) -> dynamics.KernelTable:
     disc = dynamics._Discretization(medium, drive, grid)
     w, rates, dt = disc.w, disc.rates, disc.dt
-    corr = dynamics._cell_correlator(model, disc.ntau, dt)
+    if model.kind == "flat":
+        corr = (model.x0_sq / dt) * np.eye(disc.ntau)
+    else:
+        corr = dynamics._cell_correlator(model, disc.ntau, dt)
     ops = step_operators(disc)
     nz1, ntau = len(w), len(rates)
     sqrt_rates = np.sqrt(rates)

@@ -11,8 +11,6 @@ from spinmap.dynamics import (
     GridSpec,
     PulseArea,
     VARIANCE_CONVERGENCE_ORDER,
-    collective_initial_kernel,
-    collective_light_kernel,
     light_kernel_convergence,
     light_kernel_reference,
     simulate_grid,
@@ -25,6 +23,7 @@ from spinmap.specfun import (
     QuadratureResult,
     bessel_j0,
     bessel_j1,
+    bessel_kernels,
 )
 
 # first positive roots of J0 and J1, squared over four (series-oracle bisection)
@@ -102,62 +101,72 @@ class TestPulseArea:
             PulseArea(breakpoints=(1.0,), rates=(-1.0,))
 
 
+def initial_kernel(area, length, gamma, z, tau):
+    """e^{-Gamma tau} J0(2 sqrt(a(tau) (L - z'))), the weight of the initial
+    coherence at z' in the collective spin, on the grid of z' and tau."""
+    tau = np.asarray(tau, dtype=float)[:, None]
+    y = area.value(tau) * (length - np.asarray(z, dtype=float))
+    return np.exp(-gamma * tau) * bessel_kernels(y, (0,))[0]
+
+
+def light_kernel(area, length, gamma, tau, tau_p):
+    """The collective light kernel of input at tau_p in the spin at tau,
+    from ``light_kernel_reference`` on the nodes (tau_p, tau)."""
+    return float(light_kernel_reference(area, length, gamma, [tau_p, tau])[1, 0])
+
+
 class TestInitialKernel:
     def test_unity_at_start(self):
-        area = PulseArea.constant(5.0)
-        for zp in (0.0, 0.3, 1.0):
-            assert collective_initial_kernel(zp, 0.0, area, 1.0, 1.0) == 1.0
+        # J0(0) = 1 and both exchange kernels are 1 at zero exchange
+        assert np.all(initial_kernel(PulseArea.constant(5.0), 1.0, 1.0, [0.0, 0.3, 1.0], [0.0])
+                      == 1.0)
+        assert bessel_kernels(np.zeros(3)).tolist() == [[1.0] * 3] * 2
 
     def test_pure_decay_with_drive_off(self):
-        area = PulseArea.constant(0.0)
-        val = collective_initial_kernel(0.5, 5.0, area, 1.0, 1.0)
+        val = initial_kernel(PulseArea.constant(0.0), 1.0, 1.0, [0.5], [5.0])[0, 0]
         assert val == pytest.approx(math.exp(-5.0), rel=1e-12)
 
     def test_vanishes_at_bessel_root(self):
-        # choose z' so that a(tau)(L - z') hits the first J0 root squared / 4
-        length = 2.0
-        area = PulseArea.constant(1.0)
-        tau = 1.0
+        # a(tau)(L - z') at the first J0 root squared / 4
+        assert abs(bessel_kernels(J0_ROOT_SQ_OVER_4, (0,))[0]) < 1e-10
+        length, area, tau = 2.0, PulseArea.constant(1.0), 1.0
         zp = length - J0_ROOT_SQ_OVER_4 / area.value(tau)
-        assert abs(collective_initial_kernel(zp, tau, area, length, 0.0)) < 1e-10
-
-    def test_domain_check(self):
-        with pytest.raises(ValueError):
-            collective_initial_kernel(1.5, 0.0, PulseArea.constant(1.0), 1.0, 1.0)
+        assert abs(initial_kernel(area, length, 0.0, [zp], [tau])[0, 0]) < 1e-10
 
 
 class TestLightKernel:
     def test_zero_exchange_limit_is_length(self):
         # drive off between tau' and tau: u = 0, kernel = e^{-Gamma dt} L
-        area = PulseArea.constant(0.0)
-        assert collective_light_kernel(1.0, 0.5, area, 3.0, 0.0) == pytest.approx(3.0)
+        assert light_kernel(PulseArea.constant(0.0), 3.0, 0.0, 1.0, 0.5) == pytest.approx(3.0)
 
     def test_half_decay(self):
-        area = PulseArea.constant(0.0)
-        val = collective_light_kernel(math.log(2.0), 0.0, area, 1.0, 1.0)
+        val = light_kernel(PulseArea.constant(0.0), 1.0, 1.0, math.log(2.0), 0.0)
         assert val == pytest.approx(0.5, rel=1e-12)
 
     def test_vanishes_at_j1_root(self):
         # u L at the first J1 root squared / 4
-        area = PulseArea.constant(1.0)
+        assert abs(bessel_kernels(J1_ROOT_SQ_OVER_4, (1,))[0]) < 1e-10
         length = J1_ROOT_SQ_OVER_4  # u = a(1) - a(0) = 1
-        assert abs(collective_light_kernel(1.0, 0.0, area, length, 0.0)) < 1e-10
+        assert abs(light_kernel(PulseArea.constant(1.0), length, 0.0, 1.0, 0.0)) < 1e-10
 
     def test_series_matches_direct_across_switch(self):
-        # the series branch and the Bessel branch agree around uL ~ 1e-8
+        # near zero exchange the kernel L sqrt(1/(uL)) J1(2 sqrt(uL)) agrees
+        # with the Bessel function's own value
         length = 1.0
         for u in (2e-9, 5e-9, 2e-8, 1e-7):
             area = PulseArea.constant(u)  # u after unit time
-            val = collective_light_kernel(1.0, 0.0, area, length, 0.0)
+            val = light_kernel(area, length, 0.0, 1.0, 0.0)
             direct = math.sqrt(length / u) * bessel_j1(2.0 * math.sqrt(u * length))
             assert val == pytest.approx(direct, rel=1e-9)
 
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            collective_light_kernel(1.0, 1.0, PulseArea.constant(1.0), 1.0, 1.0)
-
 
 class TestTransientVariance:
+    def test_invalid_tol(self):
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                transient_variance(PulseArea.constant(1.0), 1.0, 1.0, SqueezingModel.flat(0.5),
+                                   1.0, tol=tol)
+
     def test_initial_atomic_vacuum(self):
         rep = transient_variance(PulseArea.constant(4.0), 1.0, 1.0, SqueezingModel.flat(0.0), 0.0)
         assert rep.variance_norm == 1.0
@@ -221,11 +230,12 @@ class TestTransientVariance:
         tol = 1e-12
         estimates = []
 
-        def recording(rule, edges, tol):
-            results = specfun.integrate_panels(rule, edges, tol)
-            estimates.extend(r.error_estimate for r in results.values())
-            return results
-        monkeypatch.setattr(dynamics, "integrate_panels", recording)
+        def recording(result, magnitude, tol):
+            met = specfun.within_budget(result, magnitude, tol)
+            if met:
+                estimates.append(result.error_estimate)
+            return met
+        monkeypatch.setattr(dynamics, "within_budget", recording)
         outcomes = set()
         for alpha, tau in ((0.5, 0.7), (8.0, 3.0), (60.0, 10.0)):
             try:
@@ -328,7 +338,7 @@ class TestSimulateGrid:
         for k in range(101):
             for kp in range(k):
                 y = (area.value(float(tau[k])) - area.value(float(tau[kp]))) * length
-                j = float(dynamics._j1_over_sqrt_vec(y))
+                j = float(bessel_kernels(y, (1,))[0])
                 expected[k, kp] = np.exp(-gamma * (tau[k] - tau[kp])) * length * j
         assert np.array_equal(light_kernel_reference(area, length, gamma, tau), expected)
 
@@ -359,12 +369,7 @@ class TestSimulateGrid:
         for n in (25, 50, 100):
             table, _ = simulate_grid(medium, drive, GridSpec(nz=n, ntau=n, tau_max=1.0),
                                      SqueezingModel.flat(1.0))
-            area = PulseArea.from_drive(drive)
-            ref = np.array([
-                [collective_initial_kernel(float(z), float(t), area, 1.0, 1.0)
-                 for z in table.z]
-                for t in table.tau
-            ])
+            ref = initial_kernel(PulseArea.from_drive(drive), 1.0, 1.0, table.z, table.tau)
             errors.append(np.linalg.norm(table.init_kernel - ref) / np.linalg.norm(ref))
         assert errors[0] > errors[1] > errors[2]
 

@@ -1,7 +1,8 @@
 """Property tests of the grid oracle: the closed-form step exponential against
 a general matrix exponential, and the contracted propagator against the dense
 reference loop (``grid_reference``) on random small grids and drive
-profiles, and on one long run at the exchange bound."""
+profiles, and on one long run at the exchange bound; and the NoiseReport
+decomposition on the same random runs."""
 
 import numpy as np
 import scipy.linalg
@@ -95,6 +96,14 @@ def test_contracted_path_matches_dense_reference(run):
     if drive.g == 0.0:
         assert np.all(table.field_pass == np.eye(grid.ntau))
         assert np.all(table.light_kernel == 0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(grid_runs())
+def test_noise_report_parts_sum_to_total(run):
+    table, report = dynamics.simulate_grid(*run)
+    assert report.variance_norm == report.atom_langevin_part + report.light_part
+    assert np.array_equal(table.variance_trace, table.atom_part_trace + table.light_part_trace)
 
 
 @pytest.mark.parametrize("profile", [(), ((0.4, 1.0), (0.3, 0.37), (0.2, 1.0))])

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import jn
 
 import oracles
+from spinmap import specfun
 from spinmap.specfun import (
     INITIAL_PANELS,
     PANEL_NODES,
@@ -17,7 +18,7 @@ from spinmap.specfun import (
     bessel_j1,
     gauss_panels,
     integrate_adaptive,
-    integrate_panels,
+    within_budget,
 )
 
 # frozen from the independent series oracles in oracles.py
@@ -146,9 +147,10 @@ class TestIntegrateAdaptive:
         closed = math.pi * alpha * I0E_PLUS_I1E_AT_HALF
         assert res.value == pytest.approx(closed, abs=1e-8)
 
-    def test_non_convergence_carries_best_estimate(self):
+    def test_non_convergence_carries_best_estimate(self, monkeypatch):
+        monkeypatch.setattr(specfun, "PANEL_LIMIT", 3)
         with pytest.raises(QuadratureConvergenceError) as err:
-            integrate_adaptive(lambda x: np.sin(1.0 / x), 1e-12, 1.0, tol=1e-14, limit=3)
+            integrate_adaptive(lambda x: np.sin(1.0 / x), 1e-12, 1.0, tol=1e-14)
         assert isinstance(err.value.best, QuadratureResult)
         assert math.isfinite(err.value.best.value)
 
@@ -174,9 +176,10 @@ class TestIntegrateAdaptive:
         assert res.value == pytest.approx(1e6 * math.sin(3.0), abs=1e-8)
         assert res.error_estimate <= ROUND_OFF * 1e6 * (2.0 - math.sin(3.0))
 
-    def test_nan_integrand_exhausts_the_panel_budget(self):
+    def test_nan_integrand_exhausts_the_panel_budget(self, monkeypatch):
+        monkeypatch.setattr(specfun, "PANEL_LIMIT", 40)
         with pytest.raises(QuadratureConvergenceError, match="limit of 40 panels"):
-            integrate_adaptive(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0, limit=40)
+            integrate_adaptive(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -191,21 +194,11 @@ class TestIntegrateAdaptive:
             QuadratureResult(value=1.0, error_estimate=0.0, evaluations=0)
 
 
-def panel_rule(**integrands):
-    """A rule for integrate_panels: each named integrand and its absolute
-    value by the panel rule, on every partition."""
-    def rule(partitions):
-        results, evaluations = [], 0
-        for edges in partitions:
-            t, w = gauss_panels(edges[:-1], edges[1:])
-            results.append({name: (np.sum(w * f(t)), np.sum(w * np.abs(f(t))))
-                            for name, f in integrands.items()})
-            evaluations += t.size
-        return results, evaluations
-    return rule
-
-
 class TestIntegratePanels:
+    """The pieces of a composite panel pass: the Gauss rule on any panels
+    (``gauss_panels``) and the budget its estimate must meet
+    (``within_budget``, shared with the adaptive rule)."""
+
     def test_nodes_broadcast_and_weights_sum_to_width(self):
         lo = np.array([[0.0], [1.0]])
         hi = np.array([[0.5, 1.0, 2.0], [1.5, 3.0, 4.0]])
@@ -215,49 +208,35 @@ class TestIntegratePanels:
         assert np.all((t > lo[..., None]) & (t < hi[..., None]))
 
     def test_polynomials_exact_with_zero_estimate(self):
-        # degree 2n - 1 is the rule's exactness limit
+        # degree 2n - 1 is the rule's exactness limit; halving every panel
+        # leaves the composite value where it was
         degree = 2 * PANEL_NODES - 1
-        res = integrate_panels(panel_rule(p=lambda x: x ** degree), [-1.0, 0.5, 2.0])["p"]
         exact = (2.0 ** (degree + 1) - 1.0) / (degree + 1)
-        assert res.value == pytest.approx(exact, rel=1e-13)
-        assert res.error_estimate <= 1e-13 * exact
-        assert res.evaluations == PANEL_NODES * (2 + 4)
-
-    def test_named_integrals_share_the_nodes(self):
-        res = integrate_panels(panel_rule(exp=np.exp, cos=np.cos), np.linspace(0.0, 3.0, 4))
-        assert res["exp"].value == pytest.approx(math.expm1(3.0), rel=1e-14)
-        assert res["cos"].value == pytest.approx(math.sin(3.0), abs=1e-14)
-        assert res["exp"].evaluations == res["cos"].evaluations
-
-    def test_budget_miss_names_the_integral_and_carries_best(self):
-        with pytest.raises(QuadratureConvergenceError, match="of the wave did not") as err:
-            integrate_panels(panel_rule(flat=np.ones_like, wave=lambda x: np.sin(40.0 * x)),
-                             [0.0, 3.0])
-        assert isinstance(err.value.best, QuadratureResult)
-        assert math.isfinite(err.value.best.value) and err.value.best.error_estimate > 1e-8
+        whole, halved = (np.sum(w * t ** degree) for t, w in (
+            gauss_panels([-1.0, 0.5], [0.5, 2.0]),
+            gauss_panels([-1.0, -0.25, 0.5, 1.25], [-0.25, 0.5, 1.25, 2.0])))
+        assert halved == pytest.approx(exact, rel=1e-13)
+        assert abs(halved - whole) <= 1e-13 * exact
+        # smooth integrands on a few panels are exact to round-off
+        t, w = gauss_panels(np.arange(3.0), np.arange(1.0, 4.0))
+        assert np.sum(w * np.exp(t)) == pytest.approx(math.expm1(3.0), rel=1e-14)
+        assert np.sum(w * np.cos(t)) == pytest.approx(math.sin(3.0), abs=1e-14)
 
     def test_budget_is_tol_with_the_round_off_floor(self):
-        def rule(shift, magnitude=1.0):
+        def met(shift, tol, magnitude=1.0):
             # whole and halved values differ by ``shift``; |f| integrates to ``magnitude``
-            return lambda partitions: ([{"v": (1.0, magnitude)},
-                                        {"v": (1.0 + shift, magnitude)}], 1)
+            result = QuadratureResult(value=1.0 + shift, error_estimate=abs(shift), evaluations=1)
+            return within_budget(result, magnitude, tol)
         # below the floor ROUND_OFF times the integral of |f|, tol binds
         assert ROUND_OFF < 1e-13
-        with pytest.raises(QuadratureConvergenceError):
-            integrate_panels(rule(5e-9), [0.0, 1.0], tol=1e-12)
-        with pytest.raises(QuadratureConvergenceError):
-            integrate_panels(rule(2e-12), [0.0, 1.0], tol=1e-12)
-        assert integrate_panels(rule(5e-13), [0.0, 1.0], tol=1e-12)["v"].value == 1.0 + 5e-13
-        assert integrate_panels(rule(2e-8), [0.0, 1.0], tol=1e-7)["v"].value == 1.0 + 2e-8
+        assert not met(5e-9, 1e-12)
+        assert not met(2e-12, 1e-12)
+        assert met(5e-13, 1e-12)
+        assert met(2e-8, 1e-7)
         # the floor scales with the integrand's magnitude, not with the value
         shift = 0.5 * ROUND_OFF * 1e6
-        assert integrate_panels(rule(shift, 1e6), [0.0, 1.0], tol=1e-16)["v"].value == 1.0 + shift
-        with pytest.raises(QuadratureConvergenceError):
-            integrate_panels(rule(shift, 1.0), [0.0, 1.0], tol=1e-16)
-        with pytest.raises(QuadratureConvergenceError):
-            integrate_panels(rule(math.nan), [0.0, 1.0], tol=1.0)
-
-    def test_invalid_tol(self):
-        for tol in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError):
-                integrate_panels(panel_rule(one=np.ones_like), [0.0, 1.0], tol=tol)
+        assert met(shift, 1e-16, 1e6)
+        assert not met(shift, 1e-16, 1.0)
+        # a NaN value or estimate fails under any budget
+        assert not within_budget(QuadratureResult(math.nan, 0.0, 1), 1.0, 1.0)
+        assert not within_budget(QuadratureResult(1.0, math.nan, 1), 1.0, 1.0)
