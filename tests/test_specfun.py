@@ -5,7 +5,8 @@ import pytest
 from scipy.special import jn
 
 import oracles
-from spinmap import specfun
+from spinmap import PulseArea, SqueezingModel, specfun
+from spinmap.dynamics import transient_variance
 from spinmap.specfun import (
     INITIAL_PANELS,
     PANEL_NODES,
@@ -217,10 +218,24 @@ class TestIntegratePanels:
             gauss_panels([-1.0, -0.25, 0.5, 1.25], [-0.25, 0.5, 1.25, 2.0])))
         assert halved == pytest.approx(exact, rel=1e-13)
         assert abs(halved - whole) <= 1e-13 * exact
-        # smooth integrands on a few panels are exact to round-off
+
+    def test_named_integrals_share_the_nodes(self):
+        # one set of nodes serves several integrands, each exact to round-off
         t, w = gauss_panels(np.arange(3.0), np.arange(1.0, 4.0))
-        assert np.sum(w * np.exp(t)) == pytest.approx(math.expm1(3.0), rel=1e-14)
-        assert np.sum(w * np.cos(t)) == pytest.approx(math.sin(3.0), abs=1e-14)
+        exp, cos = (w * np.stack([np.exp(t), np.cos(t)])).sum(axis=(1, 2))
+        assert exp == pytest.approx(math.expm1(3.0), rel=1e-14)
+        assert cos == pytest.approx(math.sin(3.0), abs=1e-14)
+
+    def test_budget_miss_names_the_integral_and_carries_best(self, monkeypatch):
+        # without decay the Langevin part is zero and meets any budget, so
+        # the miss of two nodes a panel is the light part's, and says so
+        args = (PulseArea.constant(5.0), 1.0, 0.0, SqueezingModel.flat(1.0), 3.0)
+        assert transient_variance(*args).light_part > 0.0
+        monkeypatch.setattr(specfun, "PANEL_NODES", 2)
+        with pytest.raises(QuadratureConvergenceError, match="of the light part did not") as err:
+            transient_variance(*args)
+        assert isinstance(err.value.best, QuadratureResult)
+        assert math.isfinite(err.value.best.value) and err.value.best.error_estimate > 1e-8
 
     def test_budget_is_tol_with_the_round_off_floor(self):
         def met(shift, tol, magnitude=1.0):
