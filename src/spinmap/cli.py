@@ -113,7 +113,7 @@ def cmd_simulate(cfg: RunConfig, out: str | None, tol: float) -> int:
     drive = cfg.record("drive")
     if medium is None or drive is None:
         medium, drive = _dimensionless_medium_drive(cfg.alpha(), tau_max_gamma)
-    gamma = total_dephasing(medium, drive, drive_on=True)
+    gamma = total_dephasing(medium, drive)
     grid = GridSpec(nz=cfg["grid.nz"], ntau=cfg["grid.ntau"], tau_max=tau_max_gamma / gamma)
 
     table, _report = dynamics.simulate_grid(medium, drive, grid, model)
@@ -221,7 +221,7 @@ def _verify_checks(cfg: RunConfig, tol: float):
     grid = GridSpec(nz=VERIFY_KERNEL_LADDER[-1], ntau=VERIFY_KERNEL_LADDER[-1],
                     tau_max=VERIFY_KERNEL_TAU_MAX)
     study = dynamics.light_kernel_convergence(medium, drive, grid, levels=len(VERIFY_KERNEL_LADDER))
-    monotone = all(a > b for a, b in zip(study.errors, study.errors[1:]))
+    monotone = study.monotone
     checks.append(("grid_kernel", "monotone_decrease", float(monotone), 1.0,
                    0.0 if monotone else 1.0, 0.0, monotone))
     for i, order in enumerate(study.orders):

@@ -255,7 +255,7 @@ class RunConfig:
         medium, drive, physics = (self.record(block) for block in ("medium", "drive", "physics"))
         derived = None
         if medium is not None and drive is not None and physics is not None:
-            derived = physics.gamma_q / total_dephasing(medium, drive, drive_on=True)
+            derived = physics.gamma_q / total_dephasing(medium, drive)
         b = self._declared_or_derived("dimensionless.b", derived)
         if b is None:
             raise ConfigError("dimensionless.b", "required for lorentzian input")

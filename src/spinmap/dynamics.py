@@ -73,6 +73,13 @@ O(ntau nz^2) for its columns and Gramian, and the light variance of every
 node against the input correlator is one BLAS product, O(ntau^3).  The
 dense loop that steps the full coefficient matrices is kept in the tests as
 the reference.
+
+``light_kernel_convergence`` runs the oracle on a ladder of grids halved
+from the given one and compares each light-kernel table with the continuum
+kernel (``light_kernel_reference``).  The reference is evaluated once, on
+the finest grid's nodes, and sliced for every coarser rung: halving scales
+dt by a power of two exactly, so a coarser rung's nodes are every 2nd, 4th,
+... fine node.
 """
 
 from __future__ import annotations
@@ -84,7 +91,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mapping import NoiseReport, SqueezingModel, eta_from_variance
+from .mapping import NoiseReport, SqueezingModel
 from .model import DriveParams, MediumParams, total_dephasing
 from .specfun import (QuadratureConvergenceError, QuadratureResult, bessel_kernels,
                       gauss_panels, within_budget)
@@ -188,13 +195,9 @@ class PulseArea:
         lo = np.arange(n) * dt
         hi = np.arange(1, n + 1) * dt
         slack = 1e-9 * dt
-        knots = np.asarray(self.breakpoints, dtype=float)
-        segment_rates = np.array([*self.rates, self.final_rate])
-        rates = segment_rates[np.searchsorted(knots, (lo + hi) / 2.0, side="right")]
-        straddle = (np.searchsorted(knots, hi - slack)
-                    > np.searchsorted(knots, lo + slack, side="right"))
-        for k in np.flatnonzero(straddle):
-            rates[k] = (self.value(hi[k]) - self.value(lo[k])) / dt
+        rates = self.rate((lo + hi) / 2.0)
+        straddle = self._locate(hi - slack, "left")[1] > self._locate(lo + slack, "right")[1]
+        rates[straddle] = (self.value(hi[straddle]) - self.value(lo[straddle])) / dt
         return rates
 
     def max_rate(self) -> float:
@@ -328,14 +331,8 @@ def transient_variance(
                 f"panel quadrature of the {name} did not converge on [{edges[0]}, {edges[-1]}]: "
                 f"it changed by {result.error_estimate:.3g} when {n} panels were halved", result)
         parts[name] = result.value
-    atom = atom_init + parts["Langevin part"]
-    light = parts["light part"]
-    return NoiseReport(
-        variance_norm=atom + light,
-        eta=eta_from_variance(atom + light, model.noise_floor),
-        atom_langevin_part=atom,
-        light_part=light,
-    )
+    return NoiseReport.from_parts(atom_init + parts["Langevin part"], parts["light part"],
+                                  model.noise_floor)
 
 
 @dataclass(frozen=True)
@@ -537,7 +534,7 @@ class _Discretization:
 
     def __init__(self, medium: MediumParams, drive: DriveParams, grid: GridSpec):
         self.length = length = medium.length
-        gamma = total_dephasing(medium, drive, drive_on=True)
+        gamma = total_dephasing(medium, drive)
         area = PulseArea.from_drive(drive)
 
         self.nz, self.ntau = nz, ntau = grid.nz, grid.ntau
@@ -736,26 +733,8 @@ def simulate_grid(
     field_pass.flat[::disc.ntau + 1] += 1.0
     table = disc.table(rows[0], _langevin_part(disc, rows, lang), light_part,
                        light_kernel, field_pass)
-    variance = float(table.variance_trace[-1])
-    report = NoiseReport(
-        variance_norm=variance,
-        eta=eta_from_variance(variance, model.noise_floor),
-        atom_langevin_part=float(table.atom_part_trace[-1]),
-        light_part=float(table.light_part_trace[-1]),
-    )
-    return table, report
-
-
-@functools.lru_cache(maxsize=8)
-def _lower_pairs(ntau: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and flat index of every entry below the diagonal of an
-    (ntau + 1) x ntau table; a refinement ladder asks for the same sizes
-    again and again."""
-    k, kp = np.tril_indices(ntau + 1, -1, ntau)
-    pairs = k, kp, k * ntau + kp
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
+    return table, NoiseReport.from_parts(float(table.atom_part_trace[-1]),
+                                         float(table.light_part_trace[-1]), model.noise_floor)
 
 
 def light_kernel_reference(area: PulseArea, length: float, gamma: float,
@@ -768,11 +747,12 @@ def light_kernel_reference(area: PulseArea, length: float, gamma: float,
     t = np.asarray(tau_nodes, dtype=float)
     avals = area.value(t)
     ntau = len(t) - 1
-    k, kp, flat = _lower_pairs(ntau)
-    u = avals[k] - avals[kp]
-    kernel = np.zeros((ntau + 1) * ntau)
-    kernel[flat] = np.exp(-gamma * (t[k] - t[kp])) * length * bessel_kernels(u * length, (1,))[0]
-    return kernel.reshape(ntau + 1, ntau)
+    lower = np.tri(ntau + 1, ntau, -1, dtype=bool)  # kp < k
+    u = (avals[:, None] - avals[:-1])[lower]
+    kernel = np.zeros((ntau + 1, ntau))
+    kernel[lower] = (np.exp(-gamma * (t[:, None] - t[:-1])[lower]) * length
+                     * bessel_kernels(u * length, (1,))[0])
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -796,12 +776,15 @@ def light_kernel_convergence(
 
     Runs the oracle on ``levels`` grids obtained by halving the given grid,
     coarsest first, and measures the relative L2 error of the kernel table.
+    The continuum kernel is evaluated once, on the finest grid's nodes, and
+    a grid coarser by s takes every s-th row and column of it.
     """
     factor = 2 ** (levels - 1)
     if grid.nz % factor or grid.ntau % factor:
         raise GridConfigError(f"grid sizes must be divisible by {factor} for {levels} levels")
-    gamma = total_dephasing(medium, drive, drive_on=True)
-    area = PulseArea.from_drive(drive)
+    fine = light_kernel_reference(PulseArea.from_drive(drive), medium.length,
+                                  total_dephasing(medium, drive),
+                                  np.arange(grid.ntau + 1) * (grid.tau_max / grid.ntau))
     sizes = []
     errors = []
     for level in range(levels):
@@ -810,7 +793,7 @@ def light_kernel_convergence(
         disc = _Discretization(medium, drive, sub)
         rows, field, _ = disc.flows(disc.run_ends, langevin=False)
         kernel, _ = _light_kernel(disc, rows, field)
-        reference = light_kernel_reference(area, medium.length, gamma, disc.tau)
+        reference = fine[::shrink, ::shrink]
         err = float(np.linalg.norm(kernel - reference) / np.linalg.norm(reference))
         sizes.append((sub.nz, sub.ntau))
         errors.append(err)

@@ -127,6 +127,12 @@ class NoiseReport:
         ):
             raise ValueError("variance_norm must equal atom_langevin_part + light_part")
 
+    @classmethod
+    def from_parts(cls, atom: float, light: float, noise_floor: float) -> "NoiseReport":
+        """The report of these parts: their sum and its efficiency."""
+        return cls(variance_norm=atom + light, eta=eta_from_variance(atom + light, noise_floor),
+                   atom_langevin_part=atom, light_part=light)
+
     @property
     def eta_defined(self) -> bool:
         return not math.isnan(self.eta)
@@ -155,13 +161,7 @@ def variance_closed(alpha: float, x0_sq: float) -> NoiseReport:
     if not x0_sq >= 0:
         raise ValueError(f"x0_sq must be nonnegative, got {x0_sq}")
     atom = atomic_vacuum_fraction(alpha)
-    light = x0_sq * (1.0 - atom)
-    return NoiseReport(
-        variance_norm=atom + light,
-        eta=eta_from_variance(atom + light, x0_sq),
-        atom_langevin_part=atom,
-        light_part=light,
-    )
+    return NoiseReport.from_parts(atom, x0_sq * (1.0 - atom), x0_sq)
 
 
 def transmitted_spectrum(alpha: float, x: float, s0: float) -> float:
@@ -225,12 +225,7 @@ def variance_spectral(
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if alpha == 0.0:
         # no light absorbed; pure atomic vacuum for any input statistics
-        return NoiseReport(
-            variance_norm=1.0,
-            eta=eta_from_variance(1.0, model.noise_floor),
-            atom_langevin_part=1.0,
-            light_part=0.0,
-        )
+        return NoiseReport.from_parts(1.0, 0.0, model.noise_floor)
     atom = 2.0 * integrate_adaptive(
         lambda x: _langevin_density(alpha, x), 0.0, math.inf, tol=tol / 2
     ).value
@@ -238,12 +233,7 @@ def variance_spectral(
         lambda x: model.spectral_density(x) * _light_weight(alpha, x),
         0.0, math.inf, tol=tol / 2,
     ).value
-    return NoiseReport(
-        variance_norm=atom + light,
-        eta=eta_from_variance(atom + light, model.noise_floor),
-        atom_langevin_part=atom,
-        light_part=light,
-    )
+    return NoiseReport.from_parts(atom, light, model.noise_floor)
 
 
 def efficiency_curve(

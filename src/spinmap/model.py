@@ -142,14 +142,14 @@ class FeasibilityReport:
             raise ValueError("overall flag must equal the conjunction of conditions")
 
 
-def total_dephasing(medium: MediumParams, drive: DriveParams, drive_on: bool) -> float:
-    """Dephasing rate of the ground-state coherence: Gamma_0 (+ Gamma_s when driven)."""
-    return medium.gamma0 + (drive.gamma_s if drive_on else 0.0)
+def total_dephasing(medium: MediumParams, drive: DriveParams) -> float:
+    """Dephasing rate of the ground-state coherence under drive, Gamma_0 + Gamma_s."""
+    return medium.gamma0 + drive.gamma_s
 
 
 def optical_depth(medium: MediumParams, drive: DriveParams) -> float:
     """Optical depth alpha = g L / Gamma, Gamma the dephasing under drive."""
-    gamma = total_dephasing(medium, drive, drive_on=True)
+    gamma = total_dephasing(medium, drive)
     if gamma == 0:
         raise ZeroDivisionError("optical depth is singular at zero dephasing rate")
     return drive.g * medium.length / gamma

@@ -362,6 +362,26 @@ class TestSimulateGrid:
             assert 0.8 <= order <= 1.2
         assert study.errors[-1] <= 1e-3
 
+    @pytest.mark.parametrize("profile", [
+        (),                                           # constant drive
+        ((0.07, 1.0), (0.11, 0.5), (0.12, 0.8137)),  # three segments, off the grid nodes
+    ])
+    def test_kernel_convergence_slices_one_reference_exactly(self, profile):
+        # the ladder evaluates the reference once, on the finest nodes, and
+        # slices it for the coarser rungs; at a non-dyadic tau_max the errors
+        # must still equal, bit for bit, those against a reference evaluated
+        # on each rung's own nodes
+        medium = unit_medium()
+        drive = DriveParams(g=0.5, gamma_s=0.0, tau_pulse=0.3, profile=profile)
+        study = light_kernel_convergence(medium, drive, GridSpec(nz=200, ntau=200, tau_max=0.3))
+        errors = []
+        for nz, ntau in study.sizes:
+            table, _ = simulate_grid(medium, drive, GridSpec(nz=nz, ntau=ntau, tau_max=0.3),
+                                     SqueezingModel.flat(1.0))
+            ref = light_kernel_reference(PulseArea.from_drive(drive), 1.0, 1.0, table.tau)
+            errors.append(float(np.linalg.norm(table.light_kernel - ref) / np.linalg.norm(ref)))
+        assert study.errors == tuple(errors)
+
     def test_initial_kernel_converges_under_refinement(self):
         medium = unit_medium()
         drive = constant_drive(2.0)

@@ -48,15 +48,10 @@ def make_physics(**kw):
 
 
 class TestDephasingAndDepth:
-    def test_dephasing_drive_off_is_dark_rate(self):
-        medium = make_medium(gamma0=1.0)
-        drive = make_drive(gamma_s=99.0)
-        assert total_dephasing(medium, drive, drive_on=False) == 1.0
-
     def test_dephasing_additive(self):
         medium = make_medium(gamma0=1.0)
-        assert total_dephasing(medium, make_drive(gamma_s=0.0), True) == 1.0
-        assert total_dephasing(medium, make_drive(gamma_s=99.0), True) == 100.0
+        assert total_dephasing(medium, make_drive(gamma_s=0.0)) == 1.0
+        assert total_dephasing(medium, make_drive(gamma_s=99.0)) == 100.0
 
     def test_depth_zero_coupling(self):
         assert optical_depth(make_medium(), make_drive(g=0.0)) == 0.0
