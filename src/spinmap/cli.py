@@ -1,7 +1,14 @@
 """Command-line front end: parameter ingestion, CSV emission, verification.
 
+Every command is a function of the run configuration alone: it returns its
+CSV lines and its exit code (``simulate`` also its convergence-report
+lines).  ``main`` alone writes the CSV to stdout or ``--out``, then the
+report to stderr, and maps exceptions to exit codes, so a run that exits 2
+or 3 writes no output.  ``--tol`` overrides the ``tolerance.quad_abs`` key.
+
 Exit codes: 0 success / all checks pass, 1 physics-check failure,
-2 configuration error, 3 numerical non-convergence.
+2 configuration error, 3 numerical trouble (non-convergence, growth,
+overflow).
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from . import dynamics, mapping, teleport
 from .config import RunConfig
 from .dynamics import GridGrowthError, GridSpec, PulseArea
 from .model import DriveParams, MediumParams, check_feasibility, total_dephasing
-from .specfun import QuadratureConvergenceError, bessel_j0, bessel_kernels, integrate_adaptive
+from .specfun import QuadratureConvergenceError
 
 EXIT_OK = 0
 EXIT_PHYSICS = 1
@@ -36,15 +43,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
 def _csv(header: list[str], rows: list[list]) -> list[str]:
     return [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
 
@@ -61,8 +59,9 @@ def _dimensionless_medium_drive(alpha: float, tau_max: float):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_efficiency(cfg: RunConfig, out: str | None, tol: float) -> int:
+def cmd_efficiency(cfg: RunConfig) -> tuple[list[str], int]:
     grid = cfg["dimensionless.alpha_grid"]
+    tol = cfg["tolerance.quad_abs"]
     b_list = [float(b) for b in cfg["dimensionless.b_list"]]
     models = [mapping.SqueezingModel.flat(0.0)] + [
         mapping.SqueezingModel.lorentzian(gamma_q=b, s=cfg["dimensionless.s"]) for b in b_list
@@ -72,12 +71,10 @@ def cmd_efficiency(cfg: RunConfig, out: str | None, tol: float) -> int:
     columns = [[eta for _, eta in mapping.efficiency_curve(grid, model, tol=tol)]
                for model in models]
     rows = [[float(a), *(col[i] for col in columns)] for i, a in enumerate(grid)]
-    _emit(_csv(header, rows), out)
-    return EXIT_OK
+    return _csv(header, rows), EXIT_OK
 
 
-def cmd_spectrum(cfg: RunConfig, out: str | None, tol: float) -> int:
-    del tol
+def cmd_spectrum(cfg: RunConfig) -> tuple[list[str], int]:
     alpha = cfg.alpha()
     model = cfg.squeezing_model()
     rows = []
@@ -88,24 +85,22 @@ def cmd_spectrum(cfg: RunConfig, out: str | None, tol: float) -> int:
             mapping.transmitted_spectrum(alpha, float(x), s0),
             mapping.atomic_spectral_density(alpha, float(x), s0),
         ])
-    _emit(_csv(["x", "transmitted", "atomic_density"], rows), out)
-    return EXIT_OK
+    return _csv(["x", "transmitted", "atomic_density"], rows), EXIT_OK
 
 
-def cmd_transient(cfg: RunConfig, out: str | None, tol: float) -> int:
+def cmd_transient(cfg: RunConfig) -> tuple[list[str], int]:
     alpha = cfg.alpha()
     model = cfg.squeezing_model()
     area = PulseArea.constant(alpha)  # Gamma = 1, L = 1 units
+    tol = cfg["tolerance.quad_abs"]
     rows = []
     for tau in np.linspace(0.0, cfg["transient.tau_max_gamma"], cfg["transient.points"] + 1):
         report = dynamics.transient_variance(area, 1.0, 1.0, model, float(tau), tol=tol)
         rows.append([float(tau), report.variance_norm, report.eta])
-    _emit(_csv(["tau_gamma", "variance_norm", "eta"], rows), out)
-    return EXIT_OK
+    return _csv(["tau_gamma", "variance_norm", "eta"], rows), EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig, out: str | None, tol: float) -> int:
-    del tol
+def cmd_simulate(cfg: RunConfig) -> tuple[list[str], int, list[str]]:
     model = cfg.squeezing_model()
     tau_max_gamma = cfg["grid.tau_max_gamma"]
 
@@ -125,23 +120,20 @@ def cmd_simulate(cfg: RunConfig, out: str | None, tol: float) -> int:
             [mapping.eta_from_variance(v, model.noise_floor) for v in table.variance_trace],
         )
     ]
-    _emit(_csv(["tau_gamma", "variance_norm", "eta"], rows), out)
+    lines = _csv(["tau_gamma", "variance_norm", "eta"], rows)
 
     if PulseArea.from_drive(drive).max_rate() == 0.0:
-        sys.stderr.write("convergence report: coupling off, kernel study skipped\n")
-        return EXIT_OK
+        return lines, EXIT_OK, ["convergence report: coupling off, kernel study skipped"]
     study = dynamics.light_kernel_convergence(medium, drive, grid, levels=3)
-    report_lines = ["convergence report (light kernel vs analytic, L2 relative):"]
+    report = ["convergence report (light kernel vs analytic, L2 relative):"]
     for (snz, sntau), err in zip(study.sizes, study.errors):
-        report_lines.append(f"  nz={snz} ntau={sntau} rel_l2={_fmt(err)}")
+        report.append(f"  nz={snz} ntau={sntau} rel_l2={_fmt(err)}")
     for i, order in enumerate(study.orders):
-        report_lines.append(f"  order level {i}->{i + 1}: {_fmt(order)}")
-    sys.stderr.write("\n".join(report_lines) + "\n")
-    return EXIT_OK
+        report.append(f"  order level {i}->{i + 1}: {_fmt(order)}")
+    return lines, EXIT_OK, report
 
 
-def cmd_teleport(cfg: RunConfig, out: str | None, tol: float) -> int:
-    del tol
+def cmd_teleport(cfg: RunConfig) -> tuple[list[str], int]:
     bs = teleport.coupling_r(cfg["teleport.alpha_pulse"], threshold=cfg["teleport.r_threshold"])
     budget = teleport.readout_noise_budget(bs.r, cfg["teleport.epr_residual"])
     rows = [[
@@ -151,12 +143,10 @@ def cmd_teleport(cfg: RunConfig, out: str | None, tol: float) -> int:
     ]]
     header = ["r", "valid", "epr_requirement", "commutator_defect",
               "epr_residual", "budget_pass", "residual_over_r", "classical_baseline"]
-    _emit(_csv(header, rows), out)
-    return EXIT_OK
+    return _csv(header, rows), EXIT_OK
 
 
-def cmd_feasibility(cfg: RunConfig, out: str | None, tol: float) -> int:
-    del tol
+def cmd_feasibility(cfg: RunConfig) -> tuple[list[str], int]:
     medium, drive, physics = (cfg.record(block, required=True)
                               for block in ("medium", "drive", "physics"))
     fresnel = (cfg["feasibility.fresnel_min"], cfg["feasibility.fresnel_max"])
@@ -167,11 +157,12 @@ def cmd_feasibility(cfg: RunConfig, out: str | None, tol: float) -> int:
         for c in report.conditions
     ]
     rows.append(["overall", math.nan, math.nan, math.nan, report.overall])
-    _emit(_csv(["condition", "left", "right", "required_ratio", "pass"], rows), out)
-    return EXIT_OK if report.overall else EXIT_PHYSICS
+    lines = _csv(["condition", "left", "right", "required_ratio", "pass"], rows)
+    return lines, EXIT_OK if report.overall else EXIT_PHYSICS
 
 
-def _verify_checks(cfg: RunConfig, tol: float):
+def _verify_checks(cfg: RunConfig):
+    tol = cfg["tolerance.quad_abs"]
     checks = []
 
     def add(name, detail, value, reference, tolerance):
@@ -228,32 +219,17 @@ def _verify_checks(cfg: RunConfig, tol: float):
         checks.append(("grid_kernel", f"order_{i}", order, 1.0,
                        abs(order - 1.0), 0.2, 0.8 <= order <= 1.2))
     add("grid_kernel", "finest_rel_l2", study.errors[-1], 0.0, 1e-3)
-
-    # spatial integral of the pointwise Langevin kernels reproduces the
-    # collective J0 form (the identity behind the single-kernel Langevin term)
-    # sqrt(u/s) J1(2 sqrt(us)) = u sqrt(1/(us)) J1(2 sqrt(us)), s = z - z'
-    for u in (0.3, 2.0):
-        for zp in (0.0, 0.4, 0.9):
-            val = integrate_adaptive(
-                lambda z: u * bessel_kernels(u * (z - zp), (1,))[0], zp, 1.0, tol=1e-12,
-            ).value
-            ref = 1.0 - bessel_j0(2.0 * math.sqrt(u * (1.0 - zp)))
-            add("langevin_kernel_identity", f"u={_fmt(u)},zp={_fmt(zp)}", val, ref, 1e-9)
-
     return checks
 
 
-def cmd_verify(cfg: RunConfig, out: str | None, tol: float) -> int:
-    checks = _verify_checks(cfg, tol)
-    rows = [
-        [name, detail, value, reference, error, tolerance, ok]
-        for name, detail, value, reference, error, tolerance, ok in checks
-    ]
+def cmd_verify(cfg: RunConfig) -> tuple[list[str], int]:
+    checks = _verify_checks(cfg)
     n_pass = sum(1 for c in checks if c[-1])
-    rows.append(["summary", f"{n_pass}/{len(checks)}", math.nan, math.nan, math.nan,
-                 math.nan, n_pass == len(checks)])
-    _emit(_csv(["check", "detail", "value", "reference", "error", "tolerance", "pass"], rows), out)
-    return EXIT_OK if n_pass == len(checks) else EXIT_PHYSICS
+    summary = ["summary", f"{n_pass}/{len(checks)}", math.nan, math.nan, math.nan,
+               math.nan, n_pass == len(checks)]
+    lines = _csv(["check", "detail", "value", "reference", "error", "tolerance", "pass"],
+                 [*checks, summary])
+    return lines, EXIT_OK if n_pass == len(checks) else EXIT_PHYSICS
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--tol", type=float, help="override quadrature tolerance")
+    parser.add_argument("--tol", help="override tolerance.quad_abs")
     return parser
 
 
@@ -285,16 +261,26 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-        tol = cfg.quad_tol(args.tol)
-        return COMMANDS[args.command](cfg, args.out, tol)
-    except (QuadratureConvergenceError, GridGrowthError) as exc:
+        if args.tol is not None:
+            cfg = RunConfig({**cfg.values, "tolerance.quad_abs": args.tol})
+        lines, code, *report = COMMANDS[args.command](cfg)
+        text = "\n".join(lines) + "\n"
+        if args.out is None or args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+    except (QuadratureConvergenceError, GridGrowthError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICS
     except (ValueError, OSError) as exc:
-        # ConfigError, parameter-record and grid-stability violations all
-        # signal a bad run configuration
+        # ConfigError, parameter-record and grid-stability violations and an
+        # unwritable --out all signal a bad run configuration
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
+    if report:  # simulate's convergence report
+        sys.stderr.write("\n".join(report[0]) + "\n")
+    return code
 
 
 def entry() -> None:

@@ -69,7 +69,7 @@ KEYS = {
     "physics.delta_1photon_rad_per_s": Key("float", bound="> 0", field="delta_1photon"),
     "physics.gamma_i_per_s": Key("float", bound="> 0", field="gamma_i"),
     "physics.dipole_sum_si": Key("float", bound="> 0", field="dipole_sum"),
-    "physics.saturation": Key("float", bound=">= 0", field="saturation"),
+    "physics.saturation": Key("float", bound="> 0", field="saturation"),
     "physics.gamma_q_per_s": Key("float", bound="> 0", field="gamma_q"),
     "physics.k_mismatch_per_m": Key("float", "0", field="k_mismatch"),
     "feasibility.ratio": Key("float", "10", "> 0"),
@@ -178,18 +178,15 @@ _PARSERS = {
 }
 
 
-def _checked(key: str, value, text: str):
-    """``value`` of ``key`` if it is finite and within the key's bound."""
-    spec = KEYS[key]
+def _typed(key: str, text: str):
+    """The value ``text`` gives ``key``, if it is finite and within the key's bound."""
+    spec = _spec(key)
+    value = _PARSERS[spec.kind](text, key)
     if spec.kind in ("float", "grid", "profile") and not np.all(np.isfinite(value)):
         raise ConfigError(key, f"must be finite, got {text!r}")
     if spec.bound and not _BOUNDS[spec.bound](value):
         raise ConfigError(key, f"must be {spec.bound}, got {text!r}")
     return value
-
-
-def _typed(key: str, text: str):
-    return _checked(key, _PARSERS[_spec(key).kind](text, key), text)
 
 
 @dataclass
@@ -260,9 +257,3 @@ class RunConfig:
         if b is None:
             raise ConfigError("dimensionless.b", "required for lorentzian input")
         return SqueezingModel.lorentzian(gamma_q=b, s=self["dimensionless.s"])
-
-    def quad_tol(self, override: float | None = None) -> float:
-        """Quadrature tolerance; an override (``--tol``) passes the same check."""
-        if override is None:
-            return self["tolerance.quad_abs"]
-        return _checked("tolerance.quad_abs", override, str(override))

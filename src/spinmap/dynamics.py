@@ -93,8 +93,8 @@ import numpy as np
 
 from .mapping import NoiseReport, SqueezingModel
 from .model import DriveParams, MediumParams, total_dephasing
-from .specfun import (QuadratureConvergenceError, QuadratureResult, bessel_kernels,
-                      gauss_panels, within_budget)
+from .specfun import (BESSEL_BLOCK, PANEL_NODES, QuadratureConvergenceError, QuadratureResult,
+                      bessel_kernels, gauss_panels, within_budget)
 # the benchmark's span binding spinmap.dynamics.integrate_adaptive (bench/spans.py)
 from .specfun import integrate_adaptive  # noqa: F401
 
@@ -206,8 +206,9 @@ class PulseArea:
 
 PANEL_PHASE = 10.0   # most Bessel phase 2 sqrt(u L) a transient panel spans [rad]
 PANEL_DECAY = 12.0   # most e-folds of the fastest exponential a transient panel spans
-FILTER_BLOCK = 32    # panels per block of the filter's node-by-node Gauss rules, which
-                     # keeps their temporaries at 64 KB however many panels there are
+# panels per block of the filter's node-by-node Gauss rules (PANEL_NODES^2
+# values a panel), so each block is one Bessel block however many panels there are
+FILTER_BLOCK = BESSEL_BLOCK // PANEL_NODES**2
 
 
 def _panel_edges(area: PulseArea, length: float, rate: float, tau: float) -> np.ndarray:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import bessel_i0e, bessel_i1e, integrate_adaptive
+from .specfun import integrate_adaptive, scaled_bessel_i
 
 DEFAULT_SPECTRAL_TOL = 1e-9
 
@@ -148,7 +148,8 @@ def atomic_vacuum_fraction(alpha: float) -> float:
     """A(alpha) = e^{-alpha}(I0(alpha) + I1(alpha)), the unmapped noise share."""
     if not alpha >= 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    return bessel_i0e(alpha) + bessel_i1e(alpha)
+    i0e, i1e = scaled_bessel_i(alpha)
+    return i0e + i1e
 
 
 def eta_closed(alpha: float) -> float:

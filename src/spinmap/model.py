@@ -118,7 +118,7 @@ class AtomicPhysics:
         _require_positive(self.delta_1photon, "delta_1photon")
         _require_positive(self.gamma_i, "gamma_i")
         _require_positive(self.dipole_sum, "dipole_sum")
-        _require_nonnegative(self.saturation, "saturation")
+        _require_positive(self.saturation, "saturation")
         _require_positive(self.gamma_q, "gamma_q")
 
 
@@ -149,10 +149,7 @@ def total_dephasing(medium: MediumParams, drive: DriveParams) -> float:
 
 def optical_depth(medium: MediumParams, drive: DriveParams) -> float:
     """Optical depth alpha = g L / Gamma, Gamma the dephasing under drive."""
-    gamma = total_dephasing(medium, drive)
-    if gamma == 0:
-        raise ZeroDivisionError("optical depth is singular at zero dephasing rate")
-    return drive.g * medium.length / gamma
+    return drive.g * medium.length / total_dephasing(medium, drive)
 
 
 def resonant_depth_estimate(medium: MediumParams) -> float:
@@ -190,10 +187,6 @@ def raman_cross_section(phys: AtomicPhysics) -> float:
 
         sigma_R = (6 pi)^4 c^8 I_sat^2 / (2 Gamma_q S omega^11 hbar^3 Delta_i^2).
     """
-    if phys.saturation == 0:
-        raise ZeroDivisionError("raman cross section is singular at zero saturation")
-    if phys.gamma_q == 0:
-        raise ZeroDivisionError("raman cross section is singular at zero quantum bandwidth")
     i_sat = saturation_intensity(phys)
     six_pi = 6.0 * PI
     return (

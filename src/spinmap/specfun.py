@@ -20,7 +20,8 @@ Beyond ASYMPTOTIC_FROM Hankel's asymptotic series (Abramowitz & Stegun
 9.2.5) takes over.  The modified Bessel functions are only ever exposed in
 exponentially scaled form e^{-x} I_n(x), from the positive-term power series
 times e^{-x} below ASYMPTOTIC_FROM and the asymptotic series A&S 9.7.1
-above, so optical depths up to 1e6 never overflow.
+above (the coefficients of 9.2.5 at -1/x^2), so optical depths up to 1e6
+never overflow.
 
 ``integrate_adaptive`` is a globally adaptive Gauss-Legendre rule for
 vectorized integrands.  Semi-infinite integrals are mapped onto the unit
@@ -137,7 +138,8 @@ def _asymptotic_coefficients() -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of P and Q in A&S 9.2.5 as polynomials in 1/x^2, highest
     power first, one column per order: a_k = prod_{j <= k} (mu - (2j - 1)^2)
     / (k! 8^k), mu = 4 n^2; P = sum (-1)^k a_{2k} / x^{2k}, Q x = sum (-1)^k
-    a_{2k+1} / x^{2k}."""
+    a_{2k+1} / x^{2k}.  A&S 9.7.1 for I_n sums the same a_k without the signs,
+    so it is P - Q at -1/x^2 in place of 1/x^2."""
     mu = 4.0 * np.arange(2.0) ** 2
     a = np.ones((ASYMPTOTIC_TERMS, 2))
     for k in range(1, ASYMPTOTIC_TERMS):
@@ -230,43 +232,44 @@ def bessel_j1(x: float) -> float:
     return x / 2.0 * float(bessel_kernels(x * x / 4.0, (1,))[0])
 
 
-def _scaled_bessel_i(x: float, n: int) -> float:
-    """e^{-x} I_n(x), n = 0 or 1, x >= 0."""
+def scaled_bessel_i(x: float) -> tuple[float, float]:
+    """Exponentially scaled modified Bessel functions e^{-x} I0(x) and
+    e^{-x} I1(x), x >= 0, from one call."""
+    x = _check_finite(x, "x")
+    if x < 0:
+        raise ValueError(f"scaled Bessel I requires x >= 0, got {x}")
     if x < ASYMPTOTIC_FROM:
         # I_n(x) = (x/2)^n sum_k (x^2/4)^k / (k! (k + n)!), every term positive
         q = x * x / 4.0
-        term = total = 1.0 if n == 0 else x / 2.0
-        k = 0
-        while term > 1e-17 * total:
-            k += 1
-            term *= q / (k * (k + n))
-            total += term
-        return total * math.exp(-x)
-    # A&S 9.7.1: I_n(x) ~ e^x / sqrt(2 pi x) sum_k (-1)^k a_k / x^k
-    mu = 4.0 * n * n
-    term = total = 1.0
-    for k in range(1, ASYMPTOTIC_TERMS):
-        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        total += term
-        if abs(term) < 1e-17 * total:
-            break
-    return total / math.sqrt(2.0 * math.pi * x)
+        scaled = []
+        for n, term in ((0, 1.0), (1, x / 2.0)):
+            total = term
+            k = 0
+            while term > 1e-17 * total:
+                k += 1
+                term *= q / (k * (k + n))
+                total += term
+            scaled.append(total * math.exp(-x))
+        return scaled[0], scaled[1]
+    # A&S 9.7.1: e^{-x} I_n(x) sqrt(2 pi x) ~ sum_k (-1)^k a_k / x^k with the
+    # a_k of 9.2.5, that is P_n(-1/x^2) - Q_n(-1/x^2) / x; Python floats,
+    # since a numpy Horner loop costs ~10x more at this size
+    y = -1.0 / (x * x)
+    p0 = p1 = q0 = q1 = 0.0
+    for (pc0, pc1), (qc0, qc1) in zip(*(c.tolist() for c in _asymptotic_coefficients())):
+        p0, p1, q0, q1 = p0 * y + pc0, p1 * y + pc1, q0 * y + qc0, q1 * y + qc1
+    scale = 1.0 / math.sqrt(2.0 * math.pi * x)
+    return (p0 - q0 / x) * scale, (p1 - q1 / x) * scale
 
 
 def bessel_i0e(x: float) -> float:
     """Exponentially scaled modified Bessel function e^{-x} I0(x), x >= 0."""
-    x = _check_finite(x, "x")
-    if x < 0:
-        raise ValueError(f"bessel_i0e requires x >= 0, got {x}")
-    return _scaled_bessel_i(x, 0)
+    return scaled_bessel_i(x)[0]
 
 
 def bessel_i1e(x: float) -> float:
     """Exponentially scaled modified Bessel function e^{-x} I1(x), x >= 0."""
-    x = _check_finite(x, "x")
-    if x < 0:
-        raise ValueError(f"bessel_i1e requires x >= 0, got {x}")
-    return _scaled_bessel_i(x, 1)
+    return scaled_bessel_i(x)[1]
 
 
 PANEL_NODES = 16     # Gauss-Legendre nodes per panel

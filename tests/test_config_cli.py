@@ -266,6 +266,33 @@ class TestCliErrors:
         )
         assert proc.returncode == 2  # alpha_pulse missing
 
+    def test_out_in_missing_directory_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("teleport.alpha_pulse = 0.01\n")
+        out = tmp_path / "missing" / "out.csv"
+        assert main(["teleport", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+
+class TestFailedRunWritesNothing:
+    """A run that exits 2 or 3 writes no table: simulate's kernel ladder
+    fails after its table is computed, and still nothing is written."""
+
+    @pytest.mark.parametrize("text", [
+        # the three-rung ladder needs sizes divisible by 4
+        "dimensionless.alpha = 2\ngrid.nz = 202\n",
+        # the coarsest rung of the default 200 x 200 grid breaks the exchange bound
+        "dimensionless.alpha = 400\n",
+    ], ids=["nz-202", "alpha-400"])
+    def test_simulate_ladder_failure(self, text, tmp_path, capsys):
+        code, _ = run_cli(["simulate"], tmp_path, text)
+        assert code == 2 and not (tmp_path / "out.csv").exists()
+        assert main(["simulate", "--config", str(tmp_path / "run.cfg")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 2
+
 
 class TestNumericsExitCode:
     def test_quadrature_failure_maps_to_exit_three(self, tmp_path, monkeypatch):
@@ -308,6 +335,13 @@ class TestNumericsExitCode:
         assert code == 3 and text == ""
         assert "diverged at step" in capfd.readouterr().err
 
+    def test_overflow_maps_to_exit_three(self, tmp_path, capsys):
+        # omega**11 in the Raman cross section overflows a float
+        code, text = run_cli(["feasibility"], tmp_path,
+                             _example_with("physics.omega_rad_per_s", "1e30"))
+        assert code == 3 and text == ""
+        assert capsys.readouterr().err.startswith("error:")
+
 
 def _example_with(key, value):
     """The shipped SI example with one key set to ``value``."""
@@ -342,6 +376,8 @@ BAD_VALUE_CASES = [
     ("teleport", "teleport.alpha_pulse = 0.01\nmedium.length_m = -1\n", "medium.length_m"),
     ("spectrum", "dimensionless.alpha = 1\ndrive.profile = 1:0.5, 0:1\n", "drive.profile"),
     ("efficiency", "physics.gamma_q_per_s = 0\n", "physics.gamma_q_per_s"),
+    # zero saturation would make the Raman cross section singular
+    ("feasibility", _example_with("physics.saturation", "0"), "physics.saturation"),
 ]
 
 
@@ -356,7 +392,7 @@ class TestBadValuesExitTwo:
         assert code == 2 and out == ""
         assert repr(key) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "abc"])
     def test_tol_flag_checked_like_config_key(self, tol, tmp_path, capsys):
         code, _ = run_cli(["efficiency", f"--tol={tol}"], tmp_path)
         assert code == 2

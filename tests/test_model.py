@@ -151,9 +151,11 @@ class TestBroadeningAndCrossSections:
         )
 
     def test_singular_inputs_raise(self):
-        with pytest.raises(ZeroDivisionError):
-            raman_cross_section(make_physics(saturation=0.0))
-        with pytest.raises(ValueError):
+        # zero saturation or bandwidth would make the Raman cross section
+        # singular; the record refuses both
+        with pytest.raises(ValueError, match="saturation"):
+            make_physics(saturation=0.0)
+        with pytest.raises(ValueError, match="gamma_q"):
             make_physics(gamma_q=0.0)
 
     def test_homogeneity_spot_checks(self):
