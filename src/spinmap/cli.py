@@ -271,7 +271,8 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
     except (QuadratureConvergenceError, GridGrowthError, ArithmeticError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # an OverflowError's own text names neither the command nor the error
+        sys.stderr.write(f"error: {args.command}: {type(exc).__name__}: {exc}\n")
         return EXIT_NUMERICS
     except (ValueError, OSError) as exc:
         # ConfigError, parameter-record and grid-stability violations and an

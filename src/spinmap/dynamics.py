@@ -22,21 +22,27 @@ composite Gauss-Legendre panels (``specfun.gauss_panels``, 16 nodes a
 panel).  The panels split at the drive breakpoints, where the integrands
 kink, and are cut so that none spans more than PANEL_DECAY e-folds of the
 fastest exponential (2 Gamma + Gq) or PANEL_PHASE radians of the Bessel
-phase 2 sqrt(uL), spaced uniformly in that phase.  At the nodes of a panel
-[a, b] the filter is its value at a, damped by e^{-Gq (t - a)}, plus a
-Gauss rule on [a, t]; from panel to panel it carries over by one scalar
-recursion.  One evaluation of the exchange kernels covers the panels, then
-the panels halved (the filter restarts from y(0) = 0 where the halved pass
-begins), and the initial coherence.  The halved values are returned and
-their change is the error estimate, which must meet the budget the
-adaptive rule accepts (``specfun.within_budget``: ``tol`` or the round-off
-floor), else QuadratureConvergenceError (exit 3).  Cost: flat input
-evaluates the kernels at 16 nodes a panel, lorentzian input 16 more for
-each node's filter rule (272 a panel), on the panels and on their halves;
-1-25 panels cover the parameter ranges the CLI and the benchmark use.  The
-nested adaptive quadrature this replaces is kept in the tests as the
-reference.  For constant drive and Gamma tau >> 1 these reproduce the
-closed-form and spectral steady states.
+phase 2 sqrt(uL), spaced uniformly in that phase.  The 16 nodes of a panel
+[a, b] cut it into 17 gaps [a, t_1], [t_1, t_2], ..., [t_16, b], and one
+composite pass of GAP_NODES-point Gauss rules over the gaps gives the
+filter at every node and at b: its value at a, damped by e^{-Gq (t - a)},
+plus the gaps' increments, each damped from its end, as one cumulative sum
+(Gq (b - a) <= PANEL_DECAY keeps the factors below e^12).  The widest gap
+is about a tenth of the panel, 1.2 e-folds and 1 rad of Bessel phase at
+most, where 6 nodes are good to ~1e-14 relative.  From panel to panel the
+filter carries over by one scalar recursion.  One evaluation of the
+exchange kernels covers the panels, then the panels halved (the filter
+restarts from y(0) = 0 where the halved pass begins), and the initial
+coherence.  The halved values are returned and their change is the error
+estimate, which must meet the budget the adaptive rule accepts
+(``specfun.within_budget``: ``tol`` or the round-off floor), else
+QuadratureConvergenceError (exit 3).  Cost: flat input evaluates the
+kernels at 16 nodes a panel, lorentzian input 17 x 6 more for the gaps
+(118 a panel), on the panels and on their halves; 1-25 panels cover the
+parameter ranges the CLI and the benchmark use.  The nested adaptive
+quadrature this replaces is kept in the tests as the reference.  For
+constant drive and Gamma tau >> 1 these reproduce the closed-form and
+spectral steady states.
 
 Grid oracle
 -----------
@@ -52,7 +58,12 @@ operator (a lower-triangular matrix exponential in closed form), and injected
 noise enters at its exponentially weighted mean arrival time inside the
 step.  Smooth variance functionals converge at second order under joint
 refinement (declared order 2); kernel tables are cell-averaged influence
-coefficients labeled at the left grid node and converge at first order.
+coefficients labeled at the left grid node and converge at first order.  A
+step that straddles a drive breakpoint takes its mean rate, which is all
+white input needs; the correlated part of lorentzian input enters through
+the step's mean drive amplitude, so ``_cell_correlator`` weights it by
+mean(sqrt r) / sqrt(mean r), which keeps the order at 2 wherever the
+breakpoints fall.
 
 Every output is a contraction of the coefficients with the quadrature
 weights w, and every step operator M_k = e^{-Gamma dt} exp(-x_k T) is a
@@ -93,8 +104,8 @@ import numpy as np
 
 from .mapping import NoiseReport, SqueezingModel
 from .model import DriveParams, MediumParams, total_dephasing
-from .specfun import (BESSEL_BLOCK, PANEL_NODES, QuadratureConvergenceError, QuadratureResult,
-                      bessel_kernels, gauss_panels, within_budget)
+from .specfun import (QuadratureConvergenceError, QuadratureResult, bessel_kernels, gauss_panels,
+                      within_budget)
 # the benchmark's span binding spinmap.dynamics.integrate_adaptive (bench/spans.py)
 from .specfun import integrate_adaptive  # noqa: F401
 
@@ -184,21 +195,36 @@ class PulseArea:
         r = self._segments[1][k]
         return float(r) if r.ndim == 0 else r
 
-    def step_rates(self, dt: float, n: int) -> np.ndarray:
-        """Mean coupling rate over each step [k dt, (k+1) dt], k < n.
+    def step_rates(self, dt: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Mean coupling rate r over each step [k dt, (k+1) dt], k < n, and
+        rho = mean(sqrt r) / sqrt(mean r), by which the step's mean drive
+        amplitude differs from the square root of its mean rate.
 
-        A step inside one segment gets that segment's rate exactly, so a grid
-        aligned to the profile sees one value per segment (a breakpoint
-        within 1e-9 dt of a node counts as on it).  Only a step straddling a
-        breakpoint gets its area increment over dt.
+        A step inside one segment gets that segment's rate exactly and rho = 1
+        exactly, so a grid aligned to the profile sees one value per segment
+        (a breakpoint within 1e-9 dt of a node counts as on it).  Only a step
+        straddling a breakpoint gets its area increment over dt, and its rho
+        from the increment of the area of sqrt(r) (1 where the step is dark).
         """
         lo = np.arange(n) * dt
         hi = np.arange(1, n + 1) * dt
         slack = 1e-9 * dt
         rates = self.rate((lo + hi) / 2.0)
         straddle = self._locate(hi - slack, "left")[1] > self._locate(lo + slack, "right")[1]
-        rates[straddle] = (self.value(hi[straddle]) - self.value(lo[straddle])) / dt
-        return rates
+        rho = np.ones(n)
+        if straddle.any():
+            lo, hi = lo[straddle], hi[straddle]
+            mean = rates[straddle] = (self.value(hi) - self.value(lo)) / dt
+            roots = self._root_area
+            rho[straddle] = np.divide((roots.value(hi) - roots.value(lo)) / dt, np.sqrt(mean),
+                                      out=np.ones_like(mean), where=mean > 0)
+        return rates, rho
+
+    @functools.cached_property
+    def _root_area(self) -> "PulseArea":
+        """The area of sqrt(a'), the drive amplitude, on the same segments."""
+        return PulseArea(self.breakpoints, tuple(map(math.sqrt, self.rates)),
+                         math.sqrt(self.final_rate))
 
     def max_rate(self) -> float:
         return max((*self.rates, self.final_rate), default=self.final_rate)
@@ -206,9 +232,7 @@ class PulseArea:
 
 PANEL_PHASE = 10.0   # most Bessel phase 2 sqrt(u L) a transient panel spans [rad]
 PANEL_DECAY = 12.0   # most e-folds of the fastest exponential a transient panel spans
-# panels per block of the filter's node-by-node Gauss rules (PANEL_NODES^2
-# values a panel), so each block is one Bessel block however many panels there are
-FILTER_BLOCK = BESSEL_BLOCK // PANEL_NODES**2
+GAP_NODES = 6        # Gauss-Legendre nodes per gap between a panel's nodes (the filter)
 
 
 def _panel_edges(area: PulseArea, length: float, rate: float, tau: float) -> np.ndarray:
@@ -296,27 +320,29 @@ def transient_variance(
     else:
         # e^{-Gq |t - t'|} = e^{-Gq (t - t')} for t' < t, so the correlator's
         # double integral is 2 int A(t) y(t) dt with the causal filter
-        # y(t) = int_0^t A(t') e^{-Gq (t - t')} dt'.  At the nodes t of a
-        # panel [a, b], y is its value at a, damped by e^{-Gq (t - a)}, plus a
-        # Gauss rule on [a, t]; from panel to panel it carries over as one
-        # scalar, y(b) = e^{-Gq (b - a)} y(a) + int_a^b A(t') e^{-Gq (b - t')} dt'.
-        local = np.empty_like(t)
-        for block in range(0, len(lo), FILTER_BLOCK):
-            rows = slice(block, block + FILTER_BLOCK)
-            ts, ws = gauss_panels(a[rows], t[rows])
-            uls = ul_start[rows, :, None] - slope[rows, :, None] * (ts - a[rows, :, None])
-            local[rows] = (ws * weight[rows, :, None] * bessel_kernels(uls, (1,))[0] * np.exp(
-                -gamma * (tau - ts) - gq * (t[rows, :, None] - ts))).sum(axis=-1)
-        gains = (w * amp * np.exp(-gq * (b - t))).sum(axis=1)
-        fades = np.exp(-gq * (hi - lo))
+        # y(t) = int_0^t A(t') e^{-Gq (t - t')} dt'.  The nodes of a panel
+        # [a, b] cut it into gaps [a, t_1], [t_1, t_2], ..., [t_16, b] with
+        # right ends t_k (t_17 = b); a GAP_NODES-point rule gives each gap's
+        # increment inc_k = int A(t') e^{-Gq (t_k - t')} dt' over the gap, and
+        # y(t_i) = e^{-Gq (t_i - a)} (y(a) + sum_{k <= i} e^{Gq (t_k - a)} inc_k),
+        # whose factors stay below e^{PANEL_DECAY}.  y(b) carries over to the
+        # next panel as one scalar.
+        ends = np.concatenate([t, b], axis=1)
+        tg, wg = gauss_panels(np.concatenate([a, t], axis=1), ends, GAP_NODES)
+        ulg = ul_start[:, :, None] - slope[:, :, None] * (tg - a[:, :, None])
+        inc = (wg * weight[:, :, None] * bessel_kernels(ulg, (1,))[0] * np.exp(
+            -gamma * (tau - tg) - gq * (ends[:, :, None] - tg))).sum(axis=-1)
+        rise = gq * (ends - a)
+        fade = np.exp(-rise)
+        sums = np.cumsum(np.exp(rise) * inc, axis=1)
         y_start = np.zeros(len(lo))
         for p in range(1, len(lo)):
             if p != n:  # y(0) = 0 where the halved pass starts again
-                y_start[p] = fades[p - 1] * y_start[p - 1] + gains[p - 1]
-        corr = 2.0 * w * amp * (y_start[:, None] * np.exp(-gq * (t - a)) + local)
+                y_start[p] = fade[p - 1, -1] * (y_start[p - 1] + sums[p - 1, -1])
+        corr = 2.0 * w * amp * fade[:, :-1] * (y_start[:, None] + sums[:, :-1])
         light = white - model.s * (gq / 2.0) * corr.sum(axis=1)
         light_abs = white + model.s * (gq / 2.0) * np.abs(corr).sum(axis=1)
-        evaluations = t.size * (1 + t.shape[1])
+        evaluations = t.size + tg.size
 
     # each part whole and halved, and the integral of its |integrand| halved
     # (the same where the integrand is nonnegative); the halved value is
@@ -506,10 +532,16 @@ def _mean_arrival(rate: float, dt: float) -> float:
     return (1.0 - (1.0 + x) * math.exp(-x)) / (rate * (1.0 - math.exp(-x)))
 
 
-def _cell_correlator(model: SqueezingModel, ntau: int, dt: float) -> np.ndarray:
-    """Covariance matrix of cell-averaged lorentzian input quadratures
-    (Toeplitz); flat input has x0^2 / dt on the diagonal and nothing else."""
-    gq, s = model.gamma_q, model.s
+def _cell_correlator(model: SqueezingModel, dt: float, rho: np.ndarray) -> np.ndarray:
+    """Covariance matrix of cell-averaged lorentzian input quadratures as the
+    drive weights them, one cell per entry of rho (``PulseArea.step_rates``).
+
+    The white part enters through the cell's mean rate, which the field
+    weights carry; the correlated part through its mean amplitude, so its
+    entries at cells k, k' take the factor rho_k rho_k'.  Toeplitz where every
+    rho is 1, as on a grid aligned to the drive profile.
+    """
+    gq, s, ntau = model.gamma_q, model.s, len(rho)
     x = gq * dt
     # exact cell-cell integrals of (Gq/2) e^{-Gq |t - t'|} / dt^2
     diag = (gq / 2.0) * 2.0 * (x - 1.0 + math.exp(-x)) / (gq * gq * dt * dt)
@@ -519,7 +551,14 @@ def _cell_correlator(model: SqueezingModel, ntau: int, dt: float) -> np.ndarray:
     first_row[0] = 1.0 / dt - s * diag
     if ntau > 1:
         first_row[1:] = -s * off
-    return _toeplitz(first_row)
+    corr = _toeplitz(first_row)
+    # rho C rho, with the white diagonal 1/dt put back on the straddling cells
+    straddle = np.flatnonzero(rho != 1.0)
+    if straddle.size:  # none on an aligned grid, where the empty updates cost ~10 us
+        corr[straddle] *= rho[straddle, None]
+        corr[:, straddle] *= rho[straddle]
+        corr[straddle, straddle] += (1.0 - rho[straddle] ** 2) / dt
+    return corr
 
 
 class _Discretization:
@@ -556,7 +595,8 @@ class _Discretization:
         self.tau = np.arange(ntau + 1) * dt
         self.w = w = np.full(nz + 1, dz)
         w[0] = w[-1] = dz / 2.0
-        self.rates = rates = area.step_rates(dt, ntau)
+        self.rates, self.rho = area.step_rates(dt, ntau)
+        rates = self.rates
         edges = [0, *(np.flatnonzero(np.diff(rates)) + 1).tolist(), ntau]
         self.runs = [(a, b, float(rates[a])) for a, b in zip(edges, edges[1:])]
         # t = x dz of the area summed up to each node
@@ -728,7 +768,7 @@ def simulate_grid(
     if model.kind == "flat":
         weighted = (model.x0_sq / disc.dt) * field_weights
     else:
-        weighted = field_weights @ _cell_correlator(model, disc.ntau, disc.dt)
+        weighted = field_weights @ _cell_correlator(model, disc.dt, disc.rho)
     light_part = np.einsum("ij,ij->i", weighted, field_weights)
     field_pass = -np.sqrt(disc.rates)[:, None] * field_weights[:-1]
     field_pass.flat[::disc.ntau + 1] += 1.0

@@ -314,11 +314,11 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_panels(lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``PANEL_NODES``-point Gauss-Legendre rule on
-    every interval [lo, hi]; lo and hi broadcast, and the nodes of each
-    interval run along a new last axis."""
-    x, w = _legendre(PANEL_NODES)
+def gauss_panels(lo, hi, nodes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``nodes``-point Gauss-Legendre rule
+    (``PANEL_NODES`` by default) on every interval [lo, hi]; lo and hi
+    broadcast, and the nodes of each interval run along a new last axis."""
+    x, w = _legendre(PANEL_NODES if nodes is None else nodes)
     lo = np.asarray(lo, dtype=float)[..., None]
     width = np.asarray(hi, dtype=float)[..., None] - lo
     return lo + width * x, width * w

@@ -37,7 +37,7 @@ def dense_table(medium, drive, grid, model) -> dynamics.KernelTable:
     if model.kind == "flat":
         corr = (model.x0_sq / dt) * np.eye(disc.ntau)
     else:
-        corr = dynamics._cell_correlator(model, disc.ntau, dt)
+        corr = dynamics._cell_correlator(model, dt, disc.rho)
     ops = step_operators(disc)
     nz1, ntau = len(w), len(rates)
     sqrt_rates = np.sqrt(rates)

@@ -336,11 +336,15 @@ class TestNumericsExitCode:
         assert "diverged at step" in capfd.readouterr().err
 
     def test_overflow_maps_to_exit_three(self, tmp_path, capsys):
-        # omega**11 in the Raman cross section overflows a float
+        # omega**11 in the Raman cross section overflows a float; the
+        # overflow's own text is only "(34, 'Numerical result out of range')",
+        # so the message names the command and the error type
         code, text = run_cli(["feasibility"], tmp_path,
                              _example_with("physics.omega_rad_per_s", "1e30"))
         assert code == 3 and text == ""
-        assert capsys.readouterr().err.startswith("error:")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: feasibility: OverflowError: ")
 
 
 def _example_with(key, value):

@@ -83,16 +83,28 @@ class TestPulseArea:
         area = PulseArea.from_drive(DriveParams(g=2.0, gamma_s=0.0, tau_pulse=1.0,
                                                 profile=((0.3, 1.0), (0.4, 0.5), (0.3, 0.8))))
         # dt = 0.1 steps onto every breakpoint, where k * dt is not exact
-        rates = area.step_rates(0.1, 12)
+        rates, rho = area.step_rates(0.1, 12)
         assert rates.tolist() == [2.0] * 3 + [1.0] * 4 + [1.6] * 3 + [0.0] * 2
+        assert rho.tolist() == [1.0] * 12
 
     def test_step_rates_straddle_keeps_area(self):
         area = PulseArea.from_drive(DriveParams(g=2.0, gamma_s=0.0, tau_pulse=1.0,
                                                 profile=((0.25, 1.0), (0.75, 0.5))))
-        rates = area.step_rates(0.1, 10)
+        rates, rho = area.step_rates(0.1, 10)
         assert rates[2] == pytest.approx((area.value(0.3) - area.value(0.2)) / 0.1, rel=1e-14)
         assert rates[1] == 2.0 and rates[3] == 1.0
         assert float(np.sum(rates)) * 0.1 == pytest.approx(area.value(1.0), rel=1e-14)
+        # half the step at rate 2, half at rate 1: mean(sqrt r) / sqrt(mean r)
+        assert rho[2] == pytest.approx((math.sqrt(2.0) + 1.0) / 2.0 / math.sqrt(1.5), rel=1e-14)
+        assert np.delete(rho, 2).tolist() == [1.0] * 9
+
+    def test_step_rates_dark_straddle_has_unit_rho(self):
+        # a step straddling two dark segments has mean rate 0 and rho 1
+        area = PulseArea(breakpoints=(0.15, 0.45), rates=(0.0, 0.0), final_rate=2.0)
+        rates, rho = area.step_rates(0.1, 6)
+        assert rates[1] == 0.0 and rho[1] == 1.0
+        assert rates[4] == pytest.approx(1.0, rel=1e-14)
+        assert rho[4] == pytest.approx(math.sqrt(0.5), rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -267,6 +279,16 @@ class TestTransientVariance:
         best = err.value.best
         assert isinstance(best, QuadratureResult)
         assert math.isfinite(best.value) and best.error_estimate > 1e-8
+
+    def test_gap_rule_budget_miss_raises(self, monkeypatch):
+        # two nodes a gap leave the filter's error to the doubling estimate,
+        # which misses the budget; the Langevin part does not use the filter
+        monkeypatch.setattr(dynamics, "GAP_NODES", 2)
+        model = SqueezingModel.lorentzian(5.0, s=0.8)
+        with pytest.raises(QuadratureConvergenceError, match="light part did not converge") as err:
+            transient_variance(PulseArea.constant(5.0), 1.0, 1.0, model, 3.0)
+        best = err.value.best
+        assert math.isfinite(best.value) and best.error_estimate > 1e-10
 
     def test_decomposition_invariant(self):
         rep = transient_variance(PulseArea.constant(3.0), 1.0, 1.0, SqueezingModel.flat(0.2), 1.5)
