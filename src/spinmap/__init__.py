@@ -49,10 +49,6 @@ from .model import (
 from .specfun import (
     QuadratureConvergenceError,
     QuadratureResult,
-    bessel_i0e,
-    bessel_i1e,
-    bessel_j0,
-    bessel_j1,
     integrate_adaptive,
 )
 from .teleport import (

@@ -188,11 +188,12 @@ def _verify_checks(cfg: RunConfig):
     for alpha in (1.0, 10.0):
         area = PulseArea.constant(alpha)
         closed = mapping.variance_closed(alpha, 0.0).variance_norm
-        rep = dynamics.transient_variance(area, 1.0, 1.0, mapping.SqueezingModel.flat(0.0), 10.0)
+        rep = dynamics.transient_variance(area, 1.0, 1.0, mapping.SqueezingModel.flat(0.0), 10.0,
+                                          tol=tol)
         add("transient_steady", f"alpha={_fmt(alpha)}", rep.variance_norm, closed, 1e-3)
     for tau in (0.3, 3.0):
         rep = dynamics.transient_variance(
-            PulseArea.constant(10.0), 1.0, 1.0, mapping.SqueezingModel.flat(1.0), tau
+            PulseArea.constant(10.0), 1.0, 1.0, mapping.SqueezingModel.flat(1.0), tau, tol=tol
         )
         add("transient_vacuum", f"tau_gamma={_fmt(tau)}", rep.variance_norm, 1.0, 1e-8)
 

@@ -39,10 +39,12 @@ estimate, which must meet the budget the adaptive rule accepts
 QuadratureConvergenceError (exit 3).  Cost: flat input evaluates the
 kernels at 16 nodes a panel, lorentzian input 17 x 6 more for the gaps
 (118 a panel), on the panels and on their halves; 1-25 panels cover the
-parameter ranges the CLI and the benchmark use.  The nested adaptive
-quadrature this replaces is kept in the tests as the reference.  For
-constant drive and Gamma tau >> 1 these reproduce the closed-form and
-spectral steady states.
+parameter ranges the CLI and the benchmark use.  A lorentzian panel holds
+~16 KB of temporaries, so a call that needs more than
+TRANSIENT_PANEL_LIMIT panels raises OverflowError (exit 3) before building
+any.  The nested adaptive quadrature this replaces is kept in the tests as
+the reference.  For constant drive and Gamma tau >> 1 these reproduce the
+closed-form and spectral steady states.
 
 Grid oracle
 -----------
@@ -233,6 +235,8 @@ class PulseArea:
 PANEL_PHASE = 10.0   # most Bessel phase 2 sqrt(u L) a transient panel spans [rad]
 PANEL_DECAY = 12.0   # most e-folds of the fastest exponential a transient panel spans
 GAP_NODES = 6        # Gauss-Legendre nodes per gap between a panel's nodes (the filter)
+TRANSIENT_PANEL_LIMIT = 10_000  # most panels on [0, tau]; a lorentzian call at the limit
+                                # holds ~160 MB of temporaries (~16 KB a panel)
 
 
 def _panel_edges(area: PulseArea, length: float, rate: float, tau: float) -> np.ndarray:
@@ -242,7 +246,8 @@ def _panel_edges(area: PulseArea, length: float, rate: float, tau: float) -> np.
     spans at most PANEL_DECAY e-folds of the exponential rate ``rate`` per
     step, and the times where the Bessel phase 2 sqrt(u L),
     u = a(tau) - a(t), crosses a multiple of its step (at most PANEL_PHASE),
-    so no panel spans more of either.
+    so no panel spans more of either.  Raises OverflowError, before any
+    edge is placed, where that takes more than TRANSIENT_PANEL_LIMIT panels.
     """
     ends = np.array([0.0, *(t for t in area.breakpoints if t < tau), tau])
     a = area.value(ends)
@@ -250,6 +255,12 @@ def _panel_edges(area: PulseArea, length: float, rate: float, tau: float) -> np.
     phase = 2.0 * math.sqrt(ul[0])
     n_phase = max(math.ceil(phase / PANEL_PHASE), 1)
     n_decay = max(math.ceil(tau * rate / PANEL_DECAY), 1)
+    panels = len(ends) + n_phase + n_decay - 3
+    if panels > TRANSIENT_PANEL_LIMIT:
+        raise OverflowError(
+            f"the transient pass on [0, {tau:.6g}] needs {panels:.6g} panels, more than "
+            f"TRANSIENT_PANEL_LIMIT = {TRANSIENT_PANEL_LIMIT}: (2 Gamma + Gq) tau = "
+            f"{tau * rate:.6g} e-folds and {phase:.6g} rad of Bessel phase")
     crossings = (np.arange(1, n_phase) * (phase / n_phase / 2.0)) ** 2
     return np.sort(np.concatenate([
         ends,
@@ -389,15 +400,12 @@ class KernelTable:
     light_kernel[k, kp] : collective weight of the input-field cell starting
         at tau_kp, per unit time and unit drive amplitude (converges to the
         collective J1 kernel); zero columns where the drive is off.
-    field_pass[k, kp] : transmitted-field coefficient of E(L, tau_k) on the
-        input cell at tau_kp (identity when the coupling vanishes).
     """
 
     z: np.ndarray
     tau: np.ndarray
     init_kernel: np.ndarray
     light_kernel: np.ndarray
-    field_pass: np.ndarray
     variance_trace: np.ndarray
     atom_part_trace: np.ndarray
     light_part_trace: np.ndarray
@@ -679,8 +687,7 @@ class _Discretization:
             lang.append((g, e[:, b] * scale, c * scale))
         return rows, field, lang
 
-    def table(self, init_weights, lang_part, light_part, light_kernel,
-              field_pass) -> KernelTable:
+    def table(self, init_weights, lang_part, light_part, light_kernel) -> KernelTable:
         """Assemble the tables from w c_init (init_weights), w sig w
         (lang_part) and the light variance of every step."""
         length = self.length
@@ -692,7 +699,6 @@ class _Discretization:
             tau=self.tau,
             init_kernel=init_kernel,
             light_kernel=light_kernel,
-            field_pass=field_pass,
             variance_trace=atom + light,
             atom_part_trace=atom,
             light_part_trace=light,
@@ -770,10 +776,7 @@ def simulate_grid(
     else:
         weighted = field_weights @ _cell_correlator(model, disc.dt, disc.rho)
     light_part = np.einsum("ij,ij->i", weighted, field_weights)
-    field_pass = -np.sqrt(disc.rates)[:, None] * field_weights[:-1]
-    field_pass.flat[::disc.ntau + 1] += 1.0
-    table = disc.table(rows[0], _langevin_part(disc, rows, lang), light_part,
-                       light_kernel, field_pass)
+    table = disc.table(rows[0], _langevin_part(disc, rows, lang), light_part, light_kernel)
     return table, NoiseReport.from_parts(float(table.atom_part_trace[-1]),
                                          float(table.light_part_trace[-1]), model.noise_floor)
 

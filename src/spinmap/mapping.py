@@ -133,10 +133,6 @@ class NoiseReport:
         return cls(variance_norm=atom + light, eta=eta_from_variance(atom + light, noise_floor),
                    atom_langevin_part=atom, light_part=light)
 
-    @property
-    def eta_defined(self) -> bool:
-        return not math.isnan(self.eta)
-
 
 def eta_from_variance(variance_norm: float, noise_floor: float) -> float:
     if noise_floor == 1.0:

@@ -134,12 +134,11 @@ class FeasibilityCondition:
 @dataclass(frozen=True)
 class FeasibilityReport:
     conditions: tuple[FeasibilityCondition, ...]
-    overall: bool
 
-    def __post_init__(self):
-        expected = all(c.passed for c in self.conditions)
-        if self.overall != expected:
-            raise ValueError("overall flag must equal the conjunction of conditions")
+    @property
+    def overall(self) -> bool:
+        """Whether every condition passes."""
+        return all(c.passed for c in self.conditions)
 
 
 def total_dephasing(medium: MediumParams, drive: DriveParams) -> float:
@@ -243,5 +242,4 @@ def check_feasibility(
         FeasibilityCondition("fresnel number near unity", fresnel, 1.0, hi, lo <= fresnel <= hi)
     )
 
-    conditions = tuple(conditions)
-    return FeasibilityReport(conditions=conditions, overall=all(c.passed for c in conditions))
+    return FeasibilityReport(conditions=tuple(conditions))

@@ -2,12 +2,12 @@
 
 Bessel functions of the first kind come from one vectorized evaluation of
 the exchange kernels J0(2 sqrt(y)) and sqrt(1/y) J1(2 sqrt(y))
-(``bessel_kernels``), which the engines call at y = u L and the scalar
-``bessel_j0``/``bessel_j1`` call at y = x^2/4.  Both kernels are entire in
-y, so no square root and no removable singularity is handled at run time.
-Below y = TABLE_END (x = ASYMPTOTIC_FROM) they are Taylor polynomials of
-degree 7 about every multiple of 1/4, each used within 1/8 of its center.
-The values at the centers follow from the integral representation
+(``bessel_kernels``), which the engines call at y = u L.  Both kernels are
+entire in y, so no square root and no removable singularity is handled at
+run time.  Below y = TABLE_END (x = ASYMPTOTIC_FROM) they are Taylor
+polynomials of degree 7 about every multiple of 1/4, each used within 1/8
+of its center.  The values at the centers follow from the integral
+representation
 
     J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt,
 
@@ -18,10 +18,11 @@ are at most 1/(m!)^2, so the truncation error is below (1/8)^8 / (8!)^2
 ~ 4e-17, and the evaluation is accurate to a few units of 1e-16 absolute.
 Beyond ASYMPTOTIC_FROM Hankel's asymptotic series (Abramowitz & Stegun
 9.2.5) takes over.  The modified Bessel functions are only ever exposed in
-exponentially scaled form e^{-x} I_n(x), from the positive-term power series
-times e^{-x} below ASYMPTOTIC_FROM and the asymptotic series A&S 9.7.1
-above (the coefficients of 9.2.5 at -1/x^2), so optical depths up to 1e6
-never overflow.
+exponentially scaled form e^{-x} I_n(x) (``scaled_bessel_i``, both orders
+from one call), from the positive-term power series times e^{-x} below
+ASYMPTOTIC_FROM and the asymptotic series A&S 9.7.1 above (the
+coefficients of 9.2.5 at -1/x^2), so optical depths up to 1e6 never
+overflow.
 
 ``integrate_adaptive`` is a globally adaptive Gauss-Legendre rule for
 vectorized integrands.  Semi-infinite integrals are mapped onto the unit
@@ -215,23 +216,6 @@ def bessel_kernels(y, orders: tuple[int, ...] = (0, 1)) -> np.ndarray:
     return out.reshape(out.shape[:1] + y.shape)
 
 
-def bessel_j0(x: float) -> float:
-    """Bessel function of the first kind J0(x)."""
-    x = abs(_check_finite(x, "x"))
-    if x >= ASYMPTOTIC_FROM:
-        return float(_hankel(np.array([x]), (0,))[0, 0])
-    return float(bessel_kernels(x * x / 4.0, (0,))[0])
-
-
-def bessel_j1(x: float) -> float:
-    """Bessel function of the first kind J1(x)."""
-    x = _check_finite(x, "x")
-    if abs(x) >= ASYMPTOTIC_FROM:
-        value = float(_hankel(np.array([abs(x)]), (1,))[0, 0])
-        return -value if x < 0 else value  # J1 is odd
-    return x / 2.0 * float(bessel_kernels(x * x / 4.0, (1,))[0])
-
-
 def scaled_bessel_i(x: float) -> tuple[float, float]:
     """Exponentially scaled modified Bessel functions e^{-x} I0(x) and
     e^{-x} I1(x), x >= 0, from one call."""
@@ -260,16 +244,6 @@ def scaled_bessel_i(x: float) -> tuple[float, float]:
         p0, p1, q0, q1 = p0 * y + pc0, p1 * y + pc1, q0 * y + qc0, q1 * y + qc1
     scale = 1.0 / math.sqrt(2.0 * math.pi * x)
     return (p0 - q0 / x) * scale, (p1 - q1 / x) * scale
-
-
-def bessel_i0e(x: float) -> float:
-    """Exponentially scaled modified Bessel function e^{-x} I0(x), x >= 0."""
-    return scaled_bessel_i(x)[0]
-
-
-def bessel_i1e(x: float) -> float:
-    """Exponentially scaled modified Bessel function e^{-x} I1(x), x >= 0."""
-    return scaled_bessel_i(x)[1]
 
 
 PANEL_NODES = 16     # Gauss-Legendre nodes per panel

@@ -65,12 +65,16 @@ class TwoModeGaussian:
 class BsReport:
     r: float
     valid: bool
-    epr_requirement: float
     commutator_defect: float
 
     def __post_init__(self):
         if not self.r >= 0:
             raise ValueError("r must be nonnegative")
+
+    @property
+    def epr_requirement(self) -> float:
+        """The residual noise the EPR resource must stay below: r itself."""
+        return self.r
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,11 @@ class ReadoutBudget:
     epr_residual: float
     passes: bool
     residual_over_r: float
-    classical_baseline: float = CLASSICAL_BASELINE
+
+    @property
+    def classical_baseline(self) -> float:
+        """The added noise to beat, CLASSICAL_BASELINE."""
+        return CLASSICAL_BASELINE
 
 
 def bs_matrix(r: float) -> np.ndarray:
@@ -112,7 +120,6 @@ def coupling_r(alpha_pulse: float, threshold: float = DEFAULT_R_THRESHOLD) -> Bs
     return BsReport(
         r=r,
         valid=r <= threshold,
-        epr_requirement=r,
         commutator_defect=commutator_defect(r),
     )
 

@@ -50,15 +50,10 @@ def dense_table(medium, drive, grid, model) -> dynamics.KernelTable:
     lang_part = np.zeros(ntau + 1)
     light_part = np.zeros(ntau + 1)
     light_kernel = np.zeros((ntau + 1, ntau))
-    field_pass = np.zeros((ntau, ntau))
     init_weights[0] = w
 
     for k in range(ntau):
         M, v_inj, lang = ops[float(rates[k])]
-        # transmitted field at the current step, before injecting input k
-        field_pass[k] = -sqrt_rates[k] * (w @ c_field)
-        field_pass[k, k] += 1.0
-
         c_init = M @ c_init
         c_field = M @ c_field
         c_field[:, k] += v_inj
@@ -74,4 +69,4 @@ def dense_table(medium, drive, grid, model) -> dynamics.KernelTable:
         if np.max(np.abs(c_init)) > disc.coeff_bound or np.max(np.abs(c_field)) > disc.coeff_bound:
             raise dynamics.GridGrowthError(f"influence coefficients diverged at step {k + 1}")
 
-    return disc.table(init_weights, lang_part, light_part, light_kernel, field_pass)
+    return disc.table(init_weights, lang_part, light_part, light_kernel)

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +346,19 @@ class TestNumericsExitCode:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: feasibility: OverflowError: ")
+
+    def test_transient_panel_limit_exits_three(self, tmp_path, capsys):
+        # b = 1e6 asks for ~8e5 panels at Gamma tau = 10 (~13 GB); the
+        # command stops at the first row past the limit, in well under a second
+        start = time.perf_counter()
+        code, text = run_cli(["transient"], tmp_path, "dimensionless.alpha = 10\n"
+                             "dimensionless.input = lorentzian\ndimensionless.b = 1e6\n")
+        assert time.perf_counter() - start < 20.0
+        assert code == 3 and text == "" and not (tmp_path / "out.csv").exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: transient: OverflowError: ")
+        assert "TRANSIENT_PANEL_LIMIT" in captured.err
 
 
 def _example_with(key, value):

@@ -1,6 +1,6 @@
 """The config key table: every loaded value is finite and in bounds, every
 bad value is named by its key, and the README documents exactly the table's
-keys."""
+keys.  The README's library sketch runs as written."""
 
 import re
 from pathlib import Path
@@ -79,6 +79,13 @@ def test_readme_lists_every_key():
     block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
     listed = re.findall(r"^([a-z_0-9]+\.[a-z_0-9]+)\s*=", block, re.M)
     assert sorted(listed) == sorted(KEYS)
+
+
+def test_readme_library_sketch_runs():
+    # the sketch may name only public API that exists and accepts its arguments
+    block = re.search(r"## Library sketch\n\n```python\n(.*?)```", README.read_text(),
+                      re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
 
 
 numbers = st.one_of(

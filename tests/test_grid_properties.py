@@ -17,8 +17,8 @@ from spinmap.dynamics import GridSpec, PulseArea, STABILITY_EXCHANGE_BOUND, tran
 from spinmap.mapping import SqueezingModel
 from spinmap.model import DriveParams, MediumParams
 
-TABLE_ARRAYS = ("init_kernel", "light_kernel", "field_pass",
-                "variance_trace", "atom_part_trace", "light_part_trace")
+TABLE_ARRAYS = ("init_kernel", "light_kernel", "variance_trace", "atom_part_trace",
+                "light_part_trace")
 
 
 def cumtrapz_matrix(nz, dz):
@@ -93,9 +93,7 @@ def test_contracted_path_matches_dense_reference(run):
     # causality holds exactly: no weight on input cells at or after the node
     for k in range(grid.ntau + 1):
         assert np.all(table.light_kernel[k, k:] == 0.0)
-    assert np.all(np.triu(table.field_pass, k=1) == 0.0)
     if drive.g == 0.0:
-        assert np.all(table.field_pass == np.eye(grid.ntau))
         assert np.all(table.light_kernel == 0.0)
 
 

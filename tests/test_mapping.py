@@ -33,7 +33,7 @@ class TestVarianceClosed:
     def test_vacuum_input_fixed_point(self):
         report = variance_closed(17.3, 1.0)
         assert report.variance_norm == pytest.approx(1.0, abs=1e-12)
-        assert not report.eta_defined
+        assert math.isnan(report.eta)
 
     def test_eta_at_60_frozen(self):
         report = variance_closed(60.0, 0.0)

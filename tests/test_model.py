@@ -212,8 +212,9 @@ class TestFeasibility:
     def test_overall_flag_invariant(self):
         good = FeasibilityCondition("x", 1.0, 0.0, 10.0, True)
         bad = FeasibilityCondition("y", 0.0, 1.0, 10.0, False)
-        with pytest.raises(ValueError):
-            FeasibilityReport(conditions=(good, bad), overall=True)
+        assert not FeasibilityReport(conditions=(good, bad)).overall
+        assert FeasibilityReport(conditions=(good, good)).overall
+        assert FeasibilityReport(conditions=()).overall
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -246,8 +247,7 @@ NAN_CASES = {
     "variance_spectral.alpha": lambda: mapping.variance_spectral(NAN, FLAT),
     "efficiency_curve.grid": lambda: mapping.efficiency_curve([0.0, NAN], FLAT),
     "coupling_r.alpha_pulse": lambda: teleport.coupling_r(NAN),
-    "BsReport.r": lambda: teleport.BsReport(r=NAN, valid=True, epr_requirement=0.0,
-                                            commutator_defect=0.0),
+    "BsReport.r": lambda: teleport.BsReport(r=NAN, valid=True, commutator_defect=0.0),
     "readout_noise_budget.r": lambda: teleport.readout_noise_budget(NAN, 0.0),
     "readout_noise_budget.epr_residual": lambda: teleport.readout_noise_budget(1.0, NAN),
     "TwoModeGaussian.cov": lambda: teleport.TwoModeGaussian(mean=np.zeros(4),

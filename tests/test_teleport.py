@@ -59,7 +59,7 @@ class TestCouplingR:
         with pytest.raises(ValueError):
             coupling_r(-0.1)
         with pytest.raises(ValueError):
-            BsReport(r=-1.0, valid=False, epr_requirement=0.0, commutator_defect=0.0)
+            BsReport(r=-1.0, valid=False, commutator_defect=0.0)
 
 
 class TestBeamSplitterMap:
