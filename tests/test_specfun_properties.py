@@ -14,6 +14,24 @@ from spinmap.specfun import bessel_kernels, scaled_bessel_i
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 
+# the Taylor range, the asymptotic switch at 26 and the whole promised range
+ARGUMENTS = st.one_of(st.floats(0.0, 30.0), st.floats(25.0, 27.0), st.floats(0.0, 1e6))
+
+
+def _bessel_j(x):
+    """J0(x) and J1(x) from the exchange kernels at y = x^2/4."""
+    j0, j = bessel_kernels(x * x / 4.0)
+    return float(j0), x / 2.0 * float(j)
+
+
+@PROPERTY
+@given(x=ARGUMENTS)
+def test_bessel_j_matches_scipy(x):
+    j0, j1 = _bessel_j(x)
+    assert abs(j0 - special.j0(x)) <= 1e-14
+    assert abs(j1 - special.j1(x)) <= 1e-14
+    assert _bessel_j(-x) == (j0, -j1)
+
 
 @PROPERTY
 @given(x=st.one_of(st.floats(0.0, 30.0, allow_subnormal=False),
