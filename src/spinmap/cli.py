@@ -93,11 +93,14 @@ def cmd_transient(cfg: RunConfig) -> tuple[list[str], int]:
     model = cfg.squeezing_model()
     area = PulseArea.constant(alpha)  # Gamma = 1, L = 1 units
     tol = cfg["tolerance.quad_abs"]
+    taus = np.linspace(0.0, cfg["transient.tau_max_gamma"], cfg["transient.points"] + 1)
     rows = []
-    for tau in np.linspace(0.0, cfg["transient.tau_max_gamma"], cfg["transient.points"] + 1):
+    # the last row needs the most panels, so a table past the panel limit
+    # fails before computing any other row
+    for tau in taus[::-1]:
         report = dynamics.transient_variance(area, 1.0, 1.0, model, float(tau), tol=tol)
         rows.append([float(tau), report.variance_norm, report.eta])
-    return _csv(["tau_gamma", "variance_norm", "eta"], rows), EXIT_OK
+    return _csv(["tau_gamma", "variance_norm", "eta"], rows[::-1]), EXIT_OK
 
 
 def cmd_simulate(cfg: RunConfig) -> tuple[list[str], int, list[str]]:
@@ -213,12 +216,9 @@ def _verify_checks(cfg: RunConfig):
     grid = GridSpec(nz=VERIFY_KERNEL_LADDER[-1], ntau=VERIFY_KERNEL_LADDER[-1],
                     tau_max=VERIFY_KERNEL_TAU_MAX)
     study = dynamics.light_kernel_convergence(medium, drive, grid, levels=len(VERIFY_KERNEL_LADDER))
-    monotone = study.monotone
-    checks.append(("grid_kernel", "monotone_decrease", float(monotone), 1.0,
-                   0.0 if monotone else 1.0, 0.0, monotone))
+    add("grid_kernel", "monotone_decrease", float(study.monotone), 1.0, 0.0)
     for i, order in enumerate(study.orders):
-        checks.append(("grid_kernel", f"order_{i}", order, 1.0,
-                       abs(order - 1.0), 0.2, 0.8 <= order <= 1.2))
+        add("grid_kernel", f"order_{i}", order, 1.0, 0.2)
     add("grid_kernel", "finest_rel_l2", study.errors[-1], 0.0, 1e-3)
     return checks
 

@@ -611,7 +611,7 @@ class _Discretization:
         self.node_t = np.concatenate(([0.0], np.cumsum(rates))) * (dt * dz)
 
         self.d = d = math.exp(-gamma * dt)
-        self.phi = (1.0 - d) / gamma if gamma > 0 else dt
+        self.phi = (1.0 - d) / gamma
         self.s_field = _mean_arrival(gamma, dt)
         self.s_lang = _mean_arrival(2.0 * gamma, dt)
         self.lang_amp = 1.0 - d * d  # vanishes with the dephasing, as the noise must

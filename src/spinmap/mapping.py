@@ -223,12 +223,9 @@ def variance_spectral(
     if alpha == 0.0:
         # no light absorbed; pure atomic vacuum for any input statistics
         return NoiseReport.from_parts(1.0, 0.0, model.noise_floor)
-    atom = 2.0 * integrate_adaptive(
-        lambda x: _langevin_density(alpha, x), 0.0, math.inf, tol=tol / 2
-    ).value
+    atom = 2.0 * integrate_adaptive(lambda x: _langevin_density(alpha, x), tol=tol / 2).value
     light = 2.0 * integrate_adaptive(
-        lambda x: model.spectral_density(x) * _light_weight(alpha, x),
-        0.0, math.inf, tol=tol / 2,
+        lambda x: model.spectral_density(x) * _light_weight(alpha, x), tol=tol / 2
     ).value
     return NoiseReport.from_parts(atom, light, model.noise_floor)
 

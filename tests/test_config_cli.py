@@ -9,6 +9,7 @@ import pytest
 
 from spinmap.cli import main
 from spinmap.config import ConfigError, RunConfig, parse_config_text
+from spinmap.dynamics import transient_variance
 from spinmap.mapping import eta_closed, variance_closed
 
 REPO = Path(__file__).resolve().parent.parent
@@ -349,7 +350,7 @@ class TestNumericsExitCode:
 
     def test_transient_panel_limit_exits_three(self, tmp_path, capsys):
         # b = 1e6 asks for ~8e5 panels at Gamma tau = 10 (~13 GB); the
-        # command stops at the first row past the limit, in well under a second
+        # command stops at its last row, past the limit, in well under a second
         start = time.perf_counter()
         code, text = run_cli(["transient"], tmp_path, "dimensionless.alpha = 10\n"
                              "dimensionless.input = lorentzian\ndimensionless.b = 1e6\n")
@@ -359,6 +360,27 @@ class TestNumericsExitCode:
         assert captured.out == ""
         assert captured.err.startswith("error: transient: OverflowError: ")
         assert "TRANSIENT_PANEL_LIMIT" in captured.err
+
+    def test_transient_computes_its_last_row_first(self, tmp_path, monkeypatch):
+        # the panel count grows with tau, so the row at tau_max decides
+        # whether the table can succeed: a table past the limit makes one call
+        from spinmap import cli
+
+        taus = []
+
+        def counting(area, length, gamma, model, tau, **kwargs):
+            taus.append(tau)
+            return transient_variance(area, length, gamma, model, tau, **kwargs)
+
+        monkeypatch.setattr(cli.dynamics, "transient_variance", counting)
+        code, text = run_cli(["transient"], tmp_path, "dimensionless.alpha = 10\n"
+                             "dimensionless.input = lorentzian\ndimensionless.b = 1e6\n")
+        assert code == 3 and text == "" and taus == [10.0]
+        taus.clear()
+        code, text = run_cli(["transient"], tmp_path,
+                             "dimensionless.alpha = 10\ntransient.points = 4\n")
+        assert code == 0 and taus == [10.0, 7.5, 5.0, 2.5, 0.0]
+        assert [float(line.split(",")[0]) for line in text.splitlines()[1:]] == taus[::-1]
 
 
 def _example_with(key, value):

@@ -61,3 +61,13 @@ def test_vacuum_input_gives_unit_variance_from_every_engine(run):
 @given(st.floats(1e-6, 1e6), st.floats(1.001, 10.0))
 def test_eta_closed_rises_with_alpha(alpha, ratio):
     assert 0.0 == eta_closed(0.0) < eta_closed(alpha) < eta_closed(ratio * alpha) < 1.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e))
+def test_flat_spectral_matches_closed_form(alpha):
+    # log-uniform optical depths in [1e-3, 1e6]: the deep end needs the
+    # adaptive rule to bisect past its first pass
+    closed = variance_closed(alpha, 0.0).variance_norm
+    spectral = variance_spectral(alpha, SqueezingModel.flat(0.0)).variance_norm
+    assert abs(spectral - closed) <= 1e-6 * closed

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from spinmap import mapping, specfun
 from spinmap.mapping import (
     NoiseReport,
     SqueezingModel,
@@ -145,6 +146,20 @@ class TestVarianceSpectral:
             closed = variance_closed(alpha, 0.0).variance_norm
             spectral = variance_spectral(alpha, SqueezingModel.flat(0.0)).variance_norm
             assert abs(spectral - closed) / closed < 1e-6
+
+    def test_deep_atom_integral_bisects(self, monkeypatch):
+        # at alpha = 1e5 the langevin density stays flat out to
+        # x ~ sqrt(2 alpha), which the adaptive rule's first pass does not resolve
+        results = []
+
+        def recording(f, tol):
+            results.append(specfun.integrate_adaptive(f, tol))
+            return results[-1]
+
+        monkeypatch.setattr(mapping, "integrate_adaptive", recording)
+        variance_spectral(1e5, SqueezingModel.flat(0.0))
+        first_pass = 3 * specfun.INITIAL_PANELS * specfun.PANEL_NODES
+        assert results[0].evaluations > first_pass
 
     def test_vacuum_fixed_point(self):
         for alpha in (0.0, 0.5, 5.0, 50.0, 500.0):
