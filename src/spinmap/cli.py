@@ -9,6 +9,9 @@ or 3 writes no output.  ``--tol`` overrides the ``tolerance.quad_abs`` key.
 Exit codes: 0 success / all checks pass, 1 physics-check failure,
 2 configuration error, 3 numerical trouble (non-convergence, growth,
 overflow).
+
+Only numpy-free modules load with this one; a command imports numpy and the
+engines where it starts, so ``teleport`` and ``feasibility`` never do.
 """
 
 from __future__ import annotations
@@ -17,13 +20,9 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
-from . import dynamics, mapping, teleport
+from . import teleport
 from .config import RunConfig
-from .dynamics import GridGrowthError, GridSpec, PulseArea
 from .model import DriveParams, MediumParams, check_feasibility, total_dephasing
-from .specfun import QuadratureConvergenceError
 
 EXIT_OK = 0
 EXIT_PHYSICS = 1
@@ -60,6 +59,8 @@ def _dimensionless_medium_drive(alpha: float, tau_max: float):
 # ---------------------------------------------------------------------------
 
 def cmd_efficiency(cfg: RunConfig) -> tuple[list[str], int]:
+    from . import mapping
+
     grid = cfg["dimensionless.alpha_grid"]
     tol = cfg["tolerance.quad_abs"]
     b_list = [float(b) for b in cfg["dimensionless.b_list"]]
@@ -75,6 +76,8 @@ def cmd_efficiency(cfg: RunConfig) -> tuple[list[str], int]:
 
 
 def cmd_spectrum(cfg: RunConfig) -> tuple[list[str], int]:
+    from . import mapping
+
     alpha = cfg.alpha()
     model = cfg.squeezing_model()
     rows = []
@@ -89,9 +92,13 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[list[str], int]:
 
 
 def cmd_transient(cfg: RunConfig) -> tuple[list[str], int]:
+    import numpy as np
+
+    from . import dynamics
+
     alpha = cfg.alpha()
     model = cfg.squeezing_model()
-    area = PulseArea.constant(alpha)  # Gamma = 1, L = 1 units
+    area = dynamics.PulseArea.constant(alpha)  # Gamma = 1, L = 1 units
     tol = cfg["tolerance.quad_abs"]
     taus = np.linspace(0.0, cfg["transient.tau_max_gamma"], cfg["transient.points"] + 1)
     rows = []
@@ -104,6 +111,8 @@ def cmd_transient(cfg: RunConfig) -> tuple[list[str], int]:
 
 
 def cmd_simulate(cfg: RunConfig) -> tuple[list[str], int, list[str]]:
+    from . import dynamics, mapping
+
     model = cfg.squeezing_model()
     tau_max_gamma = cfg["grid.tau_max_gamma"]
 
@@ -112,7 +121,8 @@ def cmd_simulate(cfg: RunConfig) -> tuple[list[str], int, list[str]]:
     if medium is None or drive is None:
         medium, drive = _dimensionless_medium_drive(cfg.alpha(), tau_max_gamma)
     gamma = total_dephasing(medium, drive)
-    grid = GridSpec(nz=cfg["grid.nz"], ntau=cfg["grid.ntau"], tau_max=tau_max_gamma / gamma)
+    grid = dynamics.GridSpec(nz=cfg["grid.nz"], ntau=cfg["grid.ntau"],
+                             tau_max=tau_max_gamma / gamma)
 
     table, _report = dynamics.simulate_grid(medium, drive, grid, model)
     rows = [
@@ -125,7 +135,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[list[str], int, list[str]]:
     ]
     lines = _csv(["tau_gamma", "variance_norm", "eta"], rows)
 
-    if PulseArea.from_drive(drive).max_rate() == 0.0:
+    if dynamics.PulseArea.from_drive(drive).max_rate() == 0.0:
         return lines, EXIT_OK, ["convergence report: coupling off, kernel study skipped"]
     study = dynamics.light_kernel_convergence(medium, drive, grid, levels=3)
     report = ["convergence report (light kernel vs analytic, L2 relative):"]
@@ -165,6 +175,10 @@ def cmd_feasibility(cfg: RunConfig) -> tuple[list[str], int]:
 
 
 def _verify_checks(cfg: RunConfig):
+    import numpy as np
+
+    from . import dynamics, mapping
+
     tol = cfg["tolerance.quad_abs"]
     checks = []
 
@@ -189,15 +203,14 @@ def _verify_checks(cfg: RunConfig):
 
     # transient engine: steady state and vacuum passthrough
     for alpha in (1.0, 10.0):
-        area = PulseArea.constant(alpha)
+        area = dynamics.PulseArea.constant(alpha)
         closed = mapping.variance_closed(alpha, 0.0).variance_norm
         rep = dynamics.transient_variance(area, 1.0, 1.0, mapping.SqueezingModel.flat(0.0), 10.0,
                                           tol=tol)
         add("transient_steady", f"alpha={_fmt(alpha)}", rep.variance_norm, closed, 1e-3)
     for tau in (0.3, 3.0):
-        rep = dynamics.transient_variance(
-            PulseArea.constant(10.0), 1.0, 1.0, mapping.SqueezingModel.flat(1.0), tau, tol=tol
-        )
+        rep = dynamics.transient_variance(dynamics.PulseArea.constant(10.0), 1.0, 1.0,
+                                          mapping.SqueezingModel.flat(1.0), tau, tol=tol)
         add("transient_vacuum", f"tau_gamma={_fmt(tau)}", rep.variance_norm, 1.0, 1e-8)
 
     # grid oracle: vacuum passthrough at the configured grid
@@ -205,7 +218,8 @@ def _verify_checks(cfg: RunConfig):
     for alpha in (0.5, 5.0):
         medium, drive = _dimensionless_medium_drive(alpha, tau_max)
         table, _ = dynamics.simulate_grid(
-            medium, drive, GridSpec(nz=cfg["grid.nz"], ntau=cfg["grid.ntau"], tau_max=tau_max),
+            medium, drive,
+            dynamics.GridSpec(nz=cfg["grid.nz"], ntau=cfg["grid.ntau"], tau_max=tau_max),
             mapping.SqueezingModel.flat(1.0),
         )
         worst = float(np.max(np.abs(table.variance_trace - 1.0)))
@@ -213,8 +227,8 @@ def _verify_checks(cfg: RunConfig):
 
     # grid oracle: light-kernel convergence ladder
     medium, drive = _dimensionless_medium_drive(VERIFY_KERNEL_ALPHA, VERIFY_KERNEL_TAU_MAX)
-    grid = GridSpec(nz=VERIFY_KERNEL_LADDER[-1], ntau=VERIFY_KERNEL_LADDER[-1],
-                    tau_max=VERIFY_KERNEL_TAU_MAX)
+    grid = dynamics.GridSpec(nz=VERIFY_KERNEL_LADDER[-1], ntau=VERIFY_KERNEL_LADDER[-1],
+                             tau_max=VERIFY_KERNEL_TAU_MAX)
     study = dynamics.light_kernel_convergence(medium, drive, grid, levels=len(VERIFY_KERNEL_LADDER))
     add("grid_kernel", "monotone_decrease", float(study.monotone), 1.0, 0.0)
     for i, order in enumerate(study.orders):
@@ -271,8 +285,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
-    except (QuadratureConvergenceError, GridGrowthError, ArithmeticError) as exc:
-        # an OverflowError's own text names neither the command nor the error
+    except ArithmeticError as exc:
+        # QuadratureConvergenceError and GridGrowthError are ArithmeticErrors
+        # too; an OverflowError's own text names neither the command nor the error
         sys.stderr.write(f"error: {args.command}: {type(exc).__name__}: {exc}\n")
         return EXIT_NUMERICS
     except (ValueError, OSError) as exc:

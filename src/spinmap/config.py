@@ -15,19 +15,24 @@ record built from a loaded config accepts every value.
 Engines run from the dimensionless block; the SI blocks feed the feasibility
 checks and may be used to derive dimensionless values.  When a quantity is
 given both ways the two must agree to one part in 1e9 or the run aborts.
+
+Only a grid value needs numpy, so a run that reads no grid never imports it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .mapping import DEFAULT_SPECTRAL_TOL, SqueezingModel
-from .model import AtomicPhysics, DriveParams, MediumParams, optical_depth, total_dephasing
+from .model import (DEFAULT_SPECTRAL_TOL, AtomicPhysics, DriveParams, MediumParams,
+                    optical_depth, total_dephasing)
 from .teleport import DEFAULT_R_THRESHOLD
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .mapping import SqueezingModel
 
 SI_AGREEMENT_RTOL = 1e-9
 REQUIRED = None  # no default: the value must be given where it is used
@@ -42,13 +47,14 @@ class Key(NamedTuple):
 
 KEYS = {
     "dimensionless.alpha": Key("float", bound=">= 0"),
-    "dimensionless.alpha_grid": Key("grid", "logspace:0.01:1000:200", ">= 0, ascending"),
+    "dimensionless.alpha_grid": Key("grid", "logspace:0.01:1000:200",
+                                    "non-empty, >= 0, ascending"),
     "dimensionless.b": Key("float", bound="> 0"),
     "dimensionless.b_list": Key("grid", "50,10", "> 0"),
     "dimensionless.s": Key("float", "1", "in [0, 1]"),
     "dimensionless.x0_sq": Key("float", "0", ">= 0"),
     "dimensionless.input": Key("choice", "flat", "flat or lorentzian"),
-    "dimensionless.x_grid": Key("grid", "linspace:-30:30:241"),
+    "dimensionless.x_grid": Key("grid", "linspace:-30:30:241", "non-empty"),
     "transient.tau_max_gamma": Key("float", "10", "> 0"),
     "transient.points": Key("int", "200", ">= 1"),
     "grid.nz": Key("int", "200", ">= 2"),
@@ -80,13 +86,25 @@ KEYS = {
     "teleport.r_threshold": Key("float", str(DEFAULT_R_THRESHOLD)),
 }
 
+
+def _numbers(value) -> list:
+    """The numbers in a typed float, grid or profile value."""
+    if isinstance(value, float):
+        return [value]
+    if isinstance(value, tuple):  # a profile's (duration, power) segments
+        return [x for segment in value for x in segment]
+    return value.tolist()
+
+
 _BOUNDS = {
-    "> 0": lambda v: np.all(v > 0),
-    ">= 0": lambda v: np.all(v >= 0),
+    "> 0": lambda v: all(x > 0 for x in _numbers(v)),
+    ">= 0": lambda v: all(x >= 0 for x in _numbers(v)),
     ">= 1": lambda v: v >= 1,
     ">= 2": lambda v: v >= 2,
     "in [0, 1]": lambda v: 0 <= v <= 1,
-    ">= 0, ascending": lambda v: np.all(v >= 0) and np.all(np.diff(v) >= 0),
+    "non-empty": lambda v: len(v) > 0,
+    "non-empty, >= 0, ascending": lambda v: (len(v) > 0 and v[0] >= 0
+                                             and all(a <= b for a, b in zip(v, v[1:]))),
     "flat or lorentzian": lambda v: v in ("flat", "lorentzian"),
     "durations > 0, powers >= 0": lambda v: all(d > 0 and p >= 0 for d, p in v),
 }
@@ -137,6 +155,8 @@ def _parse_int(text: str, key: str) -> int:
 
 
 def _parse_grid(text: str, key: str) -> np.ndarray:
+    import numpy as np
+
     parts = text.split(":")
     if parts[0] in ("logspace", "linspace"):
         if len(parts) != 4:
@@ -182,7 +202,7 @@ def _typed(key: str, text: str):
     """The value ``text`` gives ``key``, if it is finite and within the key's bound."""
     spec = _spec(key)
     value = _PARSERS[spec.kind](text, key)
-    if spec.kind in ("float", "grid", "profile") and not np.all(np.isfinite(value)):
+    if spec.kind in ("float", "grid", "profile") and not all(map(math.isfinite, _numbers(value))):
         raise ConfigError(key, f"must be finite, got {text!r}")
     if spec.bound and not _BOUNDS[spec.bound](value):
         raise ConfigError(key, f"must be {spec.bound}, got {text!r}")
@@ -247,6 +267,8 @@ class RunConfig:
 
     def squeezing_model(self) -> SqueezingModel:
         """Input-light model; Gamma = 1 in engine units, so b doubles as gamma_q."""
+        from .mapping import SqueezingModel
+
         if self["dimensionless.input"] == "flat":
             return SqueezingModel.flat(self["dimensionless.x0_sq"])
         medium, drive, physics = (self.record(block) for block in ("medium", "drive", "physics"))

@@ -121,7 +121,7 @@ class GridConfigError(ValueError):
     """Grid violates the declared stability/accuracy bounds."""
 
 
-class GridGrowthError(RuntimeError):
+class GridGrowthError(RuntimeError, ArithmeticError):
     """Influence coefficients grew without bound during propagation."""
 
 

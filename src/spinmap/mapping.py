@@ -37,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import DEFAULT_SPECTRAL_TOL
 from .specfun import integrate_adaptive, scaled_bessel_i
-
-DEFAULT_SPECTRAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,9 @@ from typing import Sequence
 PI = math.pi
 C_LIGHT = 299792458.0              # speed of light [m/s], exact in SI
 HBAR = 6.62607015e-34 / (2.0 * PI)  # reduced Planck constant [J s]; h is exact in SI
+# absolute quadrature tolerance of the spectral and transient engines, kept in
+# this numpy-free module so the config table can default to it
+DEFAULT_SPECTRAL_TOL = 1e-9
 
 
 def _require_positive(value: float, name: str) -> float:

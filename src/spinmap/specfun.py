@@ -52,10 +52,11 @@ from typing import Callable
 import numpy as np
 
 
-class QuadratureConvergenceError(RuntimeError):
+class QuadratureConvergenceError(RuntimeError, ArithmeticError):
     """Adaptive quadrature failed to reach the requested tolerance.
 
-    Carries the best estimate obtained, as ``best``.
+    Carries the best estimate obtained, as ``best``.  An ArithmeticError
+    too, so callers can catch every numerical failure without this module.
     """
 
     def __init__(self, message: str, best: "QuadratureResult"):

@@ -9,26 +9,31 @@ with r = sqrt(alpha_pulse).  The map is implemented literally on the four
 real quadratures (Xq, Pq, Xtheta, Ptheta).  Taken at face value it is not
 symplectic: commutators grow by exactly r^2, which is surfaced as a
 diagnostic rather than silently corrected.
+
+The scalar read-out (``coupling_r``, ``readout_noise_budget``) runs on plain
+Python; numpy is imported only where arrays are built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_R_THRESHOLD = 0.3
 CLASSICAL_BASELINE = 1.0  # one vacuum unit of added noise; the bound any
                           # measure-and-reconstruct strategy cannot beat
 
-# symplectic form for two modes, (Xq, Pq, Xt, Pt) ordering
-OMEGA = np.array([
-    [0.0, 1.0, 0.0, 0.0],
-    [-1.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-    [0.0, 0.0, -1.0, 0.0],
-])
+# symplectic form for two modes, (Xq, Pq, Xt, Pt) ordering, row by row
+OMEGA = (
+    (0.0, 1.0, 0.0, 0.0),
+    (-1.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 1.0),
+    (0.0, 0.0, -1.0, 0.0),
+)
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,8 @@ class TwoModeGaussian:
     cov: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         if mean.shape != (4,):
@@ -58,6 +65,8 @@ class TwoModeGaussian:
 
     @classmethod
     def vacuum(cls) -> "TwoModeGaussian":
+        import numpy as np
+
         return cls(mean=np.zeros(4), cov=np.eye(4))
 
 
@@ -90,6 +99,18 @@ class ReadoutBudget:
         return CLASSICAL_BASELINE
 
 
+def _bs_rows(r: float) -> tuple[tuple[float, ...], ...]:
+    """The rows of S (see ``bs_matrix``) as plain floats."""
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
+    return (
+        (1.0, 0.0, 0.0, r),
+        (0.0, 1.0, -r, 0.0),
+        (0.0, r, 1.0, 0.0),
+        (-r, 0.0, 0.0, 1.0),
+    )
+
+
 def bs_matrix(r: float) -> np.ndarray:
     """Quadrature representation of the beam-splitter map.
 
@@ -97,14 +118,9 @@ def bs_matrix(r: float) -> np.ndarray:
     imaginary parts crosswise, giving S = I + r K with K antisymmetric.
     Negative r is accepted so the map can be applied in reverse.
     """
-    if not math.isfinite(r):
-        raise ValueError(f"r must be finite, got {r}")
-    return np.array([
-        [1.0, 0.0, 0.0, r],
-        [0.0, 1.0, -r, 0.0],
-        [0.0, r, 1.0, 0.0],
-        [-r, 0.0, 0.0, 1.0],
-    ])
+    import numpy as np
+
+    return np.array(_bs_rows(r))
 
 
 def coupling_r(alpha_pulse: float, threshold: float = DEFAULT_R_THRESHOLD) -> BsReport:
@@ -136,8 +152,11 @@ def commutator_defect(r: float) -> float:
     Measured as the largest entry of S^T Omega S - Omega; equals r^2 exactly
     for this map family (S^T Omega S = (1 + r^2) Omega).
     """
-    s = bs_matrix(r)
-    return float(np.max(np.abs(s.T @ OMEGA @ s - OMEGA)))
+    s = _bs_rows(r)
+    st_omega = [[sum(s[k][i] * OMEGA[k][j] for k in range(4)) for j in range(4)]
+                for i in range(4)]
+    return max(abs(sum(st_omega[i][k] * s[k][j] for k in range(4)) - OMEGA[i][j])
+               for i in range(4) for j in range(4))
 
 
 def readout_noise_budget(r: float, epr_residual: float) -> ReadoutBudget:

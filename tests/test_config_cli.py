@@ -121,6 +121,12 @@ class TestEfficiencyCommand:
         a, eta = map(float, lines[2].split(","))
         assert eta == pytest.approx(eta_closed(20.0), rel=1e-10)
 
+    def test_empty_alpha_grid_exits_two(self, tmp_path, capsys):
+        # a grid of no points would give a header-only table
+        code, text = run_cli(["efficiency"], tmp_path, "dimensionless.alpha_grid = ,\n")
+        assert code == 2 and text == ""
+        assert "'dimensionless.alpha_grid'" in capsys.readouterr().err
+
     def test_deterministic_output(self, tmp_path):
         cfg = "dimensionless.alpha_grid = logspace:0.1:100:25\n"
         _, first = run_cli(["efficiency"], tmp_path, cfg)
@@ -163,6 +169,12 @@ class TestSpectrumCommand:
         integral = float(np.sum((density[1:] + density[:-1]) / 2.0 * np.diff(x)))
         closed = variance_closed(2.0, 0.0).variance_norm
         assert integral == pytest.approx(closed, abs=2e-3)
+
+    def test_empty_x_grid_exits_two(self, tmp_path, capsys):
+        code, text = run_cli(["spectrum"], tmp_path,
+                             "dimensionless.alpha = 1\ndimensionless.x_grid = ,\n")
+        assert code == 2 and text == ""
+        assert "'dimensionless.x_grid'" in capsys.readouterr().err
 
 
 class TestTransientCommand:
@@ -298,7 +310,7 @@ class TestFailedRunWritesNothing:
 
 class TestNumericsExitCode:
     def test_quadrature_failure_maps_to_exit_three(self, tmp_path, monkeypatch):
-        from spinmap import cli
+        from spinmap import cli, dynamics
         from spinmap.specfun import QuadratureConvergenceError, QuadratureResult
 
         def explode(*args, **kwargs):
@@ -306,7 +318,7 @@ class TestNumericsExitCode:
                 "synthetic", QuadratureResult(value=0.0, error_estimate=1.0, evaluations=1)
             )
 
-        monkeypatch.setattr(cli.dynamics, "transient_variance", explode)
+        monkeypatch.setattr(dynamics, "transient_variance", explode)
         cfg = tmp_path / "c.cfg"
         cfg.write_text("dimensionless.alpha = 1\n")
         assert cli.main(["transient", "--config", str(cfg)]) == 3
@@ -323,7 +335,7 @@ class TestNumericsExitCode:
             assert "did not converge" in capfd.readouterr().err
 
     def test_grid_growth_maps_to_exit_three(self, tmp_path, monkeypatch, capfd):
-        from spinmap import cli
+        from spinmap import dynamics
 
         def growing_symbols(t, nz):
             # every exp(-x T) grows with its area instead of decaying
@@ -331,11 +343,20 @@ class TestNumericsExitCode:
             e[0] = np.exp(100.0 * t)
             return e
 
-        monkeypatch.setattr(cli.dynamics, "_symbols", growing_symbols)
+        monkeypatch.setattr(dynamics, "_symbols", growing_symbols)
         code, text = run_cli(["simulate"], tmp_path,
                              "dimensionless.alpha = 2\ngrid.nz = 20\ngrid.ntau = 40\n")
         assert code == 3 and text == ""
         assert "diverged at step" in capfd.readouterr().err
+
+    def test_numerics_errors_are_runtime_and_arithmetic_errors(self):
+        # main maps every ArithmeticError to exit 3; callers catching
+        # RuntimeError keep working
+        from spinmap.dynamics import GridGrowthError
+        from spinmap.specfun import QuadratureConvergenceError
+
+        for error in (QuadratureConvergenceError, GridGrowthError):
+            assert issubclass(error, RuntimeError) and issubclass(error, ArithmeticError)
 
     def test_overflow_maps_to_exit_three(self, tmp_path, capsys):
         # omega**11 in the Raman cross section overflows a float; the
@@ -364,7 +385,7 @@ class TestNumericsExitCode:
     def test_transient_computes_its_last_row_first(self, tmp_path, monkeypatch):
         # the panel count grows with tau, so the row at tau_max decides
         # whether the table can succeed: a table past the limit makes one call
-        from spinmap import cli
+        from spinmap import dynamics
 
         taus = []
 
@@ -372,7 +393,7 @@ class TestNumericsExitCode:
             taus.append(tau)
             return transient_variance(area, length, gamma, model, tau, **kwargs)
 
-        monkeypatch.setattr(cli.dynamics, "transient_variance", counting)
+        monkeypatch.setattr(dynamics, "transient_variance", counting)
         code, text = run_cli(["transient"], tmp_path, "dimensionless.alpha = 10\n"
                              "dimensionless.input = lorentzian\ndimensionless.b = 1e6\n")
         assert code == 3 and text == "" and taus == [10.0]

@@ -21,7 +21,9 @@ IN_BOUND = {
     ">= 1": lambda v: v >= 1,
     ">= 2": lambda v: v >= 2,
     "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
-    ">= 0, ascending": lambda v: all(a >= 0 for a in v) and list(v) == sorted(v),
+    "non-empty": lambda v: len(v) > 0,
+    "non-empty, >= 0, ascending": lambda v: (len(v) > 0 and all(a >= 0 for a in v)
+                                             and list(v) == sorted(v)),
     "flat or lorentzian": lambda v: v in ("flat", "lorentzian"),
     "durations > 0, powers >= 0": lambda v: all(d > 0 and p >= 0 for d, p in v),
 }
