@@ -21,7 +21,7 @@ import math
 import sys
 
 from . import teleport
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .model import DriveParams, MediumParams, check_feasibility, total_dephasing
 
 EXIT_OK = 0
@@ -29,6 +29,7 @@ EXIT_PHYSICS = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 
+SIMULATE_KERNEL_LEVELS = 3  # rungs of simulate's kernel study, halved from its grid
 VERIFY_KERNEL_LADDER = (100, 200, 400)
 VERIFY_KERNEL_ALPHA = 0.5
 VERIFY_KERNEL_TAU_MAX = 0.5
@@ -123,6 +124,12 @@ def cmd_simulate(cfg: RunConfig) -> tuple[list[str], int, list[str]]:
     gamma = total_dephasing(medium, drive)
     grid = dynamics.GridSpec(nz=cfg["grid.nz"], ntau=cfg["grid.ntau"],
                              tau_max=tau_max_gamma / gamma)
+    coupled = dynamics.PulseArea.from_drive(drive).max_rate() > 0.0
+    factor = 2 ** (SIMULATE_KERNEL_LEVELS - 1)
+    for key in ("grid.nz", "grid.ntau"):
+        if coupled and cfg[key] % factor:
+            raise ConfigError(key, f"must be divisible by {factor} for the "
+                                   f"{SIMULATE_KERNEL_LEVELS}-level kernel study, got {cfg[key]}")
 
     table, _report = dynamics.simulate_grid(medium, drive, grid, model)
     rows = [
@@ -135,9 +142,9 @@ def cmd_simulate(cfg: RunConfig) -> tuple[list[str], int, list[str]]:
     ]
     lines = _csv(["tau_gamma", "variance_norm", "eta"], rows)
 
-    if dynamics.PulseArea.from_drive(drive).max_rate() == 0.0:
+    if not coupled:
         return lines, EXIT_OK, ["convergence report: coupling off, kernel study skipped"]
-    study = dynamics.light_kernel_convergence(medium, drive, grid, levels=3)
+    study = dynamics.light_kernel_convergence(medium, drive, grid, levels=SIMULATE_KERNEL_LEVELS)
     report = ["convergence report (light kernel vs analytic, L2 relative):"]
     for (snz, sntau), err in zip(study.sizes, study.errors):
         report.append(f"  nz={snz} ntau={sntau} rel_l2={_fmt(err)}")

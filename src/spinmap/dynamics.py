@@ -58,10 +58,10 @@ noise is ever sampled.  Per step the update applies the exact decay factor
 e^{-Gamma dt} together with the one-step flow of the discrete coupling
 operator (a lower-triangular matrix exponential in closed form), and injected
 noise enters at its exponentially weighted mean arrival time inside the
-step.  Smooth variance functionals converge at second order under joint
-refinement (declared order 2); kernel tables are cell-averaged influence
-coefficients labeled at the left grid node and converge at first order.  A
-step that straddles a drive breakpoint takes its mean rate, which is all
+step (``_mean_arrival``).  Smooth variance functionals converge at second
+order under joint refinement (declared order 2); kernel tables are
+cell-averaged influence coefficients labeled at the left grid node and
+converge at first order.  A step that straddles a drive breakpoint takes its mean rate, which is all
 white input needs; the correlated part of lorentzian input enters through
 the step's mean drive amplitude, so ``_cell_correlator`` weights it by
 mean(sqrt r) / sqrt(mean r), which keeps the order at 2 wherever the
@@ -79,20 +79,23 @@ w exp(-(area since the run's end) T), against the run's field columns and,
 for the Langevin part, its Gramian, which the Toeplitz structure gives as
 outer products of the symbols summed along diagonals.  Rows and columns
 are O(nz) closed forms at any area (sums of the Laguerre symbol of
-``expm``), all evaluated from one table per call; no matrix exponential
-and no O(nz^3) product is formed.  Cost under one rate: O(ntau nz) for the
-table and the rows, O(ntau^2) for the kernel tables; each further run adds
+``expm``); no matrix exponential and no O(nz^3) product is formed.
+``_Discretization.propagate`` is one pass: it takes each run's arrays from
+one symbol table and releases the table before it builds any output
+(building while the table was alive ran up to 1.6x slower at n = 200 on
+one core of a 2-vCPU Xeon).  Cost under one rate: O(ntau nz) for the table
+and the rows, O(ntau^2) for the kernel tables; each further run adds
 O(ntau nz^2) for its columns and Gramian, and the light variance of every
 node against the input correlator is one BLAS product, O(ntau^3).  The
 dense loop that steps the full coefficient matrices is kept in the tests as
 the reference.
 
-``light_kernel_convergence`` runs the oracle on a ladder of grids halved
-from the given one and compares each light-kernel table with the continuum
-kernel (``light_kernel_reference``).  The reference is evaluated once, on
-the finest grid's nodes, and sliced for every coarser rung: halving scales
-dt by a power of two exactly, so a coarser rung's nodes are every 2nd, 4th,
-... fine node.
+``light_kernel_convergence`` makes the same pass, Langevin part off, on a
+ladder of grids halved from the given one and compares each light-kernel
+table with the continuum kernel (``light_kernel_reference``), evaluated
+once from the finest rung's discretization (area, dephasing, nodes) and
+sliced for every coarser rung: halving scales dt by a power of two
+exactly, so a coarser rung's nodes are every 2nd, 4th, ... fine node.
 """
 
 from __future__ import annotations
@@ -533,11 +536,17 @@ def _diagonal_cumsum(p: np.ndarray) -> np.ndarray:
 
 
 def _mean_arrival(rate: float, dt: float) -> float:
-    """Mean of sigma in [0, dt] under weight e^{-rate sigma}."""
+    """Mean of sigma in [0, dt] under weight e^{-rate sigma}: dt (1/x -
+    1/expm1(x)), x = rate dt.  Below x = 1/2, where that cancels, the series
+    1/2 - sum_k B_2k x^(2k-1) / (2k)! to x^15 (~1e-19 relative at 1/2)."""
     x = rate * dt
-    if x < 1e-6:
-        return dt / 2.0 * (1.0 - x / 6.0)
-    return (1.0 - (1.0 + x) * math.exp(-x)) / (rate * (1.0 - math.exp(-x)))
+    if x >= 0.5:
+        return dt * (1.0 / x - 1.0 / math.expm1(x))
+    series = 0.0
+    for b in (-3617 / 10670622842880000, 1 / 74724249600, -691 / 1307674368000,
+              1 / 47900160, -1 / 1209600, 1 / 30240, -1 / 720, 1 / 12):  # B_2k / (2k)!
+        series = series * (x * x) + b
+    return dt * (0.5 - x * series)
 
 
 def _cell_correlator(model: SqueezingModel, dt: float, rho: np.ndarray) -> np.ndarray:
@@ -571,7 +580,7 @@ def _cell_correlator(model: SqueezingModel, dt: float, rho: np.ndarray) -> np.nd
 
 class _Discretization:
     """Nodes, quadrature weights, per-step rates grouped into runs of equal
-    rate, the constants of one step, and the flows they make.
+    rate, and the constants of one step.
 
     Step k applies M_k = d exp(-x_k T), x_k = rate_k dt, injects the input
     cell k through v_k = phi sqrt(rate_k) exp(-rate_k s_field T) 1, and adds
@@ -582,8 +591,8 @@ class _Discretization:
 
     def __init__(self, medium: MediumParams, drive: DriveParams, grid: GridSpec):
         self.length = length = medium.length
-        gamma = total_dephasing(medium, drive)
-        area = PulseArea.from_drive(drive)
+        self.gamma = gamma = total_dephasing(medium, drive)
+        self.area = area = PulseArea.from_drive(drive)
 
         self.nz, self.ntau = nz, ntau = grid.nz, grid.ntau
         self.dz = dz = length / nz
@@ -617,40 +626,43 @@ class _Discretization:
         self.lang_amp = 1.0 - d * d  # vanishes with the dephasing, as the noise must
         self.coeff_bound = 4.0 * max(1.0, self.phi * math.sqrt(g_max))
 
-    @property
-    def run_ends(self) -> list[int]:
-        """Nodes where one run ends and the next begins."""
-        return [stop for _, stop, _ in self.runs[:-1]]
+    def propagate(self, langevin: bool = True):
+        """The light-kernel table, the field weights w c_field and, with
+        ``langevin``, the initial weights w c_init and the Langevin part
+        w sig w of every node (None without), from one symbol table.
 
-    def flows(self, origins, langevin: bool):
-        """Every contraction of exp(-x T) the tables need, from one symbol
-        table.  Run a covers steps start..stop-1 at rate r; q counts steps
-        back from its end, and a later node sees it only through the row
-        from node stop.
+        Run (start, stop, r) covers steps start..stop-1, q counts steps back
+        from its end, and a later node K sees the run only through the row
+        from its end; the row from node o is d^{K-o} w exp(-x T), x the area
+        from o to K (from node 0, w c_init).  The run's own nodes see its
+        field cells through the Toeplitz table of s[q] = (phi / dt) d^q
+        w exp(-y_q T) 1, y_q = r (q dt + s_field), and add up its Langevin
+        terms g[q] = d^{2q} |w exp(-y'_q T)|^2_{1/w}, y'_q = r (q dt + s_lang).
+        A later node takes the row times the field columns (phi / dt) d^q
+        exp(-y_q T) 1, and the row's quadratic form with the Gramian
+        sum_q H_q diag(1/w) H_q^T, H_q = d^q exp(-y'_q T): outer products of
+        the first columns, and of the symbols summed along diagonals.
 
-        rows[o][K - o] = d^{K-o} w exp(-x T), x the area from node o to K.
-        field[a] (None where r = 0, which injects nothing) = (s, cols):
-          s[q] = (phi / dt) d^q w exp(-y_q T) 1, y_q = r (q dt + s_field),
-          the light kernel of a cell q steps back inside the run, and
-          cols[:, q] the vectors (phi / dt) d^q exp(-y_q T) 1 behind it,
-          only where a later node needs them.
-        lang[a] = (g, e, c), with ``langevin``: g[q] = d^{2q}
-          |w exp(-y'_q T)|^2_{1/w}, y'_q = r (q dt + s_lang), and, where a
-          later node needs them, the symbols and first columns of
-          exp(-y'_q T), each scaled by d^q.
+        Each run's arrays are taken and the symbol and running-sum tables
+        released before any table is built.  Raises GridGrowthError at the
+        first node where a row (per coherence sample, r / w) or a field
+        weight (per unit length) leaves the coefficient bound; "not <="
+        counts a NaN left by overflow as growth.
         """
-        dt, dz, d, nz, w = self.dt, self.dz, self.d, self.nz, self.w
-        steps = [np.arange(stop - start) * dt for start, stop, _ in self.runs]
+        dt, dz, d, nz, ntau, w = self.dt, self.dz, self.d, self.nz, self.ntau, self.w
+        runs = self.runs
+        origins = ([0] if langevin else []) + [stop for _, stop, _ in runs[:-1]]
+        steps = [np.arange(stop - start) * dt for start, stop, _ in runs]
         parts = [self.node_t[o:] - self.node_t[o] for o in origins]
         if langevin:
-            parts += [rate * (q + self.s_lang) * dz for q, (_, _, rate) in zip(steps, self.runs)]
+            parts += [rate * (q + self.s_lang) * dz for q, (_, _, rate) in zip(steps, runs)]
         parts += [rate * (q + self.s_field) * dz if rate > 0 else q[:0]
-                  for q, (_, _, rate) in zip(steps, self.runs)]
+                  for q, (_, _, rate) in zip(steps, runs)]
         t = np.concatenate(parts)
         e = _symbols(t, nz)
         edges = np.cumsum([0, *map(len, parts)])
         blocks = [slice(a, b) for a, b in itertools.pairwise(edges)]
-        n_rows = len(origins) + (len(self.runs) if langevin else 0)
+        n_rows = len(origins) + (len(runs) if langevin else 0)
 
         def powers(b):  # d^q for the q-th area of part b
             return d ** np.arange(b.stop - b.start)
@@ -662,30 +674,55 @@ class _Discretization:
         # columns serve only the runs a later node follows: all but the last,
         # whose field and Langevin parts come last in their groups
         h = _running_sums(e[:, :edges[-2]].copy())
-        r_all = _rows(h[:, :edges[n_rows]], dz)
-        r_all *= np.concatenate([np.empty(0), *map(powers, blocks[:n_rows])])[:, None]
+        row_table = _rows(h[:, :edges[n_rows]], dz)
+        row_table *= np.concatenate([np.empty(0), *map(powers, blocks[:n_rows])])[:, None]
+        rows = {o: row_table[b] for o, b in zip(origins, blocks)}
         followed = slice(edges[n_rows], edges[-2])
-        cols_all = _cols(e[:, followed], h[:, followed], t[followed])
+        cols = _cols(e[:, followed], h[:, followed], t[followed])
         lang_followed = slice(edges[len(origins)], edges[n_rows - 1] if langevin else 0)
-        c_all = _first_column(e[:, lang_followed], t[lang_followed])
-
-        rows = {o: r_all[b] for o, b in zip(origins, blocks)}
-        field = []
-        for (_, stop, rate), b in zip(self.runs, blocks[n_rows:]):
+        firsts = _first_column(e[:, lang_followed], t[lang_followed])
+        field, lang = [], []
+        for (_, stop, _), b in zip(runs, blocks[n_rows:]):
             scale = (self.phi / dt) * powers(b)
-            field.append(None if rate == 0 else (
-                (dz * np.arange(nz, 0, -1.0)) @ e[:, b] * scale,  # w exp(-y T) 1
-                part(cols_all, b, followed) * scale if stop < self.ntau else None))
-        lang = []
-        for (_, stop, _), b in zip(self.runs, blocks[len(origins):n_rows]):
-            scale = powers(b)
-            g = r_all[b] ** 2 @ (1.0 / w)
-            if stop == self.ntau:
+            field.append(((dz * np.arange(nz, 0, -1.0)) @ e[:, b] * scale,  # w exp(-y T) 1
+                          part(cols, b, followed) * scale if stop < ntau else None))
+        for (_, stop, _), b in zip(runs, blocks[len(origins):n_rows]):
+            g = row_table[b] ** 2 @ (1.0 / w)
+            if stop == ntau:
                 lang.append((g, None, None))
                 continue
-            c = np.vstack([np.ones(len(scale)), part(c_all, b, lang_followed)])
+            scale = powers(b)
+            c = np.vstack([np.ones(len(scale)), part(firsts, b, lang_followed)])
             lang.append((g, e[:, b] * scale, c * scale))
-        return rows, field, lang
+        del e, h, cols, firsts
+
+        kernel = np.zeros((ntau + 1, ntau))
+        for (start, stop, rate), (s, c) in zip(runs, field):
+            if rate == 0:
+                continue
+            kernel[start + 1:stop + 1, start:stop] = _toeplitz(s, np.zeros(stop - start))
+            if stop < ntau:
+                kernel[stop + 1:, start:stop] = rows[stop][1:] @ c[:, ::-1]
+        field_weights = kernel * (dt * np.sqrt(self.rates))
+        bad = ~np.all(np.abs(field_weights) <= self.coeff_bound * self.length, axis=1)
+        for o, r in rows.items():
+            bad[o:] |= ~np.all(np.abs(r) <= self.coeff_bound * w, axis=1)
+        if bad.any():
+            raise GridGrowthError(f"influence coefficients diverged at step {np.argmax(bad)}")
+        if not langevin:
+            return kernel, field_weights, None, None
+
+        lang_part = np.zeros(ntau + 1)
+        for (start, stop, _), (g, s, c) in zip(runs, lang):
+            lang_part[start + 1:stop + 1] += np.cumsum(g)
+            if stop < ntau:
+                row = rows[stop][1:]
+                p = s @ s.T
+                gram = _diagonal_cumsum(p) / dz
+                gram[-1, -1] += p[0, 0] / dz  # the last node's half weight
+                lang_part[stop + 1:] += (np.sum((row @ c) ** 2, axis=1) / w[0]
+                                         + np.einsum("ij,ij->i", row[:, 1:] @ gram, row[:, 1:]))
+        return kernel, field_weights, rows[0], self.lang_amp * lang_part
 
     def table(self, init_weights, lang_part, light_part, light_kernel) -> KernelTable:
         """Assemble the tables from w c_init (init_weights), w sig w
@@ -705,57 +742,6 @@ class _Discretization:
         )
 
 
-def _light_kernel(disc: _Discretization, rows, field) -> tuple[np.ndarray, np.ndarray]:
-    """The light-kernel table and the field weights w c_field of every node.
-
-    The cells of a run see the run's own nodes through a Toeplitz table,
-    and every later node through the row from the run's end times the
-    run's columns.  Raises GridGrowthError at the first node where a row
-    (per coherence sample, r / w) or a field weight (per unit length)
-    leaves the coefficient bound; "not <=" counts a NaN left by overflow as
-    growth.
-    """
-    ntau = disc.ntau
-    kernel = np.zeros((ntau + 1, ntau))
-    for (start, stop, _), run in zip(disc.runs, field):
-        if run is None:
-            continue
-        s, cols = run
-        kernel[start + 1:stop + 1, start:stop] = _toeplitz(s, np.zeros(stop - start))
-        if cols is not None:
-            kernel[stop + 1:, start:stop] = rows[stop][1:] @ cols[:, ::-1]
-    field_weights = kernel * (disc.dt * np.sqrt(disc.rates))
-
-    bound = disc.coeff_bound
-    bad = ~np.all(np.abs(field_weights) <= bound * disc.length, axis=1)
-    for o, r in rows.items():
-        bad[o:] |= ~np.all(np.abs(r) <= bound * disc.w, axis=1)
-    if bad.any():
-        raise GridGrowthError(f"influence coefficients diverged at step {np.argmax(bad)}")
-    return kernel, field_weights
-
-
-def _langevin_part(disc: _Discretization, rows, lang) -> np.ndarray:
-    """w sig w at every node.  A run adds the cumulative sum of its own
-    terms g at its nodes, and at every later node the quadratic form of the
-    row from its end with the run's Gramian sum_q H_q diag(1/w) H_q^T.
-    Node 0 of each H_q gives the outer products of its first column; its
-    Toeplitz block gives those of its symbol summed along diagonals.
-    O(nz^2) per run and later node."""
-    w, dz = disc.w, disc.dz
-    part = np.zeros(disc.ntau + 1)
-    for (start, stop, _), (g, e, c) in zip(disc.runs, lang):
-        part[start + 1:stop + 1] += np.cumsum(g)
-        if c is not None:
-            rho = rows[stop][1:]
-            p = e @ e.T
-            gram = _diagonal_cumsum(p) / dz
-            gram[-1, -1] += p[0, 0] / dz  # the last node's half weight
-            part[stop + 1:] += (np.sum((rho @ c) ** 2, axis=1) / w[0]
-                                + np.einsum("ij,ij->i", rho[:, 1:] @ gram, rho[:, 1:]))
-    return disc.lang_amp * part
-
-
 def simulate_grid(
     medium: MediumParams,
     drive: DriveParams,
@@ -769,14 +755,13 @@ def simulate_grid(
     and GridGrowthError if any influence coefficient grows without bound.
     """
     disc = _Discretization(medium, drive, grid)
-    rows, field, lang = disc.flows([0, *disc.run_ends], langevin=True)
-    light_kernel, field_weights = _light_kernel(disc, rows, field)
+    light_kernel, field_weights, init_weights, lang_part = disc.propagate()
     if model.kind == "flat":
         weighted = (model.x0_sq / disc.dt) * field_weights
     else:
         weighted = field_weights @ _cell_correlator(model, disc.dt, disc.rho)
     light_part = np.einsum("ij,ij->i", weighted, field_weights)
-    table = disc.table(rows[0], _langevin_part(disc, rows, lang), light_part, light_kernel)
+    table = disc.table(init_weights, lang_part, light_part, light_kernel)
     return table, NoiseReport.from_parts(float(table.atom_part_trace[-1]),
                                          float(table.light_part_trace[-1]), model.noise_floor)
 
@@ -820,28 +805,22 @@ def light_kernel_convergence(
 
     Runs the oracle on ``levels`` grids obtained by halving the given grid,
     coarsest first, and measures the relative L2 error of the kernel table.
-    The continuum kernel is evaluated once, on the finest grid's nodes, and
-    a grid coarser by s takes every s-th row and column of it.
+    Every rung is discretized, and so checked against the stability bounds,
+    before any runs.  The continuum kernel is evaluated once, on the finest
+    grid's nodes, and a grid coarser by s takes every s-th row and column.
     """
     factor = 2 ** (levels - 1)
     if grid.nz % factor or grid.ntau % factor:
         raise GridConfigError(f"grid sizes must be divisible by {factor} for {levels} levels")
-    fine = light_kernel_reference(PulseArea.from_drive(drive), medium.length,
-                                  total_dephasing(medium, drive),
-                                  np.arange(grid.ntau + 1) * (grid.tau_max / grid.ntau))
-    sizes = []
+    discs = [_Discretization(medium, drive, GridSpec(grid.nz // s, grid.ntau // s, grid.tau_max))
+             for s in (2 ** k for k in range(levels - 1, -1, -1))]
+    finest = discs[-1]
+    fine = light_kernel_reference(finest.area, finest.length, finest.gamma, finest.tau)
     errors = []
-    for level in range(levels):
-        shrink = 2 ** (levels - 1 - level)
-        sub = GridSpec(nz=grid.nz // shrink, ntau=grid.ntau // shrink, tau_max=grid.tau_max)
-        disc = _Discretization(medium, drive, sub)
-        rows, field, _ = disc.flows(disc.run_ends, langevin=False)
-        kernel, _ = _light_kernel(disc, rows, field)
-        reference = fine[::shrink, ::shrink]
-        err = float(np.linalg.norm(kernel - reference) / np.linalg.norm(reference))
-        sizes.append((sub.nz, sub.ntau))
-        errors.append(err)
-    orders = tuple(
-        float(np.log2(errors[i] / errors[i + 1])) for i in range(levels - 1)
-    )
-    return ConvergenceStudy(sizes=tuple(sizes), errors=tuple(errors), orders=orders)
+    for disc in discs:
+        reference = fine[::grid.ntau // disc.ntau, ::grid.ntau // disc.ntau]
+        kernel = disc.propagate(langevin=False)[0]
+        errors.append(float(np.linalg.norm(kernel - reference) / np.linalg.norm(reference)))
+    orders = tuple(float(np.log2(a / b)) for a, b in itertools.pairwise(errors))
+    return ConvergenceStudy(sizes=tuple((disc.nz, disc.ntau) for disc in discs),
+                            errors=tuple(errors), orders=orders)

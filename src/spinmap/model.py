@@ -16,8 +16,10 @@ from typing import Sequence
 PI = math.pi
 C_LIGHT = 299792458.0              # speed of light [m/s], exact in SI
 HBAR = 6.62607015e-34 / (2.0 * PI)  # reduced Planck constant [J s]; h is exact in SI
-# absolute quadrature tolerance of the spectral and transient engines, kept in
-# this numpy-free module so the config table can default to it
+# absolute quadrature tolerance of the spectral engine and of the CLI
+# (tolerance.quad_abs, which the transient command passes on; called directly,
+# transient_variance defaults to 1e-10), kept in this numpy-free module so the
+# config table can default to it
 DEFAULT_SPECTRAL_TOL = 1e-9
 
 

@@ -219,7 +219,8 @@ class TestSimulateCommand:
         code, text = run_cli(
             ["simulate"], tmp_path,
             "dimensionless.alpha = 0\ndimensionless.x0_sq = 1\n"
-            "grid.nz = 40\ngrid.ntau = 40\ngrid.tau_max_gamma = 1.0\n",
+            # sizes the kernel ladder cannot halve: without coupling it never runs
+            "grid.nz = 202\ngrid.ntau = 42\ngrid.tau_max_gamma = 1.0\n",
         )
         assert code == 0
         for line in text.strip().split("\n")[1:]:
@@ -290,22 +291,35 @@ class TestCliErrors:
 
 
 class TestFailedRunWritesNothing:
-    """A run that exits 2 or 3 writes no table: simulate's kernel ladder
-    fails after its table is computed, and still nothing is written."""
+    """A run that exits 2 or 3 writes no table.  simulate rejects a grid
+    size its three-rung kernel ladder cannot halve, naming the key, before
+    the grid oracle runs; at alpha = 400 the ladder's coarsest rung breaks
+    the exchange bound only after the table is computed, and still nothing
+    is written."""
 
-    @pytest.mark.parametrize("text", [
+    @pytest.mark.parametrize("text, key", [
         # the three-rung ladder needs sizes divisible by 4
-        "dimensionless.alpha = 2\ngrid.nz = 202\n",
+        ("dimensionless.alpha = 2\ngrid.nz = 202\n", "grid.nz"),
+        ("dimensionless.alpha = 2\ngrid.ntau = 202\n", "grid.ntau"),
         # the coarsest rung of the default 200 x 200 grid breaks the exchange bound
-        "dimensionless.alpha = 400\n",
-    ], ids=["nz-202", "alpha-400"])
-    def test_simulate_ladder_failure(self, text, tmp_path, capsys):
+        ("dimensionless.alpha = 400\n", None),
+    ], ids=["nz-202", "ntau-202", "alpha-400"])
+    def test_simulate_ladder_failure(self, text, key, tmp_path, capsys, monkeypatch):
+        from spinmap import dynamics
+
+        def never(*args, **kwargs):
+            raise AssertionError("the grid oracle ran on a grid the ladder rejects")
+
+        if key is not None:  # rejected before any engine runs
+            monkeypatch.setattr(dynamics, "simulate_grid", never)
         code, _ = run_cli(["simulate"], tmp_path, text)
         assert code == 2 and not (tmp_path / "out.csv").exists()
         assert main(["simulate", "--config", str(tmp_path / "run.cfg")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("error:") == 2
+        if key is not None:
+            assert captured.err.count(repr(key)) == 2
 
 
 class TestNumericsExitCode:
@@ -439,6 +453,12 @@ BAD_VALUE_CASES = [
     ("efficiency", "physics.gamma_q_per_s = 0\n", "physics.gamma_q_per_s"),
     # zero saturation would make the Raman cross section singular
     ("feasibility", _example_with("physics.saturation", "0"), "physics.saturation"),
+    # grid forms: wrong arity, no points, a geometric sequence through zero
+    ("efficiency", "dimensionless.alpha_grid = logspace:0.01:1000\n", "dimensionless.alpha_grid"),
+    ("efficiency", "dimensionless.alpha_grid = linspace:0:1:0\n", "dimensionless.alpha_grid"),
+    ("efficiency", "dimensionless.alpha_grid = logspace:0:1:5\n", "dimensionless.alpha_grid"),
+    # lorentzian input needs b, declared or derived from the SI blocks
+    ("spectrum", "dimensionless.alpha = 1\ndimensionless.input = lorentzian\n", "dimensionless.b"),
 ]
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -18,7 +19,7 @@ from spinmap.dynamics import (
     transient_variance,
 )
 from spinmap.mapping import SqueezingModel, variance_closed, variance_spectral
-from spinmap.model import DriveParams, MediumParams
+from spinmap.model import DriveParams, MediumParams, total_dephasing
 from spinmap.specfun import (
     QuadratureConvergenceError,
     QuadratureResult,
@@ -364,6 +365,34 @@ class TestSimulateGrid:
         ref = light_kernel_reference(PulseArea.from_drive(drive), 1.0, 1.0, table.tau)
         err = np.linalg.norm(table.light_kernel - ref) / np.linalg.norm(ref)
         assert err < 4e-3
+
+    @pytest.mark.parametrize("drive", [
+        constant_drive(2.0),
+        DriveParams(g=2.0, gamma_s=0.1, tau_pulse=0.5,
+                    profile=((0.125, 1.0), (0.25, 0.5), (0.125, 0.8137))),
+    ], ids=["constant", "three-segment"])
+    def test_ladder_kernel_is_the_oracle_kernel(self, drive):
+        # the ladder runs the oracle with the Langevin part off, which must
+        # leave its finest rung's kernel bit for bit what simulate_grid returns
+        medium = unit_medium(gamma0=1.3, length=0.8)
+        grid = GridSpec(nz=40, ntau=48, tau_max=0.5)
+        table, _ = simulate_grid(medium, drive, grid, SqueezingModel.lorentzian(3.0, s=0.7))
+        ref = light_kernel_reference(PulseArea.from_drive(drive), medium.length,
+                                     total_dephasing(medium, drive), table.tau)
+        err = float(np.linalg.norm(table.light_kernel - ref) / np.linalg.norm(ref))
+        assert light_kernel_convergence(medium, drive, grid).errors[-1] == err
+
+    def test_mean_arrival_matches_mpmath(self):
+        # dt (1/x - 1/expm1(x)), x = rate dt, on both sides of the switch to
+        # the series at x = 1/2, against 50 digits
+        xs = [*np.geomspace(1e-10, 5.0, 400), 1e-6, 1.001e-6, np.nextafter(0.5, 0.0), 0.5]
+        with mpmath.workdps(50):
+            for dt in (1.0, 0.01):
+                for x in xs:
+                    rate = float(x) / dt
+                    exact = mpmath.mpf(rate) * dt
+                    exact = dt * (1 / exact - 1 / mpmath.expm1(exact))
+                    assert abs(dynamics._mean_arrival(rate, dt) / exact - 1) <= 1e-15, x
 
     @pytest.mark.parametrize("profile", [
         ((0.125, 1.0), (0.25, 0.5), (0.125, 0.8137)),  # the benchmark's profile ladder
