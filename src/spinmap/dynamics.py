@@ -600,13 +600,11 @@ class _Discretization:
 
         g_max = area.max_rate()
         if g_max * dt * dz > STABILITY_EXCHANGE_BOUND:
-            raise GridConfigError(
-                f"exchange bound violated: g*dt*dz = {g_max * dt * dz:.3g} > {STABILITY_EXCHANGE_BOUND}"
-            )
+            raise GridConfigError(f"exchange bound violated at nz={nz} ntau={ntau}: "
+                                  f"g*dt*dz = {g_max * dt * dz:.3g} > {STABILITY_EXCHANGE_BOUND}")
         if gamma * dt > STABILITY_DECAY_BOUND:
-            raise GridConfigError(
-                f"decay bound violated: Gamma*dt = {gamma * dt:.3g} > {STABILITY_DECAY_BOUND}"
-            )
+            raise GridConfigError(f"decay bound violated at nz={nz} ntau={ntau}: "
+                                  f"Gamma*dt = {gamma * dt:.3g} > {STABILITY_DECAY_BOUND}")
 
         self.z = np.linspace(0.0, length, nz + 1)
         self.tau = np.arange(ntau + 1) * dt

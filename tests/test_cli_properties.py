@@ -1,10 +1,12 @@
 """Every command exits with a documented code on generated configs, and
-never with a traceback (hypothesis, derandomized, in-process through
-``cli.main`` with small grids)."""
+never with a traceback, and verify's rows, summary and exit code agree
+(hypothesis, derandomized, in-process through ``cli.main`` with small
+grids)."""
 
 import os
 from pathlib import Path
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -81,10 +83,10 @@ def configs(draw):
 FAST = ["efficiency", "spectrum", "transient", "simulate", "teleport", "feasibility"]
 
 
-def run(command, config, tmp):
+def run(command, config, tmp, out=os.devnull):
     path = tmp / f"{command}.cfg"
     path.write_text("".join(f"{key} = {text}\n" for key, text in config.items()))
-    code = cli.main([command, "--config", str(path), "--out", os.devnull])
+    code = cli.main([command, "--config", str(path), "--out", str(out)])
     event(f"{command} exit {code}")
     return code
 
@@ -98,4 +100,26 @@ def test_commands_exit_with_a_documented_code(tmp_path_factory, command, config)
 @settings(derandomize=True, deadline=None, max_examples=10)
 @given(config=configs())
 def test_verify_exits_with_a_documented_code(tmp_path_factory, config):
-    assert run("verify", config, tmp_path_factory.getbasetemp()) in EXIT_CODES
+    # the acceptance criteria trust verify's rows: on a config that loads,
+    # each row's error and pass flag, the summary and the exit code follow
+    # from the values the checks return
+    tmp = tmp_path_factory.getbasetemp()
+    checks = []
+    verify_checks = cli._verify_checks
+
+    def recording(cfg):
+        checks.extend(verify_checks(cfg))
+        return checks
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_verify_checks", recording)
+        code = run("verify", config, tmp, out=tmp / "verify.csv")
+    assert code in EXIT_CODES
+    if checks:
+        for _, _, value, reference, error, tolerance, ok in checks:
+            assert error == abs(value - reference) and ok == (error <= tolerance)
+        n_pass = sum(ok for *_, ok in checks)
+        summary = (tmp / "verify.csv").read_text().splitlines()[-1].split(",")
+        assert summary[1] == f"{n_pass}/{len(checks)}"
+        assert summary[-1] == cli._fmt(n_pass == len(checks))
+        assert code == (cli.EXIT_OK if n_pass == len(checks) else cli.EXIT_PHYSICS)

@@ -292,34 +292,31 @@ class TestCliErrors:
 
 class TestFailedRunWritesNothing:
     """A run that exits 2 or 3 writes no table.  simulate rejects a grid
-    size its three-rung kernel ladder cannot halve, naming the key, before
-    the grid oracle runs; at alpha = 400 the ladder's coarsest rung breaks
-    the exchange bound only after the table is computed, and still nothing
-    is written."""
+    its three-rung kernel ladder cannot use before the grid oracle runs: a
+    size the ladder cannot halve, naming the key, and at alpha = 400 a
+    coarsest rung that breaks the exchange bound, naming that rung's grid."""
 
-    @pytest.mark.parametrize("text, key", [
+    @pytest.mark.parametrize("text, named", [
         # the three-rung ladder needs sizes divisible by 4
-        ("dimensionless.alpha = 2\ngrid.nz = 202\n", "grid.nz"),
-        ("dimensionless.alpha = 2\ngrid.ntau = 202\n", "grid.ntau"),
+        ("dimensionless.alpha = 2\ngrid.nz = 202\n", "'grid.nz'"),
+        ("dimensionless.alpha = 2\ngrid.ntau = 202\n", "'grid.ntau'"),
         # the coarsest rung of the default 200 x 200 grid breaks the exchange bound
-        ("dimensionless.alpha = 400\n", None),
+        ("dimensionless.alpha = 400\n", "nz=50 ntau=50"),
     ], ids=["nz-202", "ntau-202", "alpha-400"])
-    def test_simulate_ladder_failure(self, text, key, tmp_path, capsys, monkeypatch):
+    def test_simulate_ladder_failure(self, text, named, tmp_path, capsys, monkeypatch):
         from spinmap import dynamics
 
         def never(*args, **kwargs):
             raise AssertionError("the grid oracle ran on a grid the ladder rejects")
 
-        if key is not None:  # rejected before any engine runs
-            monkeypatch.setattr(dynamics, "simulate_grid", never)
+        monkeypatch.setattr(dynamics, "simulate_grid", never)
         code, _ = run_cli(["simulate"], tmp_path, text)
         assert code == 2 and not (tmp_path / "out.csv").exists()
         assert main(["simulate", "--config", str(tmp_path / "run.cfg")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("error:") == 2
-        if key is not None:
-            assert captured.err.count(repr(key)) == 2
+        assert captured.err.count(named) == 2
 
 
 class TestNumericsExitCode:

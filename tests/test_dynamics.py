@@ -184,14 +184,6 @@ class TestTransientVariance:
         assert rep.variance_norm == 1.0
         assert rep.light_part == 0.0
 
-    def test_steady_state_limit(self):
-        for alpha in (1.0, 10.0):
-            rep = transient_variance(
-                PulseArea.constant(alpha), 1.0, 1.0, SqueezingModel.flat(0.0), 10.0
-            )
-            closed = variance_closed(alpha, 0.0).variance_norm
-            assert abs(rep.variance_norm - closed) < 1e-3
-
     def test_drive_off_keeps_vacuum(self):
         area = PulseArea.constant(0.0)
         for x0_sq in (0.0, 1.0, 3.0):
@@ -494,12 +486,12 @@ class TestSimulateGrid:
 
     def test_stability_bounds_enforced(self):
         medium = unit_medium()
-        with pytest.raises(GridConfigError):
+        with pytest.raises(GridConfigError, match=r"exchange .* at nz=10 ntau=20: g\*dt\*dz"):
             simulate_grid(medium, constant_drive(1e5),
-                          GridSpec(nz=10, ntau=10, tau_max=1.0), SqueezingModel.flat(1.0))
-        with pytest.raises(GridConfigError):
-            simulate_grid(medium, constant_drive(1.0),
-                          GridSpec(nz=10, ntau=10, tau_max=100.0), SqueezingModel.flat(1.0))
+                          GridSpec(nz=10, ntau=20, tau_max=1.0), SqueezingModel.flat(1.0))
+        with pytest.raises(GridConfigError, match=r"decay .* at nz=20 ntau=10: Gamma\*dt"):
+            simulate_grid(medium, constant_drive(1e-3),
+                          GridSpec(nz=20, ntau=10, tau_max=100.0), SqueezingModel.flat(1.0))
 
     @pytest.mark.parametrize("profile, distinct_rates", [
         ((), 1),

@@ -3,7 +3,7 @@ fixed point, each engine at its own tolerance, and the efficiency rising
 with the optical depth (hypothesis, derandomized)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinmap.dynamics import GridSpec, simulate_grid
@@ -16,8 +16,8 @@ from spinmap.mapping import (
 )
 from spinmap.model import DriveParams, MediumParams
 
-GRID_N = 200            # acceptance criterion 2's grid, nz = ntau
-GRID_VACUUM_TOL = 5e-3  # acceptance criterion 2's and verify's grid tolerance
+GRID_N = 200            # verify's default grid, nz = ntau
+GRID_VACUUM_TOL = 5e-3  # verify's grid_vacuum tolerance, which acceptance criterion 2 reads
 
 # input at the vacuum level: flat at 1, or a lorentzian without squeezing
 vacuum_inputs = st.one_of(
@@ -44,8 +44,17 @@ def vacuum_runs(draw):
     return alpha, drive, tau_max, draw(vacuum_inputs)
 
 
+def constant_run(alpha):
+    """Flat vacuum input under constant drive up to tau = 1/Gamma."""
+    return alpha, DriveParams(g=alpha, gamma_s=0.0, tau_pulse=2.0), 1.0, SqueezingModel.flat(1.0)
+
+
+# the depths verify's rows leave out: the spectral engine at alpha = 0, and
+# the grid on its default 200 x 200 grid at alpha = 0 and 50
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(vacuum_runs())
+@example(constant_run(0.0))
+@example(constant_run(50.0))
 def test_vacuum_input_gives_unit_variance_from_every_engine(run):
     alpha, drive, tau_max, model = run
     if model.kind == "flat":
