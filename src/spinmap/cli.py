@@ -11,7 +11,8 @@ Exit codes: 0 success / all checks pass, 1 physics-check failure,
 overflow).
 
 Only numpy-free modules load with this one; a command imports numpy and the
-engines where it starts, so ``teleport`` and ``feasibility`` never do.
+engines where it starts, so ``efficiency``, ``spectrum``, ``teleport`` and
+``feasibility`` never do.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ SIMULATE_KERNEL_LEVELS = 3  # rungs of simulate's kernel study, halved from its 
 VERIFY_KERNEL_LADDER = (100, 200, 400)
 VERIFY_KERNEL_ALPHA = 0.5
 VERIFY_KERNEL_TAU_MAX = 0.5
+# (alpha, b) of verify's lorentzian rows: both branches of the series, b < 1,
+# b = 1 (rho = 0) and b > 1
+LORENTZIAN_SPECTRAL_POINTS = ((0.5, 3.0), (5.0, 1.0), (50.0, 0.5), (500.0, 50.0))
+LORENTZIAN_TRANSIENT_POINTS = ((5.0, 0.5), (20.0, 3.0))
+LORENTZIAN_TOL = 2e-9
 
 
 def _fmt(value) -> str:
@@ -63,14 +69,13 @@ def cmd_efficiency(cfg: RunConfig) -> tuple[list[str], int]:
     from . import mapping
 
     grid = cfg["dimensionless.alpha_grid"]
-    tol = cfg["tolerance.quad_abs"]
     b_list = [float(b) for b in cfg["dimensionless.b_list"]]
     models = [mapping.SqueezingModel.flat(0.0)] + [
         mapping.SqueezingModel.lorentzian(gamma_q=b, s=cfg["dimensionless.s"]) for b in b_list
     ]
 
     header = ["alpha", "eta_flat"] + [f"eta_b{_fmt(b)}" for b in b_list]
-    columns = [[eta for _, eta in mapping.efficiency_curve(grid, model, tol=tol)]
+    columns = [[eta for _, eta in mapping.efficiency_curve(grid, model)]
                for model in models]
     rows = [[float(a), *(col[i] for col in columns)] for i, a in enumerate(grid)]
     return _csv(header, rows), EXIT_OK
@@ -208,6 +213,24 @@ def _verify_checks(cfg: RunConfig):
     for alpha in (0.5, 5.0, 50.0, 500.0):
         spectral = mapping.variance_spectral(alpha, mapping.SqueezingModel.flat(1.0), tol=tol)
         add("spectral_vacuum", f"alpha={_fmt(alpha)}", spectral.variance_norm, 1.0, 1e-6)
+
+    # lorentzian input: the closed-form series against the spectral engine and
+    # against the transient engine's steady state at Gamma tau = 20 (e^{-40}
+    # of the transient left), ideal squeezing; both engines hold each of their
+    # two parts to tolerance.quad_abs, 1e-9 by default, so LORENTZIAN_TOL is
+    # their budget at the default (measured: <= 3e-14 at every tolerance.quad_abs
+    # from 1e-3 to 1e-16)
+    for alpha, b in LORENTZIAN_SPECTRAL_POINTS:
+        model = mapping.SqueezingModel.lorentzian(b, s=1.0)
+        add("lorentzian_spectral", f"alpha={_fmt(alpha)} b={_fmt(b)}",
+            mapping.variance_spectral(alpha, model, tol=tol).variance_norm,
+            1.0 - mapping.eta_lorentzian(alpha, b), LORENTZIAN_TOL)
+    for alpha, b in LORENTZIAN_TRANSIENT_POINTS:
+        model = mapping.SqueezingModel.lorentzian(b, s=1.0)
+        rep = dynamics.transient_variance(dynamics.PulseArea.constant(alpha), 1.0, 1.0, model,
+                                          20.0, tol=tol)
+        add("lorentzian_transient", f"alpha={_fmt(alpha)} b={_fmt(b)}", rep.variance_norm,
+            1.0 - mapping.eta_lorentzian(alpha, b), LORENTZIAN_TOL)
 
     # transient engine: steady state and vacuum passthrough
     for alpha in (1.0, 10.0):

@@ -16,7 +16,10 @@ Engines run from the dimensionless block; the SI blocks feed the feasibility
 checks and may be used to derive dimensionless values.  When a quantity is
 given both ways the two must agree to one part in 1e9 or the run aborts.
 
-Only a grid value needs numpy, so a run that reads no grid never imports it.
+Grids are lists of Python floats, so loading a config never imports numpy:
+``linspace`` repeats numpy's ``linspace`` operation for operation, and
+``logspace`` computes what numpy's ``geomspace`` does, 10 ** linspace(log10
+lo, log10 hi) with exact ends, on libm's log10 and pow.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from .model import (DEFAULT_SPECTRAL_TOL, AtomicPhysics, DriveParams, MediumPara
 from .teleport import DEFAULT_R_THRESHOLD
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .mapping import SqueezingModel
 
 SI_AGREEMENT_RTOL = 1e-9
@@ -93,7 +94,7 @@ def _numbers(value) -> list:
         return [value]
     if isinstance(value, tuple):  # a profile's (duration, power) segments
         return [x for segment in value for x in segment]
-    return value.tolist()
+    return value
 
 
 _BOUNDS = {
@@ -154,24 +155,48 @@ def _parse_int(text: str, key: str) -> int:
         raise ConfigError(key, f"not an integer: {text!r}") from None
 
 
-def _parse_grid(text: str, key: str) -> np.ndarray:
-    import numpy as np
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """numpy's linspace(lo, hi, n), operation for operation: i * step + lo,
+    or (i / (n - 1)) * (hi - lo) + lo where the step rounds to 0, and hi last."""
+    delta = hi - lo
+    if n == 1:
+        return [0.0 * delta + lo]
+    step = delta / (n - 1)
+    if step == 0.0:
+        grid = [i / (n - 1) * delta + lo for i in range(n)]
+    else:
+        grid = [i * step + lo for i in range(n)]
+    grid[-1] = hi
+    return grid
 
+
+def _parse_grid(text: str, key: str) -> list[float]:
     parts = text.split(":")
-    if parts[0] in ("logspace", "linspace"):
-        if len(parts) != 4:
-            raise ConfigError(key, f"expected {parts[0]}:lo:hi:n")
-        lo, hi = _parse_float(parts[1], key), _parse_float(parts[2], key)
-        n = _parse_int(parts[3], key)
-        if n < 1:
-            raise ConfigError(key, "grid size must be at least 1")
-        fn = np.geomspace if parts[0] == "logspace" else np.linspace
-        try:
-            with np.errstate(all="ignore"):  # non-finite results are rejected by _typed
-                return fn(lo, hi, n)
-        except ValueError as exc:
-            raise ConfigError(key, str(exc)) from None
-    return np.array([_parse_float(p, key) for p in text.split(",") if p.strip() != ""])
+    if parts[0] not in ("logspace", "linspace"):
+        return [_parse_float(p, key) for p in text.split(",") if p.strip() != ""]
+    if len(parts) != 4:
+        raise ConfigError(key, f"expected {parts[0]}:lo:hi:n")
+    lo, hi = _parse_float(parts[1], key), _parse_float(parts[2], key)
+    n = _parse_int(parts[3], key)
+    if n < 1:
+        raise ConfigError(key, "grid size must be at least 1")
+    if parts[0] == "logspace" and (lo == 0.0 or hi == 0.0):
+        raise ConfigError(key, "Geometric sequence cannot include zero")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(key, f"must be finite, got {text!r}")
+    if parts[0] == "linspace":
+        return _linspace(lo, hi, n)
+    if (lo < 0.0) != (hi < 0.0):
+        raise ConfigError(key, "Geometric sequence cannot change sign")
+    # numpy's geomspace: the grid of |lo|..|hi|, its ends exact, times the sign
+    sign = math.copysign(1.0, lo)
+    lo, hi = lo * sign, hi * sign
+    try:
+        inner = [10.0 ** e for e in _linspace(math.log10(lo), math.log10(hi), n)[1:-1]]
+    except OverflowError:  # an inner point rounded past the largest float
+        raise ConfigError(key, f"must be finite, got {text!r}") from None
+    grid = [lo, *inner, hi][:n]
+    return [sign * g for g in grid]
 
 
 def _parse_profile(text: str, key: str) -> tuple[tuple[float, float], ...]:

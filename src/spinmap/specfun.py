@@ -1,4 +1,8 @@
-"""Special functions and quadrature used by every engine, in numpy alone.
+"""Special functions and quadrature used by every engine.
+
+The scalar functions (``scaled_bessel_i``, ``scaled_bessel_i_sequence``)
+run on Python floats, so a command that needs no array never imports numpy;
+the vectorized ones import numpy where they start.
 
 Bessel functions of the first kind come from one vectorized evaluation of
 the exchange kernels J0(2 sqrt(y)) and sqrt(1/y) J1(2 sqrt(y))
@@ -17,12 +21,15 @@ equation.  The tables are built at first use (~2 ms).  Their coefficients
 are at most 1/(m!)^2, so the truncation error is below (1/8)^8 / (8!)^2
 ~ 4e-17, and the evaluation is accurate to a few units of 1e-16 absolute.
 Beyond ASYMPTOTIC_FROM Hankel's asymptotic series (Abramowitz & Stegun
-9.2.5) takes over.  The modified Bessel functions are only ever exposed in
-exponentially scaled form e^{-x} I_n(x) (``scaled_bessel_i``, both orders
-from one call), from the positive-term power series times e^{-x} below
+9.2.5) takes over; its coefficients are one plain-Python table, which the
+vectorized series wraps in an array.  The modified Bessel functions are only
+ever exposed in exponentially scaled form e^{-x} I_n(x), so optical depths
+up to 1e6 never overflow: orders 0 and 1 from one call of
+``scaled_bessel_i``, from the positive-term power series times e^{-x} below
 ASYMPTOTIC_FROM and the asymptotic series A&S 9.7.1 above (the
-coefficients of 9.2.5 at -1/x^2), so optical depths up to 1e6 never
-overflow.
+coefficients of 9.2.5 at -1/x^2); every order at once from
+``scaled_bessel_i_sequence``, Miller's backward recurrence normalized by
+e^x = I0 + 2 sum_{n>=1} I_n (A&S 9.6.34 at theta = 0).
 
 ``integrate_adaptive`` is a globally adaptive Gauss-Legendre rule for
 vectorized integrands over the half-line [0, inf), mapped onto the unit
@@ -46,10 +53,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class QuadratureConvergenceError(RuntimeError, ArithmeticError):
@@ -106,6 +115,8 @@ def _taylor_coefficients() -> np.ndarray:
     a_{m+2} = -((m + 1)(m + b) a_{m+1} + a_m) / (c (m + 1)(m + 2)).  About
     c = 0 they are the power series (-1)^m / (m! (b)_m).
     """
+    import numpy as np
+
     theta = (np.arange(MIDPOINT_NODES) + 0.5) * (np.pi / MIDPOINT_NODES)
     centers = np.arange(TABLE_END * PIECES_PER_UNIT + 1.0) / PIECES_PER_UNIT
     c = centers[1:]
@@ -128,25 +139,40 @@ def _taylor_coefficients() -> np.ndarray:
 def _taylor_table(orders: tuple[int, ...]) -> np.ndarray:
     """The coefficients of the orders asked for, laid out [m // 4, m % 4, n, k]
     for evaluation in h^4."""
+    import numpy as np
+
     table = _taylor_coefficients()[:, list(orders)]
     table = np.ascontiguousarray(table.reshape(TAYLOR_TERMS // 4, 4, *table.shape[1:]))
     table.flags.writeable = False
     return table
 
 
-@functools.lru_cache(maxsize=None)
-def _asymptotic_coefficients() -> tuple[np.ndarray, np.ndarray]:
+def _asymptotic_coefficients() -> tuple[tuple[tuple[float, float], ...], ...]:
     """Coefficients of P and Q in A&S 9.2.5 as polynomials in 1/x^2, highest
-    power first, one column per order: a_k = prod_{j <= k} (mu - (2j - 1)^2)
-    / (k! 8^k), mu = 4 n^2; P = sum (-1)^k a_{2k} / x^{2k}, Q x = sum (-1)^k
-    a_{2k+1} / x^{2k}.  A&S 9.7.1 for I_n sums the same a_k without the signs,
-    so it is P - Q at -1/x^2 in place of 1/x^2."""
-    mu = 4.0 * np.arange(2.0) ** 2
-    a = np.ones((ASYMPTOTIC_TERMS, 2))
+    power first, one (order 0, order 1) pair per power: a_k = prod_{j <= k}
+    (mu - (2j - 1)^2) / (k! 8^k), mu = 4 n^2; P = sum (-1)^k a_{2k} / x^{2k},
+    Q x = sum (-1)^k a_{2k+1} / x^{2k}.  A&S 9.7.1 for I_n sums the same a_k
+    without the signs, so it is P - Q at -1/x^2 in place of 1/x^2."""
+    a = [(1.0, 1.0)]
     for k in range(1, ASYMPTOTIC_TERMS):
-        a[k] = a[k - 1] * (mu - (2 * k - 1) ** 2) / (8.0 * k)
-    signs = (-1.0) ** np.arange(ASYMPTOTIC_TERMS // 2)[:, None]
-    return (signs * a[0::2])[::-1].copy(), (signs * a[1::2])[::-1].copy()
+        a.append(tuple(c * (mu - (2 * k - 1) ** 2) / (8.0 * k) for c, mu in zip(a[-1], (0.0, 4.0))))
+    signed = [tuple((-1.0) ** (k // 2) * c for c in row) for k, row in enumerate(a)]
+    return tuple(signed[0::2][::-1]), tuple(signed[1::2][::-1])
+
+
+ASYMPTOTIC_COEFFICIENTS = _asymptotic_coefficients()  # (P, Q) of A&S 9.2.5
+
+
+@functools.lru_cache(maxsize=None)
+def _hankel_coefficients(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """ASYMPTOTIC_COEFFICIENTS of the orders asked for, as arrays laid out
+    [power, n, 1] for the vectorized series."""
+    import numpy as np
+
+    arrays = tuple(np.array(table)[:, list(orders), None] for table in ASYMPTOTIC_COEFFICIENTS)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def _taylor(y: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
@@ -154,9 +180,9 @@ def _taylor(y: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
     p_0 + h p_1 + h^2 p_2 + h^3 p_3 with p_r the terms m = r mod 4, each a
     polynomial in h^4 whose coefficients are gathered one power at a time."""
     scaled = y * PIECES_PER_UNIT
-    centers = np.rint(scaled)
+    centers = scaled.round()  # half to even, as rint
     h = (scaled - centers) * (1.0 / PIECES_PER_UNIT)
-    centers = centers.astype(np.intp)
+    centers = centers.astype("intp")
     table = _taylor_table(orders)  # [m // 4, m % 4, n, k]
     h2 = h * h
     h4 = h2 * h2
@@ -173,7 +199,9 @@ def _hankel(x: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
     """A&S 9.2.5: J_n(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi),
     chi = x - (n/2 + 1/4) pi.  chi is rounded to double as cephes rounds it,
     so at large x the absolute error grows like 1e-16 sqrt(x)."""
-    p_coeffs, q_coeffs = (c[:, list(orders), None] for c in _asymptotic_coefficients())
+    import numpy as np
+
+    p_coeffs, q_coeffs = _hankel_coefficients(orders)
     y = 1.0 / (x * x)
     p = np.zeros((len(orders), len(x)))
     q = np.zeros_like(p)
@@ -189,6 +217,8 @@ def _hankel(x: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
 def _kernels(y: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
     if not y.size or y.max() < TABLE_END:
         return _taylor(y, orders)
+    import numpy as np
+
     far = y >= TABLE_END
     out = np.empty((len(orders), y.size))
     out[:, ~far] = _taylor(y[~far], orders)
@@ -205,6 +235,8 @@ def bessel_kernels(y, orders: tuple[int, ...] = (0, 1)) -> np.ndarray:
     (order 1, 1 at y = 0) for the orders asked for, stacked along a new first
     axis.  y is an array of finite nonnegative values, evaluated in blocks of
     BESSEL_BLOCK so the temporaries stay in cache."""
+    import numpy as np
+
     orders = tuple(orders)
     y = np.asarray(y, dtype=float)
     flat = y.reshape(-1)
@@ -236,20 +268,48 @@ def scaled_bessel_i(x: float) -> tuple[float, float]:
             scaled.append(total * math.exp(-x))
         return scaled[0], scaled[1]
     # A&S 9.7.1: e^{-x} I_n(x) sqrt(2 pi x) ~ sum_k (-1)^k a_k / x^k with the
-    # a_k of 9.2.5, that is P_n(-1/x^2) - Q_n(-1/x^2) / x; Python floats,
-    # since a numpy Horner loop costs ~10x more at this size
+    # a_k of 9.2.5, that is P_n(-1/x^2) - Q_n(-1/x^2) / x
     y = -1.0 / (x * x)
     p0 = p1 = q0 = q1 = 0.0
-    for (pc0, pc1), (qc0, qc1) in zip(*(c.tolist() for c in _asymptotic_coefficients())):
+    for (pc0, pc1), (qc0, qc1) in zip(*ASYMPTOTIC_COEFFICIENTS):
         p0, p1, q0, q1 = p0 * y + pc0, p1 * y + pc1, q0 * y + qc0, q1 * y + qc1
     scale = 1.0 / math.sqrt(2.0 * math.pi * x)
     return (p0 - q0 / x) * scale, (p1 - q1 / x) * scale
 
 
+def scaled_bessel_i_sequence(x: float) -> list[float]:
+    """e^{-x} I_n(x) for n = 0, 1, ..., N, x > 0, with N = 20 + floor(sqrt(80 x)).
+
+    Miller's backward recurrence I_{n-1} = (2n/x) I_n + I_{n+1}, started at
+    N from I_{N+1} = 0 and I_N = 1, normalized by e^x = I0 + 2 sum_{n>=1} I_n
+    summed exactly (``math.fsum``).  For n << x, I_n / I_0 ~ e^{-n^2 / 2x},
+    so the orders past N hold less than e^{-40} of the sum, and at small x
+    the orders past 20 are below (x/2)^20 / 20!.  The start's error is large
+    only on orders that small: every value is within 1e-15 of e^{-x} I_0,
+    and within 4e-15 relative where it exceeds 1e-10 of it.
+    """
+    x = _check_finite(x, "x")
+    if not x > 0:
+        raise ValueError(f"the scaled Bessel I sequence requires x > 0, got {x}")
+    top = 20 + int(math.sqrt(80.0 * x))
+    values = [0.0] * (top + 1)
+    later, value = 0.0, 1.0
+    scale = 2.0 / x
+    for n in range(top, 0, -1):
+        values[n] = value
+        later, value = value, n * scale * value + later
+        if value > 1e200:  # only below x ~ 1e-13: rescale what the sum would overflow
+            values = [v * 1e-200 for v in values]
+            later, value = later * 1e-200, value * 1e-200
+    values[0] = value
+    norm = 2.0 * math.fsum(values) - value
+    return [v / norm for v in values]
+
+
 PANEL_NODES = 16     # Gauss-Legendre nodes per panel
 INITIAL_PANELS = 16  # panels of the adaptive rule's first pass
 PANEL_LIMIT = 500    # panels the adaptive rule may bisect to before giving up
-ROUND_OFF = 64 * np.finfo(float).eps  # round-off floor per unit of the integral of |f|
+ROUND_OFF = 64 * sys.float_info.epsilon  # round-off floor per unit of the integral of |f|
 
 
 def within_budget(result: QuadratureResult, magnitude: float, tol: float) -> bool:
@@ -262,6 +322,8 @@ def within_budget(result: QuadratureResult, magnitude: float, tol: float) -> boo
 
 def _legendre_p(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_n(x) and P_n'(x) from the three-term recurrence."""
+    import numpy as np
+
     p0, p1 = np.ones_like(x), x
     for m in range(2, n + 1):
         p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
@@ -278,6 +340,8 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     calls no LAPACK routine, whose first call costs the process about 1 MB
     of resident memory.
     """
+    import numpy as np
+
     x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
     for _ in range(8):  # quadratic convergence from these guesses
         p, dp = _legendre_p(n, x)
@@ -292,6 +356,8 @@ def gauss_panels(lo, hi, nodes: int | None = None) -> tuple[np.ndarray, np.ndarr
     """Nodes and weights of the ``nodes``-point Gauss-Legendre rule
     (``PANEL_NODES`` by default) on every interval [lo, hi]; lo and hi
     broadcast, and the nodes of each interval run along a new last axis."""
+    import numpy as np
+
     x, w = _legendre(PANEL_NODES if nodes is None else nodes)
     lo = np.asarray(lo, dtype=float)[..., None]
     width = np.asarray(hi, dtype=float)[..., None] - lo
@@ -300,6 +366,8 @@ def gauss_panels(lo, hi, nodes: int | None = None) -> tuple[np.ndarray, np.ndarr
 
 def _halve(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The left halves of the panels [lo, hi], then their right halves."""
+    import numpy as np
+
     mid = (lo + hi) / 2.0
     return np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
@@ -316,6 +384,8 @@ def _unit_nodes(lo, hi) -> tuple[np.ndarray, np.ndarray]:
 def _first_pass(panels: int) -> tuple[np.ndarray, np.ndarray]:
     """``_unit_nodes`` of the adaptive rule's first pass: ``panels`` equal
     panels of the unit interval whole, then their left and right halves."""
+    import numpy as np
+
     edges = np.linspace(0.0, 1.0, panels + 1)
     left, right = _halve(edges[:-1], edges[1:])
     x, w = _unit_nodes(np.concatenate([edges[:-1], left]), np.concatenate([edges[1:], right]))
@@ -345,6 +415,7 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], tol: float) -> Qua
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    import numpy as np
 
     def panel_sums(nodes, weights):
         # integrals of f and |f| on every panel, from one call of f

@@ -456,6 +456,16 @@ BAD_VALUE_CASES = [
     ("efficiency", "dimensionless.alpha_grid = logspace:0:1:5\n", "dimensionless.alpha_grid"),
     # lorentzian input needs b, declared or derived from the SI blocks
     ("spectrum", "dimensionless.alpha = 1\ndimensionless.input = lorentzian\n", "dimensionless.b"),
+    # grid forms: a geometric sequence across zero, for any size (two points
+    # passed while numpy built the grids), non-finite bounds, a logspace of no points
+    ("efficiency", "dimensionless.alpha_grid = logspace:-1:10:5\n", "dimensionless.alpha_grid"),
+    ("spectrum", "dimensionless.alpha = 1\ndimensionless.x_grid = logspace:-1:1:2\n",
+     "dimensionless.x_grid"),
+    ("efficiency", "dimensionless.alpha_grid = logspace:0.01:inf:5\n",
+     "dimensionless.alpha_grid"),
+    ("spectrum", "dimensionless.alpha = 1\ndimensionless.x_grid = linspace:nan:1:3\n",
+     "dimensionless.x_grid"),
+    ("efficiency", "dimensionless.alpha_grid = logspace:1:10:0\n", "dimensionless.alpha_grid"),
 ]
 
 

@@ -1,10 +1,13 @@
 """The config key table: every loaded value is finite and in bounds, every
-bad value is named by its key, and the README documents exactly the table's
-keys.  The README's library sketch runs as written."""
+bad value is named by its key, the plain-Python grids are numpy's, and the
+README documents exactly the table's keys.  The README's library sketch runs
+as written."""
 
+import math
 import re
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,7 @@ IN_BOUND = {
     "flat or lorentzian": lambda v: v in ("flat", "lorentzian"),
     "durations > 0, powers >= 0": lambda v: all(d > 0 and p >= 0 for d, p in v),
 }
-TYPES = {"float": float, "int": int, "grid": np.ndarray, "profile": tuple, "choice": str}
+TYPES = {"float": float, "int": int, "grid": list, "profile": tuple, "choice": str}
 
 
 def assert_valid(key, value):
@@ -133,6 +136,47 @@ def config_texts(draw):
             out.append(draw(st.sampled_from(["no.such.key = 1", "grid = 1", out[-1],
                                              "no equals sign", "", "# comment"])))
     return "\n".join(out)
+
+
+def _ulps(a, b):
+    """Distance in units in the last place between two floats of one sign."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+bounds = st.floats(-1e6, 1e6, allow_subnormal=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(bounds, bounds, st.integers(1, 400))
+def test_linspace_is_numpys_bit_for_bit(lo, hi, n):
+    grid = RunConfig({"dimensionless.x_grid": f"linspace:{lo!r}:{hi!r}:{n}"})[
+        "dimensionless.x_grid"]
+    assert np.array_equal(np.array(grid), np.linspace(lo, hi, n))
+    assert all(type(x) is float for x in grid)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.floats(-3.0, 6.0), st.floats(-3.0, 6.0), st.integers(1, 400), st.booleans(),
+       st.booleans())
+def test_logspace_is_numpys_geomspace(log_lo, log_hi, n, negative, decade):
+    # with bounds at whole decades (every shipped grid), or wherever libm's
+    # log10 rounds the bounds as numpy's does, only the last power's rounding
+    # differs; elsewhere an exponent one ulp apart moves the inner points
+    # further, which the exact sequence bounds below
+    lo, hi = (10.0 ** round(x) if decade else float(f"{10.0 ** x:.3g}") for x in (log_lo, log_hi))
+    sign = -1.0 if negative else 1.0
+    grid = RunConfig({"dimensionless.x_grid": f"logspace:{sign * lo!r}:{sign * hi!r}:{n}"})[
+        "dimensionless.x_grid"]
+    reference = np.geomspace(sign * lo, sign * hi, n)
+    assert len(grid) == n and grid[0] == sign * lo and grid[-1] == (sign * hi if n > 1 else grid[0])
+    if all(math.log10(x) == np.log10(x) for x in (lo, hi)):
+        assert max(map(_ulps, grid, reference)) <= 1
+    # both sit within 1e-14 relative of the exact sequence (4.3e-15 was the
+    # largest at one random point of each of 20 000 random grids, for either)
+    with mp.workdps(30):
+        for i in range(0, n, max(1, n // 16)):
+            exact = sign * mp.mpf(lo) * (mp.mpf(hi) / lo) ** (mp.mpf(i) / max(n - 1, 1))
+            assert abs(grid[i] / exact - 1) <= 1e-14 and abs(reference[i] / exact - 1) <= 1e-14
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)

@@ -1,8 +1,10 @@
 """Start-up loads only what a command computes with.
 
 ``import spinmap`` loads no submodule, and its exports resolve on first use
-to the defining submodule's own objects.  ``teleport`` and ``feasibility``
-run with numpy made unimportable and print what a normal run prints.
+to the defining submodule's own objects.  ``config``, ``mapping`` and
+``specfun`` import without numpy, and ``efficiency``, ``spectrum``,
+``teleport`` and ``feasibility`` run with numpy made unimportable and print
+what a normal run prints.
 """
 
 import json
@@ -51,15 +53,31 @@ def python(*args, cwd):
     return subprocess.run([sys.executable, "-c", *args], capture_output=True, env=env, cwd=cwd)
 
 
-@pytest.mark.parametrize("command", ["teleport", "feasibility"])
-def test_scalar_commands_run_without_numpy(command, tmp_path):
+LORENTZIAN = "dimensionless.alpha = 10\ndimensionless.input = lorentzian\ndimensionless.b = 10\n"
+
+
+@pytest.mark.parametrize("command, lorentzian", [
+    ("teleport", False), ("feasibility", False), ("efficiency", False), ("spectrum", False),
+    ("efficiency", True), ("spectrum", True),
+], ids=["teleport", "feasibility", "efficiency", "spectrum", "efficiency-lorentzian",
+        "spectrum-lorentzian"])
+def test_scalar_commands_run_without_numpy(command, lorentzian, tmp_path):
     cfg = tmp_path / "example.cfg"
-    cfg.write_text(EXAMPLE_CFG.read_text() + "\nteleport.alpha_pulse = 0.05\n")
+    cfg.write_text(LORENTZIAN if lorentzian
+                   else EXAMPLE_CFG.read_text() + "\nteleport.alpha_pulse = 0.05\n")
     normal = python(COMMAND, "normal", command, "--config", str(cfg), cwd=tmp_path)
     blocked = python(COMMAND, "no-numpy", command, "--config", str(cfg), cwd=tmp_path)
     assert normal.returncode == 0, normal.stderr
     assert blocked.returncode == normal.returncode, blocked.stderr
     assert blocked.stdout == normal.stdout and normal.stdout.count(b"\n") >= 2
+
+
+def test_scalar_modules_import_without_numpy(tmp_path):
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "import spinmap.config, spinmap.mapping, spinmap.specfun\n"
+            "print(spinmap.mapping.eta_lorentzian(10.0, 10.0))")
+    proc = python(code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_exports_load_on_first_use(tmp_path):

@@ -17,6 +17,7 @@ from spinmap.specfun import (
     gauss_panels,
     integrate_adaptive,
     scaled_bessel_i,
+    scaled_bessel_i_sequence,
     within_budget,
 )
 
@@ -116,6 +117,41 @@ class TestScaledBesselI:
         for bad in (-1e-9, -2.0):
             with pytest.raises(ValueError):
                 scaled_bessel_i(bad)
+
+
+class TestScaledBesselISequence:
+    @pytest.mark.parametrize("x", [1e-3, 0.1, 0.5, 2.0, 7.0, 26.0, 300.0, 1e4])
+    def test_matches_mpmath(self, x):
+        import mpmath as mp
+
+        values = scaled_bessel_i_sequence(x)
+        assert len(values) == 21 + int(math.sqrt(80.0 * x))
+        orders = range(len(values)) if x < 1e3 else range(0, len(values), 37)
+        with mp.workdps(30):
+            for n in orders:
+                exact = float(mp.besseli(n, x) * mp.exp(-x))
+                assert abs(values[n] - exact) <= 1e-15 * values[0], n
+                if exact >= 1e-10 * values[0]:
+                    assert values[n] == pytest.approx(exact, rel=4e-15), n
+
+    def test_orders_zero_and_one_are_scaled_bessel_i(self):
+        for x in np.geomspace(1e-3, 1e6, 40):
+            values = scaled_bessel_i_sequence(x)
+            assert values[:2] == pytest.approx(scaled_bessel_i(x), rel=1e-15)
+            # e^x = I0 + 2 sum_{n>=1} I_n, the normalization, holds to rounding
+            total = math.fsum([values[0], *(2.0 * v for v in values[1:])])
+            assert total == pytest.approx(1.0, abs=3e-16)
+
+    def test_tiny_argument_stays_finite(self):
+        # the backward recurrence grows like (2n/x)^n here and is rescaled
+        values = scaled_bessel_i_sequence(1e-20)
+        assert values[0] == 1.0 and values[1] == pytest.approx(5e-21, rel=1e-15)
+        assert all(math.isfinite(v) and v >= 0 for v in values)
+
+    def test_invalid_rejected(self):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                scaled_bessel_i_sequence(bad)
 
 
 class TestIntegrateAdaptive:

@@ -1,7 +1,8 @@
 """Property tests of the transient engine: the panel pass against the nested
 adaptive-quadrature reference (``transient_reference``), the vacuum fixed
-point, the lorentzian steady state at high bandwidth, and the NoiseReport
-decomposition, on random drives and inputs."""
+point, the lorentzian steady state at high bandwidth against its closed form
+and the spectral engine, and the NoiseReport decomposition, on random drives
+and inputs."""
 
 import itertools
 
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 import transient_reference
 from spinmap.dynamics import PulseArea, transient_variance
-from spinmap.mapping import (DEFAULT_SPECTRAL_TOL, SqueezingModel, variance_closed,
-                             variance_spectral)
+from spinmap.mapping import (DEFAULT_SPECTRAL_TOL, SqueezingModel, eta_lorentzian,
+                             variance_closed, variance_spectral)
 
 
 @st.composite
@@ -61,11 +62,14 @@ def test_high_bandwidth_matches_nested_reference(area, model, tau):
         assert abs(getattr(rep, part) - getattr(ref, part)) <= 1e-9, part
 
 
-# Gamma tau = 20 leaves e^{-2 Gamma tau} ~ 4e-18 of the transient, so the two
-# engines differ by their own errors: the transient engine's budget, 1e-10 on
-# each of its two parts, and the spectral engine's, DEFAULT_SPECTRAL_TOL = 1e-9
-# on each of its two; 2 (1e-10 + 1e-9) = 2.2e-9 in all
-STEADY_BOUND = 2.0 * (1e-10 + DEFAULT_SPECTRAL_TOL)
+# Gamma tau = 20 leaves e^{-2 Gamma tau} ~ 4e-18 of the transient, so each
+# engine differs from the closed-form steady state 1 - s eta_lorentzian (exact
+# to ~1e-15) by its own error: the transient engine's budget, 1e-10 on each of
+# its two parts, and the spectral engine's, DEFAULT_SPECTRAL_TOL = 1e-9 on each
+# of its two; 2 (1e-10 + 1e-9) = 2.2e-9 between the engines
+TRANSIENT_BOUND = 2.0 * 1e-10
+SPECTRAL_BOUND = 2.0 * DEFAULT_SPECTRAL_TOL
+STEADY_BOUND = TRANSIENT_BOUND + SPECTRAL_BOUND
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -75,6 +79,9 @@ def test_high_bandwidth_reaches_spectral_steady_state(alpha, b, s):
     model = SqueezingModel.lorentzian(b, s=s)
     rep = transient_variance(PulseArea.constant(alpha), 1.0, 1.0, model, 20.0, tol=1e-10)
     steady = variance_spectral(alpha, model, tol=DEFAULT_SPECTRAL_TOL)
+    exact = 1.0 - s * eta_lorentzian(alpha, b)
+    assert abs(rep.variance_norm - exact) <= TRANSIENT_BOUND, "transient engine"
+    assert abs(steady.variance_norm - exact) <= SPECTRAL_BOUND, "spectral engine"
     assert abs(rep.variance_norm - steady.variance_norm) <= STEADY_BOUND
 
 
