@@ -23,7 +23,7 @@ import sys
 
 from . import teleport
 from .config import ConfigError, RunConfig
-from .model import DriveParams, MediumParams, check_feasibility, total_dephasing
+from .model import DriveParams, MediumParams, check_feasibility
 
 EXIT_OK = 0
 EXIT_PHYSICS = 1
@@ -53,12 +53,14 @@ def _csv(header: list[str], rows: list[list]) -> list[str]:
     return [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
 
 
-def _dimensionless_medium_drive(alpha: float, tau_max: float):
+def _dimensionless_medium_drive(alpha: float, tau_max: float, pulse=None):
     """Unit-Gamma, unit-length stand-ins so the grid oracle runs from the
-    dimensionless block alone (alpha = g in these units)."""
+    dimensionless block alone (alpha = g in these units).  The drive has
+    unit power over 2 tau_max, or the pulse length and profile ``pulse``
+    gives in units of 1/Gamma (``RunConfig.pulse``)."""
     medium = MediumParams(density=1.0, length=1.0, area=1.0, gamma0=1.0, wavelength=1.0)
-    drive = DriveParams(g=alpha, gamma_s=0.0, tau_pulse=2.0 * tau_max)
-    return medium, drive
+    tau_pulse, profile = pulse or (2.0 * tau_max, ())
+    return medium, DriveParams(g=alpha, gamma_s=0.0, tau_pulse=tau_pulse, profile=profile)
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +122,9 @@ def cmd_simulate(cfg: RunConfig) -> tuple[list[str], int, list[str]]:
     from . import dynamics, mapping
 
     model = cfg.squeezing_model()
-    tau_max_gamma = cfg["grid.tau_max_gamma"]
-
-    medium = cfg.record("medium")
-    drive = cfg.record("drive")
-    if medium is None or drive is None:
-        medium, drive = _dimensionless_medium_drive(cfg.alpha(), tau_max_gamma)
-    gamma = total_dephasing(medium, drive)
-    grid = dynamics.GridSpec(nz=cfg["grid.nz"], ntau=cfg["grid.ntau"],
-                             tau_max=tau_max_gamma / gamma)
+    tau_max = cfg["grid.tau_max_gamma"]
+    medium, drive = _dimensionless_medium_drive(cfg.alpha(), tau_max, cfg.pulse())
+    grid = dynamics.GridSpec(nz=cfg["grid.nz"], ntau=cfg["grid.ntau"], tau_max=tau_max)
     if dynamics.PulseArea.from_drive(drive).max_rate() > 0.0:
         factor = 2 ** (SIMULATE_KERNEL_LEVELS - 1)
         for key in ("grid.nz", "grid.ntau"):
@@ -149,7 +145,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[list[str], int, list[str]]:
 
     table, _report = dynamics.simulate_grid(medium, drive, grid, model)
     rows = [
-        [float(t * gamma), float(v), float(e)]
+        [float(t), float(v), float(e)]
         for t, v, e in zip(
             table.tau,
             table.variance_trace,

@@ -12,9 +12,13 @@ key whichever command runs.  An SI key's bound is the one the record it
 fills (``MediumParams``, ``DriveParams``, ``AtomicPhysics``) enforces, so a
 record built from a loaded config accepts every value.
 
-Engines run from the dimensionless block; the SI blocks feed the feasibility
-checks and may be used to derive dimensionless values.  When a quantity is
-given both ways the two must agree to one part in 1e9 or the run aborts.
+Engines run from the dimensionless block, in units where Gamma = L = 1; the
+SI blocks feed the feasibility checks and may be used to derive
+dimensionless values.  When a quantity is given both ways the two must agree
+to one part in 1e9 or the run aborts.  With complete medium and drive
+blocks, ``simulate`` also takes the SI pulse length and ``drive.profile``,
+every duration rescaled to units of 1/Gamma (``RunConfig.pulse``); the
+other commands drive at constant power.
 
 Grids are lists of Python floats, so loading a config never imports numpy:
 ``linspace`` repeats numpy's ``linspace`` operation for operation, and
@@ -289,6 +293,16 @@ class RunConfig:
         if alpha is None:
             raise ConfigError("dimensionless.alpha", "required but missing (no SI block either)")
         return alpha
+
+    def pulse(self) -> tuple[float, tuple[tuple[float, float], ...]] | None:
+        """The SI drive's pulse length and profile segments in engine units,
+        every duration times Gamma, or None without complete medium and
+        drive blocks."""
+        medium, drive = self.record("medium"), self.record("drive")
+        if medium is None or drive is None:
+            return None
+        gamma = total_dephasing(medium, drive)
+        return drive.tau_pulse * gamma, tuple((d * gamma, p) for d, p in drive.profile)
 
     def squeezing_model(self) -> SqueezingModel:
         """Input-light model; Gamma = 1 in engine units, so b doubles as gamma_q."""

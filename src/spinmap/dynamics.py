@@ -287,6 +287,9 @@ def transient_variance(
     whose panels split at the drive breakpoints.  Lorentzian input adds the
     correlator's double integral through a causal filter at the same nodes.
 
+    ``model.gamma_q`` is a rate in the time unit of ``area``, ``gamma``
+    and ``tau``: at Gamma = 1, as the CLI runs, it is b = Gamma_q / Gamma.
+
     Raises QuadratureConvergenceError when halving the panels moves the
     Langevin or the light part by more than the budget: ``tol``, or the
     round-off floor where that is larger.
@@ -748,6 +751,10 @@ def simulate_grid(
 ) -> tuple[KernelTable, NoiseReport]:
     """Propagate the discretized atom-field system and return exact second
     moments of the discretization together with its Green-function tables.
+
+    ``model.gamma_q`` is a rate in the time unit of the medium's and the
+    drive's rates and of ``grid.tau_max``: 1/s beside SI records, and
+    b = Gamma_q / Gamma beside the unit-Gamma stand-ins the CLI runs on.
 
     Raises GridConfigError when the declared stability bounds are violated
     and GridGrowthError if any influence coefficient grows without bound.

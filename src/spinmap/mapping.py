@@ -64,7 +64,9 @@ class SqueezingModel:
 
     kind : "flat" or "lorentzian"
     x0_sq : flat spectral level (vacuum = 1); flat kind only
-    gamma_q : squeezing bandwidth [1/s]; lorentzian kind only
+    gamma_q : squeezing bandwidth, a rate in the time unit of the engine it
+        is passed to; the CLI runs every engine at Gamma = 1, so it passes
+        b = Gamma_q / Gamma; lorentzian kind only
     s : squeezing degree in [0, 1]; s = 1 is ideal squeezing, s = 0 vacuum
 
     The lorentzian spectral density is 1 - s Gq^2/(Gq^2 + Delta^2): ideally

@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -9,8 +10,8 @@ import pytest
 
 from spinmap.cli import main
 from spinmap.config import ConfigError, RunConfig, parse_config_text
-from spinmap.dynamics import transient_variance
-from spinmap.mapping import eta_closed, variance_closed
+from spinmap.dynamics import PulseArea, transient_variance
+from spinmap.mapping import SqueezingModel, eta_closed, variance_closed
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE_CFG = REPO / "configs" / "feasibility_example.cfg"
@@ -88,6 +89,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             RunConfig({}).alpha()
         assert "dimensionless.alpha" in str(err.value)
+
+    def test_pulse_in_units_of_inverse_gamma(self):
+        si = (
+            "medium.density_per_m3 = 1.0\nmedium.length_m = 1.0\n"
+            "medium.area_m2 = 1.0\nmedium.gamma0_per_s = 1.5\n"
+            "medium.wavelength_m = 1.0\n"
+            "drive.g_per_m_per_s = 20.0\ndrive.gamma_s_per_s = 0.5\n"
+            "drive.tau_pulse_s = 2.0\n"
+        )
+        assert RunConfig(parse_config_text(si)).pulse() == (4.0, ())
+        profiled = RunConfig(parse_config_text(si + "drive.profile = 1:1, 0.5:0.25\n"))
+        assert profiled.pulse() == (4.0, ((2.0, 1.0), (1.0, 0.25)))
+        # without the medium there is no Gamma to scale by
+        drive_only = "".join(ln + "\n" for ln in si.splitlines() if ln.startswith("drive."))
+        assert RunConfig(parse_config_text(drive_only)).pulse() is None
 
     def test_incomplete_si_block_named(self):
         with pytest.raises(ConfigError) as err:
@@ -226,6 +242,74 @@ class TestSimulateCommand:
         for line in text.strip().split("\n")[1:]:
             assert float(line.split(",")[1]) == pytest.approx(1.0, abs=1e-12)
         assert "skipped" in capfd.readouterr().err
+
+
+# drive.profile of the SI simulate cases: none (the example's 10 ms pulse
+# outlasts the grid), three segments, and a pulse that ends mid-grid; the
+# example's Gamma is 1.00001e5 / s, so 1e-6 s is about 0.1 / Gamma
+SI_PROFILES = {"constant": None, "three-segment": "2e-6:1, 3e-6:0.25, 5e-6:0.6",
+               "switch-off": "3e-6:1, 4e-6:0"}
+SI_INPUTS = {"flat": "dimensionless.x0_sq = 0.3\n",
+             "lorentzian": "dimensionless.input = lorentzian\ndimensionless.s = 0.9\n"}
+SI_RATES = ("medium.gamma0_per_s", "drive.gamma_s_per_s", "drive.g_per_m_per_s",
+            "physics.gamma_q_per_s")
+
+
+def _si_config(input_name, profile, k=1.0):
+    """The shipped SI example with the named input and ``profile``, every SI
+    rate times k and every SI time over k."""
+    values = parse_config_text(EXAMPLE_CFG.read_text())
+    for key in SI_RATES:
+        values[key] = repr(float(values[key]) * k)
+    values["drive.tau_pulse_s"] = repr(float(values["drive.tau_pulse_s"]) / k)
+    if profile is not None:
+        values["drive.profile"] = ", ".join(
+            f"{float(d) / k!r}:{p}" for d, p in (seg.split(":") for seg in profile.split(",")))
+    return "".join(f"{key} = {text}\n" for key, text in values.items()) + SI_INPUTS[input_name]
+
+
+def _table(text):
+    return [list(map(float, ln.split(","))) for ln in text.strip().split("\n")[1:]]
+
+
+class TestSimulateSIUnits:
+    """With complete medium and drive blocks simulate runs the grid oracle
+    in units of 1/Gamma, as every other command runs its engine: alpha and b
+    from the SI blocks, the pulse and its profile with durations times Gamma."""
+
+    @pytest.mark.parametrize("profile", SI_PROFILES.values(), ids=SI_PROFILES)
+    @pytest.mark.parametrize("input_name", SI_INPUTS)
+    def test_rows_match_transient_engine(self, input_name, profile, tmp_path):
+        config = _si_config(input_name, profile)
+        code, text = run_cli(["simulate"], tmp_path, config)
+        assert code == 0
+        cfg = RunConfig(parse_config_text(config))
+        medium, drive, physics = (cfg.record(block) for block in ("medium", "drive", "physics"))
+        gamma = medium.gamma0 + drive.gamma_s
+        alpha = drive.g * medium.length / gamma
+        segments = drive.profile or ((drive.tau_pulse, 1.0),)
+        area = PulseArea(tuple(itertools.accumulate(d * gamma for d, _ in segments)),
+                         tuple(alpha * p for _, p in segments))
+        model = (SqueezingModel.flat(0.3) if input_name == "flat"
+                 else SqueezingModel.lorentzian(physics.gamma_q / gamma, s=0.9))
+        rows = _table(text)
+        assert len(rows) == 201 and rows[-1][0] == 1.0
+        for tau, variance, eta in rows:
+            reference = transient_variance(area, 1.0, 1.0, model, tau)
+            assert abs(variance - reference.variance_norm) <= 1e-3
+            assert abs(eta - reference.eta) <= 1e-3
+
+    @pytest.mark.parametrize("k", [0.1, 10.0])
+    @pytest.mark.parametrize("input_name", SI_INPUTS)
+    def test_table_does_not_depend_on_the_time_unit(self, input_name, k, tmp_path):
+        profile = SI_PROFILES["three-segment"]
+        code, text = run_cli(["simulate"], tmp_path, _si_config(input_name, profile))
+        assert code == 0
+        code, scaled = run_cli(["simulate"], tmp_path, _si_config(input_name, profile, k))
+        assert code == 0
+        for row, scaled_row in zip(_table(text), _table(scaled), strict=True):
+            for value, scaled_value in zip(row, scaled_row, strict=True):
+                assert math.isclose(scaled_value, value, rel_tol=1e-12, abs_tol=0.0)
 
 
 class TestTeleportCommand:
@@ -466,6 +550,8 @@ BAD_VALUE_CASES = [
     ("spectrum", "dimensionless.alpha = 1\ndimensionless.x_grid = linspace:nan:1:3\n",
      "dimensionless.x_grid"),
     ("efficiency", "dimensionless.alpha_grid = logspace:1:10:0\n", "dimensionless.alpha_grid"),
+    # a declared alpha must agree with the SI-derived one under every engine
+    ("simulate", _example_with("dimensionless.alpha", "5"), "dimensionless.alpha"),
 ]
 
 
