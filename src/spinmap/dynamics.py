@@ -33,14 +33,15 @@ most, where 6 nodes are good to ~1e-14 relative.  From panel to panel the
 filter carries over by one scalar recursion.  One evaluation of the
 exchange kernels covers the panels, then the panels halved (the filter
 restarts from y(0) = 0 where the halved pass begins), and the initial
-coherence.  The halved values are returned and their change is the error
-estimate, which must meet the budget the adaptive rule accepts
-(``specfun.within_budget``: ``tol`` or the round-off floor), else
-QuadratureConvergenceError (exit 3).  Cost: flat input evaluates the
-kernels at 16 nodes a panel, lorentzian input 17 x 6 more for the gaps
-(118 a panel), on the panels and on their halves; 1-25 panels cover the
-parameter ranges the CLI and the benchmark use.  A lorentzian panel holds
-~16 KB of temporaries, so a call that needs more than
+coherence.  The halved values are returned, and the change of each part
+(Langevin, light) is its error estimate.  Both parts form one
+``QuadratureResult``, judged as the adaptive rule judges its own
+(``specfun.within_budget``: each part within ``tol`` or its round-off
+floor), else QuadratureConvergenceError (exit 3).  Cost: flat input
+evaluates the kernels at 16 nodes a panel, lorentzian input 17 x 6 more for
+the gaps (118 a panel), on the panels and on their halves; 1-25 panels
+cover the parameter ranges the CLI and the benchmark use.  A lorentzian
+panel holds ~16 KB of temporaries, so a call that needs more than
 TRANSIENT_PANEL_LIMIT panels raises OverflowError (exit 3) before building
 any.  The nested adaptive quadrature this replaces is kept in the tests as
 the reference.  For constant drive and Gamma tau >> 1 these reproduce the
@@ -146,11 +147,12 @@ class PulseArea:
             raise ValueError("breakpoints and rates must have equal length")
         last = 0.0
         for t in self.breakpoints:
-            if not t > last:  # "not >" rejects NaN too
-                raise ValueError("breakpoints must be strictly increasing and positive")
+            if not last < t < math.inf:  # rejects NaN too
+                raise ValueError("breakpoints must be finite, strictly increasing and positive")
             last = t
-        if not all(r >= 0 for r in (*self.rates, self.final_rate)):
-            raise ValueError("rates must be nonnegative")
+        if not all(0.0 <= r < math.inf for r in (*self.rates, self.final_rate)):
+            raise ValueError(f"rates must be finite and nonnegative, got "
+                             f"{(*self.rates, self.final_rate)}")
 
     @classmethod
     def constant(cls, g: float) -> "PulseArea":
@@ -294,10 +296,11 @@ def transient_variance(
     Langevin or the light part by more than the budget: ``tol``, or the
     round-off floor where that is larger.
     """
-    if not tau >= 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    for name, value in (("length", length), ("gamma", gamma), ("tau", tau)):
+        if not 0.0 <= value < math.inf:  # rejects NaN too
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     a_tau = area.value(tau)
     # the initial coherence decays through J0^2 + J1^2 at 2 sqrt(a(tau) L),
     # with J0 and sqrt(1/y) J1 at y = a(tau) L the exchange kernels
@@ -362,21 +365,21 @@ def transient_variance(
         evaluations = t.size + tg.size
 
     # each part whole and halved, and the integral of its |integrand| halved
-    # (the same where the integrand is nonnegative); the halved value is
-    # kept and its change under halving is the error estimate
-    parts = {}
-    for name, value, magnitude in (("Langevin part", lang, lang),
-                                   ("light part", light, light_abs)):
-        whole, fine = np.add.reduceat(value, [0, n])
-        result = QuadratureResult(value=float(fine), error_estimate=abs(float(fine - whole)),
-                                  evaluations=evaluations)
-        if not within_budget(result, float(np.add.reduceat(magnitude, [0, n])[1]), tol):
-            raise QuadratureConvergenceError(
-                f"panel quadrature of the {name} did not converge on [{edges[0]}, {edges[-1]}]: "
-                f"it changed by {result.error_estimate:.3g} when {n} panels were halved", result)
-        parts[name] = result.value
-    return NoiseReport.from_parts(atom_init + parts["Langevin part"], parts["light part"],
-                                  model.noise_floor)
+    # (the same where the integrand is nonnegative); the halved values are
+    # kept and their change under halving is each part's error estimate
+    (whole_lang, lang), (whole_light, light), (_, light_abs) = (
+        np.add.reduceat(v, [0, n]).tolist() for v in (lang, light, light_abs))
+    result = QuadratureResult(values=(lang, light),
+                              errors=(abs(lang - whole_lang), abs(light - whole_light)),
+                              magnitudes=(lang, light_abs), evaluations=evaluations)
+    met = within_budget(result, tol)
+    if not all(met):
+        part = met.index(False)
+        raise QuadratureConvergenceError(
+            f"panel quadrature of the {('Langevin part', 'light part')[part]} did not converge on "
+            f"[{edges[0]}, {edges[-1]}]: it changed by {result.errors[part]:.3g} when {n} panels "
+            f"were halved", result)
+    return NoiseReport.from_parts(atom_init + lang, light, model.noise_floor)
 
 
 @dataclass(frozen=True)

@@ -81,12 +81,13 @@ class SqueezingModel:
     def __post_init__(self):
         if self.kind not in ("flat", "lorentzian"):
             raise ValueError(f"unknown squeezing kind {self.kind!r}")
-        # "not >=" and "not >" reject NaN too
-        if not self.x0_sq >= 0:
-            raise ValueError("x0_sq must be nonnegative")
+        # the chained comparisons reject NaN too
+        if not 0.0 <= self.x0_sq < math.inf:
+            raise ValueError(f"x0_sq must be finite and nonnegative, got {self.x0_sq}")
         if self.kind == "lorentzian":
-            if not self.gamma_q > 0:
-                raise ValueError("lorentzian squeezing requires gamma_q > 0")
+            if not 0.0 < self.gamma_q < math.inf:
+                raise ValueError(f"lorentzian squeezing requires a finite gamma_q > 0, "
+                                 f"got {self.gamma_q}")
             if not 0.0 <= self.s <= 1.0:
                 raise ValueError("squeezing degree s must lie in [0, 1]")
 
@@ -158,10 +159,14 @@ def eta_from_variance(variance_norm: float, noise_floor: float) -> float:
     return (1.0 - variance_norm) / (1.0 - noise_floor)
 
 
+def _check_depth(alpha: float) -> None:
+    if not 0.0 <= alpha < math.inf:  # rejects NaN too
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
+
+
 def atomic_vacuum_fraction(alpha: float) -> float:
     """A(alpha) = e^{-alpha}(I0(alpha) + I1(alpha)), the unmapped noise share."""
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    _check_depth(alpha)
     i0e, i1e = scaled_bessel_i(alpha)
     return i0e + i1e
 
@@ -185,35 +190,33 @@ def transmitted_spectrum(alpha: float, x: float, s0: float) -> float:
     A convex combination of the input level and vacuum: absorbed frequencies
     exit at the vacuum level, untouched ones pass through.
     """
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    _check_depth(alpha)
     if not s0 >= 0:
         raise ValueError(f"s0 must be nonnegative, got {s0}")
     t = math.exp(-alpha / (1.0 + x * x))
     return s0 * t + (1.0 - t)
 
 
-def _langevin_density(alpha: float, x, xp):
-    # removable alpha -> 0 limit: a unit-normalized Lorentzian (1/pi)/(1+x^2);
-    # x is a float with xp = math, or an array with xp = numpy
+def _density_parts(alpha: float, x, xp):
+    """The Langevin density and the light weight at detuning x, which share
+    q = 1 + x^2 and alpha/q; x is a float with xp = math, or an array with
+    xp = numpy.
+
+    The Langevin density -expm1(-2 alpha/q) / (2 pi alpha) has the removable
+    alpha -> 0 limit of a unit-normalized Lorentzian (1/pi)/(1+x^2).  The
+    light weight |1 - e^{-alpha/(1-ix)}|^2 / (2 pi alpha) -> 0 as alpha -> 0;
+    with alpha/(1-ix) = a + ib the square is (1 - e^{-a})^2 + 4 e^{-a}
+    sin^2(b/2): positive terms, so it keeps its digits where it is small (far
+    detuning, small depth) instead of cancelling 1 - 2 e^{-a} cos b + e^{-2a}.
+    """
     q = 1.0 + x * x
     if alpha == 0.0:
-        return 1.0 / (math.pi * q)
-    return -xp.expm1(-2.0 * alpha / q) / (2.0 * math.pi * alpha)
-
-
-def _light_weight(alpha: float, x, xp):
-    # |1 - e^{-alpha/(1-ix)}|^2 / (2 pi alpha); -> 0 as alpha -> 0.  With
-    # alpha/(1-ix) = a + ib the square is (1 - e^{-a})^2 + 4 e^{-a} sin^2(b/2):
-    # positive terms, so it keeps its digits where it is small (far detuning,
-    # small depth) instead of cancelling 1 - 2 e^{-a} cos b + e^{-2a}
-    if alpha == 0.0:
-        return 0.0 * x
-    q = 1.0 + x * x
+        return 1.0 / (math.pi * q), 0.0 * x
     a = alpha / q
+    norm = 2.0 * math.pi * alpha
     half_b = xp.sin(0.5 * a * x)
     mod_sq = xp.expm1(-a) ** 2 + 4.0 * xp.exp(-a) * half_b * half_b
-    return mod_sq / (2.0 * math.pi * alpha)
+    return -xp.expm1(-2.0 * a) / norm, mod_sq / norm
 
 
 def atomic_spectral_density(alpha: float, x: float, s0: float) -> float:
@@ -221,9 +224,11 @@ def atomic_spectral_density(alpha: float, x: float, s0: float) -> float:
 
     Normalized so that its integral over x equals the variance in nL units.
     """
+    _check_depth(alpha)
     if not s0 >= 0:
         raise ValueError(f"s0 must be nonnegative, got {s0}")
-    return float(_langevin_density(alpha, x, math) + s0 * _light_weight(alpha, x, math))
+    langevin, light = _density_parts(alpha, x, math)
+    return float(langevin + s0 * light)
 
 
 def variance_spectral(
@@ -234,20 +239,29 @@ def variance_spectral(
     """Frequency-integrated variance; agrees with the closed form for flat input.
 
     Both density pieces are even in x, so the integration runs over [0, inf)
-    and is doubled; the integrands are evaluated on arrays of detunings.
+    and is doubled.  One adaptive pass integrates them as the two parts of
+    one integrand, evaluated on arrays of detunings: they share every node
+    and panel, and each part meets its own budget of ``tol / 2``.
     """
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    _check_depth(alpha)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if alpha == 0.0:
         # no light absorbed; pure atomic vacuum for any input statistics
         return NoiseReport.from_parts(1.0, 0.0, model.noise_floor)
     import numpy as np
 
-    atom = 2.0 * integrate_adaptive(lambda x: _langevin_density(alpha, x, np), tol=tol / 2).value
-    light = 2.0 * integrate_adaptive(
-        lambda x: model.spectral_density(x) * _light_weight(alpha, x, np), tol=tol / 2
-    ).value
-    return NoiseReport.from_parts(atom, light, model.noise_floor)
+    def densities(x):
+        # [Langevin, light] at every detuning; filled in place, which costs
+        # less than stacking the two
+        langevin, light = _density_parts(alpha, x, np)
+        out = np.empty((2, *x.shape))
+        out[0] = langevin
+        np.multiply(model.spectral_density(x), light, out=out[1])
+        return out
+
+    atom, light = integrate_adaptive(densities, tol=tol / 2).values
+    return NoiseReport.from_parts(2.0 * atom, 2.0 * light, model.noise_floor)
 
 
 def eta_lorentzian(alpha: float, b: float) -> float:
@@ -280,10 +294,9 @@ def eta_lorentzian(alpha: float, b: float) -> float:
     expm1(n log|rho|), exact to an ulp where 1 - rho^n would cancel (b >> 1)
     and exactly 1 once |rho|^n < e^{-40}, and the sum is exactly rounded.
     """
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    if not b > 0:
-        raise ValueError(f"bandwidth ratio b must be positive, got {b}")
+    _check_depth(alpha)
+    if not 0.0 < b < math.inf:
+        raise ValueError(f"bandwidth ratio b must be finite and positive, got {b}")
     if alpha == 0.0:
         return 0.0
     rho = (b - 1.0) / (b + 1.0)

@@ -37,16 +37,20 @@ interval with the rational substitution
 
     x = t / (1 - t),    dx = dt / (1 - t)^2,    t in [0, 1).
 
-Every panel carries ``PANEL_NODES`` nodes and its error is estimated by
-halving it; while the summed estimate misses the budget, every panel but
-those with the smallest estimates (which together spend at most half the
-budget) is bisected.
+An integrand may have several parts, stacked along a first axis, which
+share every node and every panel.  Every panel carries ``PANEL_NODES``
+nodes and its error is estimated, part by part, by halving it.  While some
+part's summed estimate misses its budget, that part asks for every panel
+but those with its smallest estimates (which together spend at most half
+its budget) to be bisected, and the union of what the parts ask for is
+bisected.
 
 ``gauss_panels`` gives the nodes and weights of the panel rule on any
 intervals, for callers that run their own composite pass where they know
-the integrand is smooth (the transient engine).  Every rule accepts a
-result under one budget (``within_budget``): ``tol``, or the round-off
-floor ROUND_OFF times the integral of |f| where that is larger.
+the integrand is smooth (the transient engine).  Every rule judges its
+result (``QuadratureResult``, one value, estimate and magnitude per part)
+by one rule, ``within_budget``: each part meets ``tol``, or its round-off
+floor ROUND_OFF times the integral of its |f| where that is larger.
 """
 
 from __future__ import annotations
@@ -75,15 +79,34 @@ class QuadratureConvergenceError(RuntimeError, ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float
-    error_estimate: float
+    """The integrals of an integrand's parts from one set of nodes.
+
+    Per part: its value, its error estimate and its magnitude, the integral
+    of its |f|, which sets its round-off floor.  ``value`` and
+    ``error_estimate`` sum them over the parts; ``evaluations`` counts the
+    nodes, each of which evaluates every part.
+    """
+
+    values: tuple[float, ...]
+    errors: tuple[float, ...]
+    magnitudes: tuple[float, ...]
     evaluations: int
 
     def __post_init__(self):
-        if self.error_estimate < 0:
-            raise ValueError("error_estimate must be nonnegative")
+        if not len(self.values) == len(self.errors) == len(self.magnitudes) > 0:
+            raise ValueError("every part needs one value, error estimate and magnitude")
+        if any(e < 0 for e in self.errors):
+            raise ValueError("error estimates must be nonnegative")
         if self.evaluations < 1:
             raise ValueError("evaluations must be at least 1")
+
+    @property
+    def value(self) -> float:
+        return sum(self.values)
+
+    @property
+    def error_estimate(self) -> float:
+        return sum(self.errors)
 
 
 def _check_finite(x: float, name: str) -> float:
@@ -312,12 +335,19 @@ PANEL_LIMIT = 500    # panels the adaptive rule may bisect to before giving up
 ROUND_OFF = 64 * sys.float_info.epsilon  # round-off floor per unit of the integral of |f|
 
 
-def within_budget(result: QuadratureResult, magnitude: float, tol: float) -> bool:
-    """The absolute target ``tol``, or the round-off floor ROUND_OFF times
-    the integrand's magnitude (the integral of |f|) where that is larger; a
-    NaN value or estimate fails."""
-    return bool(math.isfinite(result.value)
-                and result.error_estimate <= max(tol, ROUND_OFF * magnitude))
+def budget(magnitude: float, tol: float) -> float:
+    """The error a part may carry: the absolute target ``tol``, or the
+    round-off floor ROUND_OFF times its magnitude (the integral of its |f|)
+    where that is larger."""
+    return max(tol, ROUND_OFF * magnitude)
+
+
+def within_budget(result: QuadratureResult, tol: float) -> tuple[bool, ...]:
+    """Whether each part's estimate meets its own ``budget``; a NaN value or
+    estimate fails."""
+    return tuple(math.isfinite(value) and error <= budget(magnitude, tol)
+                 for value, error, magnitude in zip(result.values, result.errors,
+                                                     result.magnitudes))
 
 
 def _legendre_p(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -399,26 +429,30 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], tol: float) -> Qua
     Parameters
     ----------
     f : callable
-        Vectorized integrand: takes an array of points, returns the
-        integrand at each.  Must be integrable on the half-line.
+        Vectorized integrand: takes an array of points and returns its parts
+        at each, stacked along a new first axis.  Every part must be
+        integrable on the half-line.
     tol : float
-        Absolute tolerance target.  The returned ``error_estimate`` is the
-        summed change of every panel under halving; it meets ``tol``, or
-        the round-off floor where that is larger.
+        Absolute tolerance target of every part.  A part's error estimate
+        is the summed change of every panel under halving; it meets ``tol``,
+        or the part's round-off floor where that is larger.  Every part
+        evaluates at every node, so a part whose estimate met its budget
+        follows the panels another part still bisects.
 
     Raises
     ------
     QuadratureConvergenceError
-        When bisecting further would exceed ``PANEL_LIMIT`` panels before the
-        estimate meets the budget.  The exception carries the best estimate
-        obtained.
+        When bisecting further would exceed ``PANEL_LIMIT`` panels before
+        every part's estimate meets its budget.  The exception carries the
+        best estimate obtained.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     import numpy as np
 
     def panel_sums(nodes, weights):
-        # integrals of f and |f| on every panel, from one call of f
+        # integrals of every part and of its |f| on every panel, from one
+        # call of f: [part, panel]
         values = f(nodes) * weights
         return values.sum(axis=-1), np.abs(values).sum(axis=-1)
 
@@ -428,32 +462,44 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], tol: float) -> Qua
     nodes, weights = _first_pass(n)
     sums, mags = panel_sums(nodes, weights)
     evaluations = nodes.size
-    edges = np.linspace(0.0, 1.0, n + 1)
-    panels = np.stack([edges[:-1], edges[1:]])  # [lo, hi] of every panel
-    whole, halves, mags = sums[:n], sums[n:].reshape(2, n), mags[n:].reshape(2, n)
+    parts = len(sums)
+    # [part, panel] whole, [part, half, panel] halved
+    whole, halves, mags = (sums[:, :n], sums[:, n:].reshape(parts, 2, n),
+                           mags[:, n:].reshape(parts, 2, n))
+    panels = None  # [lo, hi] of every panel, from the first bisection on
     while True:
-        fine = halves.sum(axis=0)
+        fine = halves.sum(axis=1)
         errors = np.abs(fine - whole)
-        result = QuadratureResult(value=float(fine.sum()), error_estimate=float(errors.sum()),
+        result = QuadratureResult(values=tuple(fine.sum(axis=1).tolist()),
+                                  errors=tuple(errors.sum(axis=1).tolist()),
+                                  magnitudes=tuple(mags.reshape(parts, -1).sum(axis=1).tolist()),
                                   evaluations=evaluations)
-        magnitude = float(mags.sum())
-        if within_budget(result, magnitude, tol):
+        met = within_budget(result, tol)
+        if all(met):
             return result
-        # keep the panels with the smallest estimates while together they
-        # spend at most half the budget; bisect the rest (NaN sorts last)
-        order = np.argsort(errors)
-        kept = np.cumsum(errors[order]) <= max(tol, ROUND_OFF * magnitude) / 2.0
-        keep, split = order[kept], order[~kept]
-        if not len(split) or panels.shape[1] + len(split) > PANEL_LIMIT:
+        # a part that misses its budget keeps the panels with its smallest
+        # estimates while together they spend at most half that budget, and
+        # asks for the rest to be bisected (NaN sorts last)
+        split = np.zeros(whole.shape[1], dtype=bool)
+        for part in (p for p, ok in enumerate(met) if not ok):
+            order = np.argsort(errors[part])
+            kept = np.cumsum(errors[part, order]) <= budget(result.magnitudes[part], tol) / 2.0
+            split[order[~kept]] = True
+        if not split.any() or len(split) + np.count_nonzero(split) > PANEL_LIMIT:
+            part = met.index(False)
             raise QuadratureConvergenceError(
-                "adaptive quadrature did not converge on [0.0, inf]: estimate "
-                f"{result.error_estimate:.3g} against tol {tol:.3g} at the limit of {PANEL_LIMIT} "
+                f"adaptive quadrature did not converge on [0.0, inf]: part {part} has estimate "
+                f"{result.errors[part]:.3g} against tol {tol:.3g} at the limit of {PANEL_LIMIT} "
                 f"panels", result)
+        if panels is None:
+            edges = np.linspace(0.0, 1.0, n + 1)
+            panels = np.stack([edges[:-1], edges[1:]])
+        keep = ~split
         children = np.stack(_halve(*panels[:, split]))
         nodes, weights = _unit_nodes(*_halve(*children))
         sums, new_mags = panel_sums(nodes, weights)
         evaluations += nodes.size
         panels = np.concatenate([panels[:, keep], children], axis=1)
-        whole = np.concatenate([whole[keep], halves[0, split], halves[1, split]])
-        halves = np.concatenate([halves[:, keep], sums.reshape(2, -1)], axis=1)
-        mags = np.concatenate([mags[:, keep], new_mags.reshape(2, -1)], axis=1)
+        whole = np.concatenate([whole[:, keep], halves[:, 0, split], halves[:, 1, split]], axis=1)
+        halves = np.concatenate([halves[:, :, keep], sums.reshape(parts, 2, -1)], axis=2)
+        mags = np.concatenate([mags[:, :, keep], new_mags.reshape(parts, 2, -1)], axis=2)

@@ -410,7 +410,8 @@ class TestNumericsExitCode:
 
         def explode(*args, **kwargs):
             raise QuadratureConvergenceError(
-                "synthetic", QuadratureResult(value=0.0, error_estimate=1.0, evaluations=1)
+                "synthetic", QuadratureResult(values=(0.0,), errors=(1.0,), magnitudes=(0.0,),
+                                             evaluations=1)
             )
 
         monkeypatch.setattr(dynamics, "transient_variance", explode)

@@ -112,6 +112,15 @@ class TestPulseArea:
         with pytest.raises(ValueError):
             PulseArea(breakpoints=(1.0,), rates=(-1.0,))
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="rates must be finite"):
+            PulseArea.constant(value)
+        with pytest.raises(ValueError, match="rates must be finite"):
+            PulseArea(breakpoints=(1.0,), rates=(value,))
+        with pytest.raises(ValueError, match="breakpoints must be finite"):
+            PulseArea(breakpoints=(1.0, value), rates=(1.0, 1.0))
+
 
 def initial_kernel(area, length, gamma, z, tau):
     """e^{-Gamma tau} J0(2 sqrt(a(tau) (L - z'))), the weight of the initial
@@ -174,10 +183,19 @@ class TestLightKernel:
 
 class TestTransientVariance:
     def test_invalid_tol(self):
-        for tol in (0.0, -1.0, math.nan):
+        for tol in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol must be positive"):
                 transient_variance(PulseArea.constant(1.0), 1.0, 1.0, SqueezingModel.flat(0.5),
                                    1.0, tol=tol)
+
+    @pytest.mark.parametrize("name", ["length", "gamma", "tau"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_non_finite_or_negative_argument_named(self, name, value):
+        args = dict(length=1.0, gamma=1.0, tau=1.0)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+            transient_variance(PulseArea.constant(1.0), args["length"], args["gamma"],
+                               SqueezingModel.flat(0.5), args["tau"])
 
     def test_initial_atomic_vacuum(self):
         rep = transient_variance(PulseArea.constant(4.0), 1.0, 1.0, SqueezingModel.flat(0.0), 0.0)
@@ -234,10 +252,10 @@ class TestTransientVariance:
         tol = 1e-12
         estimates = []
 
-        def recording(result, magnitude, tol):
-            met = specfun.within_budget(result, magnitude, tol)
-            if met:
-                estimates.append(result.error_estimate)
+        def recording(result, tol):
+            met = specfun.within_budget(result, tol)
+            if all(met):
+                estimates.extend(result.errors)
             return met
         monkeypatch.setattr(dynamics, "within_budget", recording)
         outcomes = set()

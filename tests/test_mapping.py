@@ -11,6 +11,7 @@ from spinmap.mapping import (
     atomic_spectral_density,
     efficiency_curve,
     eta_closed,
+    eta_lorentzian,
     transmitted_spectrum,
     variance_closed,
     variance_spectral,
@@ -21,6 +22,28 @@ from scipy.integrate import quad
 ETA_AT_1 = 0.3263299770566511
 ETA_AT_20 = 0.8227134659318853
 ETA_AT_60 = 0.8972088206373614
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, -1.0])
+@pytest.mark.parametrize("engine", [
+    lambda alpha: variance_closed(alpha, 0.0),
+    eta_closed,
+    lambda alpha: eta_lorentzian(alpha, 2.0),
+    lambda alpha: transmitted_spectrum(alpha, 1.0, 0.5),
+    lambda alpha: atomic_spectral_density(alpha, 1.0, 0.5),
+    # inf once ran into the quadrature, warned, then failed to converge
+    lambda alpha: variance_spectral(alpha, SqueezingModel.flat(0.0)),
+], ids=["variance_closed", "eta_closed", "eta_lorentzian", "transmitted_spectrum",
+        "atomic_spectral_density", "variance_spectral"])
+def test_bad_depth_named(engine, alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and nonnegative"):
+        engine(alpha)
+
+
+@pytest.mark.parametrize("b", [math.inf, math.nan, 0.0])
+def test_bad_bandwidth_named(b):
+    with pytest.raises(ValueError, match="bandwidth ratio b must be finite and positive"):
+        eta_lorentzian(1.0, b)
 
 
 class TestVarianceClosed:
@@ -143,7 +166,8 @@ class TestAtomicSpectralDensity:
 class TestVarianceSpectral:
     def test_deep_atom_integral_bisects(self, monkeypatch):
         # at alpha = 1e5 the langevin density stays flat out to
-        # x ~ sqrt(2 alpha), which the adaptive rule's first pass does not resolve
+        # x ~ sqrt(2 alpha), which the adaptive rule's first pass does not
+        # resolve; both densities are the parts of one stacked call
         results = []
 
         def recording(f, tol):
@@ -151,9 +175,20 @@ class TestVarianceSpectral:
             return results[-1]
 
         monkeypatch.setattr(mapping, "integrate_adaptive", recording)
-        variance_spectral(1e5, SqueezingModel.flat(0.0))
+        report = variance_spectral(1e5, SqueezingModel.flat(0.0), tol=1e-10)
+        (result,) = results
         first_pass = 3 * specfun.INITIAL_PANELS * specfun.PANEL_NODES
-        assert results[0].evaluations > first_pass
+        assert result.evaluations > first_pass
+        atom, light = result.values
+        assert (report.atom_langevin_part, report.light_part) == (2.0 * atom, 2.0 * light)
+        assert all(e <= 0.5e-10 for e in result.errors)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_tol_named_at_every_depth(self, alpha, tol):
+        # zero depth skips the quadrature, and still checks tol
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            variance_spectral(alpha, SqueezingModel.flat(0.5), tol=tol)
 
     def test_lorentzian_no_squeezing_is_vacuum(self):
         for alpha in (0.0, 0.5, 5.0, 50.0):
@@ -228,3 +263,10 @@ class TestSqueezingModel:
             SqueezingModel.lorentzian(10.0, s=1.5)
         with pytest.raises(ValueError):
             SqueezingModel(kind="gaussian")
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_named(self, value):
+        with pytest.raises(ValueError, match="x0_sq must be finite"):
+            SqueezingModel.flat(value)
+        with pytest.raises(ValueError, match="finite gamma_q"):
+            SqueezingModel.lorentzian(value)

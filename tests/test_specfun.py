@@ -5,6 +5,7 @@ import pytest
 from scipy.special import jn
 
 import oracles
+import spectral_reference
 from spinmap import PulseArea, SqueezingModel, specfun
 from spinmap.dynamics import transient_variance
 from spinmap.specfun import (
@@ -156,23 +157,23 @@ class TestScaledBesselISequence:
 
 class TestIntegrateAdaptive:
     """The adaptive rule over [0, inf), mapped onto the unit interval by
-    x = t / (1 - t)."""
+    x = t / (1 - t); an integrand of one part is a stack of one."""
 
     def test_polynomials_exact(self):
         # (1 + x)^-k maps to (1 - t)^(k - 2), a polynomial the panel rule
         # integrates exactly
         for k in range(2, 34):
-            res = integrate_adaptive(lambda x: (1.0 + x) ** -k, tol=1e-12)
+            res = integrate_adaptive(lambda x: [(1.0 + x) ** -k], tol=1e-12)
             assert res.value == pytest.approx(1.0 / (k - 1), abs=5e-16)
 
     def test_gaussian_half_line(self):
-        res = integrate_adaptive(lambda x: np.exp(-x * x), tol=1e-10)
+        res = integrate_adaptive(lambda x: [np.exp(-x * x)], tol=1e-10)
         assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-10)
         assert res.error_estimate >= 0
         assert res.evaluations >= 1
 
     def test_lorentzian_half_line(self):
-        res = integrate_adaptive(lambda x: 1.0 / (1.0 + x * x), tol=1e-10)
+        res = integrate_adaptive(lambda x: [1.0 / (1.0 + x * x)], tol=1e-10)
         assert res.value == pytest.approx(math.pi / 2.0, abs=1e-9)
 
     def test_transmission_integral_matches_bessel_route(self):
@@ -180,32 +181,52 @@ class TestIntegrateAdaptive:
         # pi alpha e^{-alpha/2} (I0 + I1)(alpha/2), twice the half-line's;
         # checked at alpha = 1
         alpha = 1.0
-        res = integrate_adaptive(lambda x: -np.expm1(-alpha / (1.0 + x * x)), tol=1e-10)
+        res = integrate_adaptive(lambda x: [-np.expm1(-alpha / (1.0 + x * x))], tol=1e-10)
         closed = math.pi * alpha * I0E_PLUS_I1E_AT_HALF
         assert res.value == pytest.approx(closed / 2.0, abs=1e-8)
 
     def test_non_convergence_carries_best_estimate(self, monkeypatch):
         monkeypatch.setattr(specfun, "PANEL_LIMIT", 3)
         with pytest.raises(QuadratureConvergenceError) as err:
-            integrate_adaptive(lambda x: np.sin(1.0 / x) / (1.0 + x * x), tol=1e-14)
+            integrate_adaptive(lambda x: [np.sin(1.0 / x) / (1.0 + x * x)], tol=1e-14)
         assert isinstance(err.value.best, QuadratureResult)
         assert math.isfinite(err.value.best.value)
 
     def test_first_pass_counts_every_node(self):
         first = 3 * INITIAL_PANELS * PANEL_NODES  # panels whole and halved
-        assert integrate_adaptive(lambda x: (1.0 + x) ** -2, tol=1e-12).evaluations == first
+        assert integrate_adaptive(lambda x: [(1.0 + x) ** -2], tol=1e-12).evaluations == first
 
     def test_refines_where_the_integrand_is_sharp(self):
         eps = 1e-6
-        res = integrate_adaptive(lambda x: 1.0 / (eps + x * x), tol=1e-7)
+        res = integrate_adaptive(lambda x: [1.0 / (eps + x * x)], tol=1e-7)
         assert res.value == pytest.approx(math.pi / (2.0 * math.sqrt(eps)), abs=1e-7)
         assert res.error_estimate <= 1e-7
         assert res.evaluations > 3 * INITIAL_PANELS * PANEL_NODES
 
+    def test_parts_bisect_the_union_of_their_requests(self):
+        # two parts sharp at x = 0 and at x = 100: each asks for its own
+        # panels, and one iteration bisects both sets, so the stacked pass
+        # calls f no more often than the longer of two scalar passes
+        eps = 1e-6
+        parts = (lambda x: 1.0 / (eps + x * x), lambda x: 1.0 / (eps + (x - 100.0) ** 2))
+
+        def calls(f, rule):
+            sizes = []
+            result = rule(lambda x: sizes.append(x.size) or f(x), 1e-7)
+            return result, sizes
+
+        res, stacked = calls(lambda x: np.stack([part(x) for part in parts]), integrate_adaptive)
+        scalar = [len(calls(part, spectral_reference.integrate_adaptive)[1]) for part in parts]
+        assert min(scalar) < max(scalar)
+        assert len(stacked) <= max(scalar)
+        assert res.evaluations == sum(stacked)
+        assert all(e <= 1e-7 for e in res.errors)
+        assert res.values[0] == pytest.approx(math.pi / (2.0 * math.sqrt(eps)), abs=1e-7)
+
     def test_round_off_floor_scales_with_the_magnitude(self):
         # no rule meets 1e-300; the estimate stops at the round-off floor
         # of the integral of |f|, here 1e6 int_0^inf e^{-x} |cos x| dx
-        res = integrate_adaptive(lambda x: 1e6 * np.exp(-x) * np.cos(x), tol=1e-300)
+        res = integrate_adaptive(lambda x: [1e6 * np.exp(-x) * np.cos(x)], tol=1e-300)
         assert res.value == pytest.approx(1e6 / 2.0, abs=1e-8)
         e, e2 = math.exp(-math.pi / 2.0), math.exp(-math.pi)
         magnitude = (1.0 + e) / 2.0 + e * (1.0 + e2) / (2.0 * (1.0 - e2))
@@ -214,17 +235,22 @@ class TestIntegrateAdaptive:
     def test_nan_integrand_exhausts_the_panel_budget(self, monkeypatch):
         monkeypatch.setattr(specfun, "PANEL_LIMIT", 40)
         with pytest.raises(QuadratureConvergenceError, match="limit of 40 panels"):
-            integrate_adaptive(lambda x: np.where(x > 0.5, np.nan, 1.0) * np.exp(-x), tol=1e-10)
+            integrate_adaptive(lambda x: [np.where(x > 0.5, np.nan, 1.0) * np.exp(-x)], tol=1e-10)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            integrate_adaptive(lambda x: np.exp(-x), tol=0.0)
+            integrate_adaptive(lambda x: [np.exp(-x)], tol=0.0)
 
     def test_result_invariants(self):
         with pytest.raises(ValueError):
-            QuadratureResult(value=1.0, error_estimate=-1e-3, evaluations=5)
+            QuadratureResult(values=(1.0,), errors=(-1e-3,), magnitudes=(1.0,), evaluations=5)
         with pytest.raises(ValueError):
-            QuadratureResult(value=1.0, error_estimate=0.0, evaluations=0)
+            QuadratureResult(values=(1.0,), errors=(0.0,), magnitudes=(1.0,), evaluations=0)
+        with pytest.raises(ValueError):
+            QuadratureResult(values=(1.0, 2.0), errors=(0.0,), magnitudes=(1.0, 2.0), evaluations=1)
+        result = QuadratureResult(values=(1.0, 2.0), errors=(1e-3, 2e-3), magnitudes=(1.0, 2.0),
+                                  evaluations=1)
+        assert (result.value, result.error_estimate) == (3.0, 3e-3)
 
 
 class TestIntegratePanels:
@@ -272,8 +298,10 @@ class TestIntegratePanels:
     def test_budget_is_tol_with_the_round_off_floor(self):
         def met(shift, tol, magnitude=1.0):
             # whole and halved values differ by ``shift``; |f| integrates to ``magnitude``
-            result = QuadratureResult(value=1.0 + shift, error_estimate=abs(shift), evaluations=1)
-            return within_budget(result, magnitude, tol)
+            result = QuadratureResult(values=(1.0 + shift,), errors=(abs(shift),),
+                                      magnitudes=(magnitude,), evaluations=1)
+            (part_met,) = within_budget(result, tol)
+            return part_met
         # below the floor ROUND_OFF times the integral of |f|, tol binds
         assert ROUND_OFF < 1e-13
         assert not met(5e-9, 1e-12)
@@ -285,5 +313,14 @@ class TestIntegratePanels:
         assert met(shift, 1e-16, 1e6)
         assert not met(shift, 1e-16, 1.0)
         # a NaN value or estimate fails under any budget
-        assert not within_budget(QuadratureResult(math.nan, 0.0, 1), 1.0, 1.0)
-        assert not within_budget(QuadratureResult(1.0, math.nan, 1), 1.0, 1.0)
+        assert within_budget(QuadratureResult((math.nan,), (0.0,), (1.0,), 1), 1.0) == (False,)
+        assert within_budget(QuadratureResult((1.0,), (math.nan,), (1.0,), 1), 1.0) == (False,)
+
+    def test_each_part_meets_its_own_budget(self):
+        # one tol for every part, each part with the round-off floor of its
+        # own magnitude: a part's slack is not lent to another
+        result = QuadratureResult(values=(1.0, 1e6), errors=(2e-12, 2e-12),
+                                  magnitudes=(1.0, 1e6), evaluations=1)
+        assert result.error_estimate > 1e-12
+        assert within_budget(result, 1e-12) == (False, True)
+        assert within_budget(result, 1e-11) == (True, True)

@@ -5,10 +5,13 @@ import cmath
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+import spectral_reference
+from spinmap import mapping, specfun
 from spinmap.mapping import SqueezingModel, variance_spectral
 from spinmap.specfun import bessel_kernels, scaled_bessel_i
 
@@ -87,3 +90,42 @@ def test_spectral_parts_match_quad_reference(alpha, b, s):
 
     assert abs(report.atom_langevin_part - 2.0 * _quad_half_line(langevin)) <= 1e-10
     assert abs(report.light_part - 2.0 * _quad_half_line(light)) <= 1e-10
+
+
+INPUTS = st.one_of(st.builds(SqueezingModel.flat, st.floats(0.0, 1.0)),
+                   st.builds(SqueezingModel.lorentzian, st.floats(0.3, 1e3), st.floats(0.0, 1.0)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(alpha=st.floats(-3.0, 5.0).map(lambda e: 10.0 ** e), model=INPUTS,
+       tol=st.sampled_from((1e-9, 1e-10, 1e-12)))
+def test_one_pass_matches_a_pass_per_density(alpha, model, tol):
+    # the engine's one stacked pass against one scalar pass per density
+    results = []
+
+    def recording(f, tol):
+        results.append(specfun.integrate_adaptive(f, tol))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mapping, "integrate_adaptive", recording)
+        report = variance_spectral(alpha, model, tol=tol)
+    (result,) = results
+    passes = spectral_reference.spectral_passes(alpha, model, tol)
+    parts = (report.atom_langevin_part, report.light_part)
+    # every part meets its own budget, tol / 2 or its round-off floor
+    for error, magnitude in zip(result.errors, result.magnitudes):
+        assert error <= max(tol / 2, specfun.ROUND_OFF * magnitude)
+    first_pass = 3 * specfun.INITIAL_PANELS * specfun.PANEL_NODES
+    refined = not all(p.evaluations == first_pass for p in passes)
+    event("refined" if refined else "first pass")
+    if not refined:
+        # same nodes, same arithmetic
+        assert result.evaluations == first_pass
+        assert parts == tuple(2.0 * p.value for p in passes)
+        return
+    # where either refines, the parts follow the union of the panels both
+    # bisect: a part that met its budget moves, within what the two
+    # estimates allow, toward the more refined value
+    for part, p, error in zip(parts, passes, result.errors):
+        assert abs(part - 2.0 * p.value) <= max(1e-15, 2.0 * (p.error_estimate + error))
