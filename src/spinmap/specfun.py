@@ -43,7 +43,8 @@ nodes and its error is estimated, part by part, by halving it.  While some
 part's summed estimate misses its budget, that part asks for every panel
 but those with its smallest estimates (which together spend at most half
 its budget) to be bisected, and the union of what the parts ask for is
-bisected.
+bisected.  A part that has met its budget keeps the result of the pass
+where it first met it, so it reads as a pass of its own that stopped there.
 
 ``gauss_panels`` gives the nodes and weights of the panel rule on any
 intervals, for callers that run their own composite pass where they know
@@ -430,17 +431,21 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], tol: float) -> Qua
     ----------
     f : callable
         Vectorized integrand: takes an array of points and returns its parts
-        at each, stacked along a new first axis.  Every part must be
-        integrable on the half-line.
+        at each, stacked along a new first axis (a single integrand is a
+        stack of one).  Every part must be integrable on the half-line.
     tol : float
         Absolute tolerance target of every part.  A part's error estimate
         is the summed change of every panel under halving; it meets ``tol``,
         or the part's round-off floor where that is larger.  Every part
-        evaluates at every node, so a part whose estimate met its budget
-        follows the panels another part still bisects.
+        evaluates at every node; a part that has met its budget keeps the
+        value and estimate of the pass where it first met it while another
+        part still bisects.
 
     Raises
     ------
+    ValueError
+        When ``tol`` is not positive and finite, or ``f`` does not return
+        its parts stacked along a new first axis.
     QuadratureConvergenceError
         When bisecting further would exceed ``PANEL_LIMIT`` panels before
         every part's estimate meets its budget.  The exception carries the
@@ -461,22 +466,32 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], tol: float) -> Qua
     n = min(INITIAL_PANELS, PANEL_LIMIT)
     nodes, weights = _first_pass(n)
     sums, mags = panel_sums(nodes, weights)
+    if sums.ndim != 2:
+        raise ValueError("the integrand must return its parts stacked along a new first axis, "
+                         f"shape (parts, *x.shape); got shape {sums.shape + nodes.shape[-1:]} "
+                         f"for x of shape {nodes.shape}")
     evaluations = nodes.size
     parts = len(sums)
     # [part, panel] whole, [part, half, panel] halved
     whole, halves, mags = (sums[:, :n], sums[:, n:].reshape(parts, 2, n),
                            mags[:, n:].reshape(parts, 2, n))
     panels = None  # [lo, hi] of every panel, from the first bisection on
+    # (value, error, magnitude) of each part from the pass where it first met
+    # its budget: a part that has met it keeps that result
+    settled = [None] * parts
     while True:
         fine = halves.sum(axis=1)
         errors = np.abs(fine - whole)
-        result = QuadratureResult(values=tuple(fine.sum(axis=1).tolist()),
-                                  errors=tuple(errors.sum(axis=1).tolist()),
-                                  magnitudes=tuple(mags.reshape(parts, -1).sum(axis=1).tolist()),
+        rows = [done or row for done, row in zip(settled, zip(
+            fine.sum(axis=1).tolist(), errors.sum(axis=1).tolist(),
+            mags.reshape(parts, -1).sum(axis=1).tolist()))]
+        values, errs, magnitudes = zip(*rows)
+        result = QuadratureResult(values=values, errors=errs, magnitudes=magnitudes,
                                   evaluations=evaluations)
         met = within_budget(result, tol)
         if all(met):
             return result
+        settled = [row if ok else None for row, ok in zip(rows, met)]
         # a part that misses its budget keeps the panels with its smallest
         # estimates while together they spend at most half that budget, and
         # asks for the rest to be bisected (NaN sorts last)
@@ -486,11 +501,12 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], tol: float) -> Qua
             kept = np.cumsum(errors[part, order]) <= budget(result.magnitudes[part], tol) / 2.0
             split[order[~kept]] = True
         if not split.any() or len(split) + np.count_nonzero(split) > PANEL_LIMIT:
-            part = met.index(False)
+            budgets = [budget(m, tol) for m in result.magnitudes]
             raise QuadratureConvergenceError(
-                f"adaptive quadrature did not converge on [0.0, inf]: part {part} has estimate "
-                f"{result.errors[part]:.3g} against tol {tol:.3g} at the limit of {PANEL_LIMIT} "
-                f"panels", result)
+                f"adaptive quadrature did not converge on [0.0, inf]: estimates "
+                f"({', '.join(f'{e:.3g}' for e in result.errors)}) against budgets "
+                f"({', '.join(f'{b:.3g}' for b in budgets)}) at the limit of {PANEL_LIMIT} panels",
+                result)
         if panels is None:
             edges = np.linspace(0.0, 1.0, n + 1)
             panels = np.stack([edges[:-1], edges[1:]])

@@ -233,13 +233,20 @@ class TestIntegrateAdaptive:
         assert res.error_estimate <= ROUND_OFF * 1e6 * magnitude
 
     def test_nan_integrand_exhausts_the_panel_budget(self, monkeypatch):
+        # the message gives every part's estimate against its budget
         monkeypatch.setattr(specfun, "PANEL_LIMIT", 40)
-        with pytest.raises(QuadratureConvergenceError, match="limit of 40 panels"):
-            integrate_adaptive(lambda x: [np.where(x > 0.5, np.nan, 1.0) * np.exp(-x)], tol=1e-10)
+        with pytest.raises(QuadratureConvergenceError,
+                           match=r"estimates \(nan, [^)]+\) against budgets \(1e-10, 1e-10\) "
+                                 r"at the limit of 40 panels"):
+            integrate_adaptive(lambda x: [np.where(x > 0.5, np.nan, 1.0) * np.exp(-x),
+                                          np.exp(-x)], tol=1e-10)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             integrate_adaptive(lambda x: [np.exp(-x)], tol=0.0)
+        # a bare integrand is not a stack of parts
+        with pytest.raises(ValueError, match="stacked along a new first axis"):
+            integrate_adaptive(lambda x: np.exp(-x), tol=1e-10)
 
     def test_result_invariants(self):
         with pytest.raises(ValueError):
