@@ -106,9 +106,22 @@ def cmd_transient(cfg: RunConfig) -> tuple[list[str], int]:
 
     alpha = cfg.alpha()
     model = cfg.squeezing_model()
-    area = dynamics.PulseArea.constant(alpha)  # Gamma = 1, L = 1 units
+    tau_max = cfg["transient.tau_max_gamma"]
+    # the drive simulate follows, in Gamma = 1, L = 1 units; the table runs
+    # one rate, so a drive whose rate changes before tau_max is refused
+    _, drive = _dimensionless_medium_drive(alpha, tau_max, cfg.pulse())
+    pulse = dynamics.PulseArea.from_drive(drive)
+    rates = (*pulse.rates, pulse.final_rate)
+    for t, before, after in zip(pulse.breakpoints, rates, rates[1:]):
+        if t < tau_max and before != after:
+            raise ConfigError(
+                "drive.profile" if drive.profile else "drive.tau_pulse_s",
+                f"the drive's rate changes at Gamma tau = {_fmt(t)}, inside [0, "
+                f"transient.tau_max_gamma = {_fmt(tau_max)}]; transient runs one constant "
+                f"drive, simulate follows shaped pulses")
+    area = dynamics.PulseArea.constant(rates[0])
     tol = cfg["tolerance.quad_abs"]
-    taus = np.linspace(0.0, cfg["transient.tau_max_gamma"], cfg["transient.points"] + 1)
+    taus = np.linspace(0.0, tau_max, cfg["transient.points"] + 1)
     rows = []
     # the last row needs the most panels, so a table past the panel limit
     # fails before computing any other row

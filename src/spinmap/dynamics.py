@@ -96,7 +96,18 @@ ladder of grids halved from the given one and compares each light-kernel
 table with the continuum kernel (``light_kernel_reference``), evaluated
 once from the finest rung's discretization (area, dephasing, nodes) and
 sliced for every coarser rung: halving scales dt by a power of two
-exactly, so a coarser rung's nodes are every 2nd, 4th, ... fine node.
+exactly, so a coarser rung's nodes are every 2nd, 4th, ... fine node, and
+every lag (k - kp) dt is the same float on both rungs.  On the uniform
+nodes the decay e^{-Gamma (k - kp) dt} depends on the lag alone, and so
+does the area r (k - kp) dt between two nodes of one drive segment.  The
+reference therefore goes one segment's columns at a time, as ``propagate``
+builds the kernel one run at a time: a lower-triangular Toeplitz block
+from one Bessel evaluation per lag for the rows up to the segment's end,
+and a dense block, one evaluation per node pair at u = a(tau_k) -
+a(tau_kp), for the rows past it; every entry takes its decay from one lag
+table.  A constant drive costs ntau evaluations where every pair cost
+ntau (ntau + 1) / 2; under a profile the dense blocks cost the pairs that
+straddle a breakpoint.
 """
 
 from __future__ import annotations
@@ -471,14 +482,14 @@ def _first_column(e: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _toeplitz(column: np.ndarray, row: np.ndarray | None = None) -> np.ndarray:
     """The Toeplitz matrix with this first column and first row (row[0] is
-    ignored; symmetric when row is omitted): a strided view of its diagonals,
-    copied."""
+    ignored; symmetric when row is omitted): a read-only strided view of its
+    diagonals, for the caller to copy or assign from."""
     row = column if row is None else row
     # entry (i, j) is diagonals[len(row) - 1 + i - j]
     diagonals = np.concatenate((row[:0:-1], column))
     step = diagonals.strides[0]
     return np.lib.stride_tricks.as_strided(diagonals[len(row) - 1:], shape=(len(column), len(row)),
-                                           strides=(step, -step)).copy()
+                                           strides=(step, -step), writeable=False)
 
 
 def expm(x: float, nz: int, dz: float) -> np.ndarray:
@@ -574,7 +585,7 @@ def _cell_correlator(model: SqueezingModel, dt: float, rho: np.ndarray) -> np.nd
     first_row[0] = 1.0 / dt - s * diag
     if ntau > 1:
         first_row[1:] = -s * off
-    corr = _toeplitz(first_row)
+    corr = _toeplitz(first_row).copy()
     # rho C rho, with the white diagonal 1/dt put back on the straddling cells
     straddle = np.flatnonzero(rho != 1.0)
     if straddle.size:  # none on an aligned grid, where the empty updates cost ~10 us
@@ -628,7 +639,8 @@ class _Discretization:
         self.s_field = _mean_arrival(gamma, dt)
         self.s_lang = _mean_arrival(2.0 * gamma, dt)
         self.lang_amp = 1.0 - d * d  # vanishes with the dephasing, as the noise must
-        self.coeff_bound = 4.0 * max(1.0, self.phi * math.sqrt(g_max))
+        # dimensionless: phi is a time, g_max L Gamma a squared rate
+        self.coeff_bound = 4.0 * max(1.0, self.phi * math.sqrt(g_max * length * gamma))
 
     def propagate(self, langevin: bool = True):
         """The light-kernel table, the field weights w c_field and, with
@@ -776,19 +788,44 @@ def simulate_grid(
 
 def light_kernel_reference(area: PulseArea, length: float, gamma: float,
                            tau_nodes) -> np.ndarray:
-    """Continuum collective light kernel sampled at the grid nodes.
+    """Continuum collective light kernel sampled at uniform grid nodes.
 
-    Row k holds e^{-Gamma (tau_k - tau_kp)} sqrt(L/u) J1(2 sqrt(uL)) for
-    every earlier node tau_kp; the layout matches KernelTable.light_kernel.
+    Row k holds e^{-Gamma (k - kp) dt} L sqrt(1/(uL)) J1(2 sqrt(uL)) for
+    every earlier node kp, dt = tau_1 - tau_0; the layout matches
+    KernelTable.light_kernel.  u is the drive area from tau_kp to tau_k:
+    r (k - kp) dt where no breakpoint lies strictly between the two nodes,
+    r the rate just after tau_kp, else a(tau_k) - a(tau_kp).
+
+    The decay comes from one table by lag.  Columns go one drive segment
+    at a time: the rows up to the segment's end form a lower-triangular
+    Toeplitz block from one kernel evaluation per lag, and only the rows
+    past it, a dense block, take one evaluation per node pair.  So a
+    constant drive costs ntau evaluations.
     """
     t = np.asarray(tau_nodes, dtype=float)
-    avals = area.value(t)
     ntau = len(t) - 1
-    lower = np.tri(ntau + 1, ntau, -1, dtype=bool)  # kp < k
-    u = (avals[:, None] - avals[:-1])[lower]
+    dt = t[1] - t[0]
+    if not (dt > 0 and np.allclose(np.diff(t), dt, rtol=1e-9, atol=0.0)):
+        raise ValueError("tau_nodes must be increasing and uniformly spaced")
+    lags = np.arange(ntau + 1) * dt
+    decay = np.exp(-gamma * lags) * length
+    starts, rates, _ = area._segments
+    segment = starts[1:].searchsorted(t[:-1], side="right")  # of every column's node
+    cuts = [0, *(np.flatnonzero(np.diff(segment)) + 1).tolist(), ntau]
+    avals = area.value(t)
     kernel = np.zeros((ntau + 1, ntau))
-    kernel[lower] = (np.exp(-gamma * (t[:, None] - t[:-1])[lower]) * length
-                     * bessel_kernels(u * length, (1,))[0])
+    for c0, c1 in itertools.pairwise(cuts):
+        s = segment[c0]
+        # rows c0 .. inside - 1 lie at or before the segment's end
+        inside = t.searchsorted(starts[s + 1], side="right") if s + 1 < len(starts) else ntau + 1
+        m = inside - c0  # lags 0 .. m - 1
+        column = np.zeros(m)
+        column[1:] = decay[1:m] * bessel_kernels(rates[s] * lags[1:m] * length, (1,))[0]
+        kernel[c0:inside, c0:c1] = _toeplitz(column, np.zeros(c1 - c0))
+        if inside <= ntau:  # the rows past the segment's end; lag m at the top left
+            decays = _toeplitz(decay[m:ntau + 1 - c0], decay[m - (c1 - c0) + 1:m + 1][::-1])
+            u = avals[inside:, None] - avals[c0:c1]
+            kernel[inside:, c0:c1] = decays * bessel_kernels(u * length, (1,))[0]
     return kernel
 
 

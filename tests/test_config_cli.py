@@ -312,6 +312,42 @@ class TestSimulateSIUnits:
                 assert math.isclose(scaled_value, value, rel_tol=1e-12, abs_tol=0.0)
 
 
+class TestTransientDrive:
+    """transient runs the drive simulate follows where it is one constant
+    rate over [0, transient.tau_max_gamma], and refuses a shaped one."""
+
+    @pytest.mark.parametrize("profile, key", [
+        (SI_PROFILES["three-segment"], "drive.profile"),
+        (SI_PROFILES["switch-off"], "drive.profile"),
+        ("2e-5:1, 1e-4:1, 1e-4:0.5", "drive.profile"),  # the rate changes at about 12 / Gamma
+        (None, "drive.tau_pulse_s"),                    # a 5 us pulse ends at about 0.5 / Gamma
+    ])
+    def test_shaped_drive_exits_two_naming_its_key(self, profile, key, tmp_path, capsys):
+        config = _si_config("flat", profile) + "transient.tau_max_gamma = 15\ntransient.points = 4\n"
+        if profile is None:
+            config = config.replace("drive.tau_pulse_s = 0.01", "drive.tau_pulse_s = 5e-06")
+        code, text = run_cli(["transient"], tmp_path, config)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "simulate follows shaped pulses" in err
+
+    @pytest.mark.parametrize("profile, power", [
+        (None, 1.0),                         # the example's 10 ms pulse
+        ("1e-4:0.5, 1e-4:1", 0.5),           # half power for about 10 / Gamma
+        ("2e-5:0.25, 1e-4:0.25", 0.25),      # a breakpoint between equal rates
+    ])
+    def test_constant_drive_is_followed(self, profile, power, tmp_path):
+        config = _si_config("flat", profile) + "transient.tau_max_gamma = 5\ntransient.points = 4\n"
+        code, text = run_cli(["transient"], tmp_path, config)
+        assert code == 0
+        alpha = RunConfig(parse_config_text(config)).alpha()
+        area = PulseArea.constant(alpha * power)
+        for tau, variance, eta in _table(text):
+            reference = transient_variance(area, 1.0, 1.0, SqueezingModel.flat(0.3), tau)
+            assert variance == float(f"{reference.variance_norm:.12g}")
+            assert eta == float(f"{reference.eta:.12g}")
+
+
 class TestTeleportCommand:
     def test_report_row(self, tmp_path):
         code, text = run_cli(

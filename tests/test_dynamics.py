@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -7,6 +9,7 @@ from scipy.integrate import quad
 from scipy.special import j1
 
 from spinmap import dynamics, specfun
+from spinmap.config import RunConfig
 from spinmap.dynamics import (
     GridConfigError,
     GridGrowthError,
@@ -29,6 +32,7 @@ from spinmap.specfun import (
 # first positive roots of J0 and J1, squared over four (series-oracle bisection)
 J0_ROOT_SQ_OVER_4 = 1.4457964907366961
 J1_ROOT_SQ_OVER_4 = 3.6704926605309743
+EXAMPLE_CFG = Path(__file__).resolve().parent.parent / "configs" / "feasibility_example.cfg"
 
 
 def unit_medium(gamma0=1.0, length=1.0):
@@ -406,21 +410,57 @@ class TestSimulateGrid:
                     assert abs(dynamics._mean_arrival(rate, dt) / exact - 1) <= 1e-15, x
 
     @pytest.mark.parametrize("profile", [
-        ((0.125, 1.0), (0.25, 0.5), (0.125, 0.8137)),  # the benchmark's profile ladder
-        ((0.1, 1.0), (0.15, 0.0), (0.1, 0.8137)),      # a dark segment, off before the horizon
+        (),                                                # constant drive past the horizon
+        ((0.125, 1.0), (0.25, 0.5), (0.125, 0.8137)),      # the benchmark's profile ladder
+        ((0.1, 1.0), (0.15, 0.0), (0.1, 0.8137)),          # a dark segment, off before the horizon
+        ((0.0712, 1.0), (0.1093, 0.5), (0.1201, 0.8137)),  # breakpoints off the nodes
     ])
-    def test_light_kernel_reference_matches_double_loop(self, profile):
-        drive = DriveParams(g=0.5, gamma_s=0.0, tau_pulse=0.5, profile=profile)
+    @pytest.mark.parametrize("length, gamma", [(1.0, 1.0), (1.7, 0.3)])
+    def test_light_kernel_reference_matches_double_loop(self, profile, length, gamma):
+        # the definition entry by entry: the decay by lag, and u = r (k - kp) dt
+        # where no breakpoint lies strictly between the two nodes, r the rate
+        # just after tau_kp, else a(tau_k) - a(tau_kp)
+        drive = DriveParams(g=0.5, gamma_s=0.0, tau_pulse=1.0, profile=profile)
         area = PulseArea.from_drive(drive)
-        tau = np.arange(101) * (0.5 / 100)
-        length, gamma = 1.0, 1.0
+        dt = 0.5 / 100
+        tau = np.arange(101) * dt
         expected = np.zeros((101, 100))
         for k in range(101):
             for kp in range(k):
-                y = (area.value(float(tau[k])) - area.value(float(tau[kp]))) * length
-                j = float(bessel_kernels(y, (1,))[0])
-                expected[k, kp] = np.exp(-gamma * (tau[k] - tau[kp])) * length * j
+                if any(tau[kp] < b < tau[k] for b in area.breakpoints):
+                    u = area.value(float(tau[k])) - area.value(float(tau[kp]))
+                else:
+                    u = area.rate(float(tau[kp])) * ((k - kp) * dt)
+                j = float(bessel_kernels(u * length, (1,))[0])
+                expected[k, kp] = np.exp(-gamma * ((k - kp) * dt)) * length * j
         assert np.array_equal(light_kernel_reference(area, length, gamma, tau), expected)
+
+    def test_light_kernel_reference_evaluates_each_lag_once_under_constant_drive(
+            self, monkeypatch):
+        # one drive segment spans every node: one kernel evaluation per lag
+        calls = []
+        original = dynamics.bessel_kernels
+
+        def counting(y, orders=(0, 1)):
+            calls.append(np.size(y))
+            return original(y, orders)
+
+        monkeypatch.setattr(dynamics, "bessel_kernels", counting)
+        tau = np.arange(401) * (0.5 / 400)
+        kernel = light_kernel_reference(PulseArea.constant(0.5), 1.0, 1.0, tau)
+        assert calls == [400]
+        # three segments: one call per segment for its lags, and one for each
+        # dense block past a segment's end
+        calls.clear()
+        drive = DriveParams(g=0.5, gamma_s=0.0, tau_pulse=1.0,
+                            profile=((0.125, 1.0), (0.25, 0.5), (0.25, 0.8137)))
+        light_kernel_reference(PulseArea.from_drive(drive), 1.0, 1.0, tau)
+        assert len(calls) == 5 and sum(calls) < kernel.size / 2
+
+    def test_light_kernel_reference_rejects_uneven_nodes(self):
+        for nodes in ([0.0, 0.1, 0.3], [0.0, 0.0, 0.0], [0.2, 0.1, 0.0]):
+            with pytest.raises(ValueError, match="uniformly spaced"):
+                light_kernel_reference(PulseArea.constant(1.0), 1.0, 1.0, nodes)
 
     def test_kernel_convergence_first_order(self):
         medium = unit_medium()
@@ -554,6 +594,24 @@ class TestSimulateGrid:
             # 1.5 e^{-Gamma dt} = 1.4925 per step passes the bound 4 at step 4
             simulate_grid(unit_medium(), drive, GridSpec(nz=20, ntau=200, tau_max=1.0),
                           SqueezingModel.flat(1.0))
+
+    @pytest.mark.parametrize("profile", [(), ((2e-6, 1.0), (3e-6, 0.25), (5e-6, 0.6))])
+    def test_coefficient_bound_does_not_depend_on_the_time_unit(self, profile):
+        # the shipped SI example on a 200 x 200 grid to Gamma tau = 1, in
+        # seconds, microseconds and nanoseconds
+        cfg = RunConfig.from_file(str(EXAMPLE_CFG))
+        medium, drive = cfg.record("medium"), cfg.record("drive")
+        tau_max = 1.0 / total_dephasing(medium, drive)
+        bounds = []
+        for unit in (1.0, 1e-6, 1e-9):  # seconds per unit
+            scaled_medium = dataclasses.replace(medium, gamma0=medium.gamma0 * unit)
+            scaled_drive = DriveParams(g=drive.g * unit, gamma_s=drive.gamma_s * unit,
+                                       tau_pulse=drive.tau_pulse / unit,
+                                       profile=tuple((d / unit, p) for d, p in profile))
+            grid = GridSpec(nz=200, ntau=200, tau_max=tau_max / unit)
+            bounds.append(dynamics._Discretization(scaled_medium, scaled_drive, grid).coeff_bound)
+        assert bounds[1] == pytest.approx(bounds[0], rel=1e-12)
+        assert bounds[2] == pytest.approx(bounds[0], rel=1e-12)
 
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,11 @@
 a general matrix exponential, and the contracted propagator against the dense
 reference loop (``grid_reference``) on random small grids and drive
 profiles, and on one long run at the exchange bound; the NoiseReport
-decomposition on the same random runs; and the oracle against the transient
-engine at every node, at second order wherever the breakpoints fall."""
+decomposition on the same random runs; the oracle against the transient
+engine at every node, at second order wherever the breakpoints fall; and the
+continuum light kernel against mpmath."""
 
+import mpmath
 import numpy as np
 import scipy.linalg
 import pytest
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 
 from grid_reference import dense_table
 from spinmap import dynamics
-from spinmap.dynamics import GridSpec, PulseArea, STABILITY_EXCHANGE_BOUND, transient_variance
+from spinmap.dynamics import (GridSpec, PulseArea, STABILITY_EXCHANGE_BOUND, light_kernel_reference,
+                              transient_variance)
 from spinmap.mapping import SqueezingModel
 from spinmap.model import DriveParams, MediumParams
 
@@ -159,3 +162,54 @@ def test_grid_matches_transient_engine_at_every_node(run):
     dt = grid.tau_max / grid.ntau
     bound = GRID_ORDER_CONSTANT * (1.0 + g_max) ** 2 * dt * dt
     assert np.max(np.abs(table.variance_trace - engine)) <= bound
+
+
+@st.composite
+def kernel_drives(draw):
+    """Uniform nodes k dt, k <= ntau <= 64, and a drive of 0-3 breakpoints,
+    each on a node or inside a step, past the horizon or not, with dark
+    segments among any rates; any Gamma and L."""
+    ntau = draw(st.integers(2, 64))
+    dt = draw(st.floats(0.002, 0.1))
+    cuts = draw(st.lists(st.tuples(st.integers(1, ntau), st.just(0.0) | st.floats(0.01, 0.99)),
+                         max_size=3))
+    breakpoints = sorted({(k + f) * dt for k, f in cuts})
+    rates = draw(st.lists(st.just(0.0) | st.floats(0.0, 20.0),
+                          min_size=len(breakpoints) + 1, max_size=len(breakpoints) + 1))
+    area = PulseArea(tuple(breakpoints), tuple(rates[:-1]), rates[-1])
+    return area, draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 3.0)), dt, ntau
+
+
+def exact_light_kernel(area, length, gamma, dt, ntau):
+    """The continuum kernel at the nodes k dt, in mpmath at 30 digits, and
+    the largest exchange a(ntau dt) L."""
+    with mpmath.workdps(30):
+        starts = [mpmath.mpf(0), *map(mpmath.mpf, area.breakpoints)]
+        ends = [*starts[1:], mpmath.inf]
+        rates = [*area.rates, area.final_rate]
+        nodes = [k * mpmath.mpf(dt) for k in range(ntau + 1)]
+        a = [sum((r * (min(t, e) - s) for s, e, r in zip(starts, ends, rates) if t > s),
+                 mpmath.mpf(0)) for t in nodes]
+        kernel = np.zeros((ntau + 1, ntau))
+        for k in range(1, ntau + 1):
+            for kp in range(k):
+                y = (a[k] - a[kp]) * length
+                j = mpmath.besselj(1, 2 * mpmath.sqrt(y)) / mpmath.sqrt(y) if y else 1
+                kernel[k, kp] = mpmath.exp(-gamma * (nodes[k] - nodes[kp])) * length * j
+        return kernel, float(a[-1] * length)
+
+
+# |reference - mpmath| <= KERNEL_MPMATH_BOUND L (1 + a(tau_max) L), the
+# exchange's condition, at every node pair of the examples below: the
+# evaluation of every pair from a(tau_k) - a(tau_kp) and tau_k - tau_kp
+# reached 7.22e-16 on them, the evaluation by lag reaches 4.61e-16
+KERNEL_MPMATH_BOUND = 7.3e-16
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(kernel_drives())
+def test_light_kernel_reference_matches_mpmath(case):
+    area, length, gamma, dt, ntau = case
+    exact, exchange = exact_light_kernel(area, length, gamma, dt, ntau)
+    kernel = light_kernel_reference(area, length, gamma, np.arange(ntau + 1) * dt)
+    assert np.max(np.abs(kernel - exact)) <= KERNEL_MPMATH_BOUND * length * (1.0 + exchange)
