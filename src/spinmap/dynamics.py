@@ -81,27 +81,36 @@ for the Langevin part, its Gramian, which the Toeplitz structure gives as
 outer products of the symbols summed along diagonals.  Rows and columns
 are O(nz) closed forms at any area (sums of the Laguerre symbol of
 ``expm``); no matrix exponential and no O(nz^3) product is formed.
-``_Discretization.propagate`` is one pass: it takes each run's arrays from
-one symbol table and releases the table before it builds any output
-(building while the table was alive ran up to 1.6x slower at n = 200 on
-one core of a 2-vCPU Xeon).  Cost under one rate: O(ntau nz) for the table
-and the rows, O(ntau^2) for the kernel tables; each further run adds
-O(ntau nz^2) for its columns and Gramian, and the light variance of every
-node against the input correlator is one BLAS product, O(ntau^3).  The
-dense loop that steps the full coefficient matrices is kept in the tests as
-the reference.
+``_Discretization.propagate`` is one pass over one symbol table, and the
+table is the only table-sized array it allocates besides what it hands on:
+the kernel table, the rows from every origin, and the columns and symbols
+of the runs a later node follows (none under a constant drive).  It takes
+the field sums and those raw columns from the table, overwrites the rest
+with its running sums in place, builds the rows from them and contracts
+each Langevin term from them directly, and releases the table before it
+builds the kernel table (building while the table was alive ran up to
+1.6x slower at n = 200 on one core of a 2-vCPU Xeon).  The growth check
+reads the largest and smallest entry of each row, and only
+``simulate_grid``, which needs them for the light variance, forms the
+field weights.  Cost under one rate: O(ntau nz) for the table and the
+rows, O(ntau^2) for the kernel tables; each further run adds O(ntau nz^2)
+for its columns and Gramian, and the light variance of every node against
+the input correlator is one BLAS product, O(ntau^3).  The dense loop that
+steps the full coefficient matrices is kept in the tests as the reference.
 
 ``light_kernel_convergence`` makes the same pass, Langevin part off, on a
 ladder of grids halved from the given one and compares each light-kernel
-table with the continuum kernel (``light_kernel_reference``), evaluated
-once from the finest rung's discretization (area, dephasing, nodes) and
-sliced for every coarser rung: halving scales dt by a power of two
-exactly, so a coarser rung's nodes are every 2nd, 4th, ... fine node, and
-every lag (k - kp) dt is the same float on both rungs.  On the uniform
-nodes the decay e^{-Gamma (k - kp) dt} depends on the lag alone, and so
-does the area r (k - kp) dt between two nodes of one drive segment.  The
-reference therefore goes one segment's columns at a time, as ``propagate``
-builds the kernel one run at a time: a lower-triangular Toeplitz block
+table with the continuum kernel (``light_kernel_reference``).  Every rung
+runs first, so the reference is never held beside a rung's symbol table;
+it is evaluated after them, once, from the finest rung's discretization
+(area, dephasing, nodes), and sliced for every coarser rung: halving
+scales dt by a power of two exactly, so a coarser rung's nodes are every
+2nd, 4th, ... fine node, and every lag (k - kp) dt is the same float on
+both rungs.  On the uniform nodes the decay e^{-Gamma (k - kp) dt} depends
+on the lag alone, and so does the area r (k - kp) dt between two nodes of
+one drive segment.  The reference therefore goes one segment's columns at
+a time, as ``propagate`` builds the kernel one run at a time: a
+lower-triangular Toeplitz block
 from one Bessel evaluation per lag for the rows up to the segment's end,
 and a dense block, one evaluation per node pair at u = a(tau_k) -
 a(tau_kp), for the rows past it; every entry takes its decay from one lag
@@ -472,12 +481,15 @@ def _running_sums(a: np.ndarray, sign: float = 1.0) -> np.ndarray:
 
 
 def _first_column(e: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Nodes 1..nz of the first column of exp(-x T), one column per column
-    of the symbol table e: the series (E(y) - 1) / (1 + y), c_i = e_i -
-    c_{i-1} from c_0 = expm1(-t/2)."""
-    c = e.copy()
-    c[:1] = np.expm1(-t / 2.0)
-    return _running_sums(c, -1.0)
+    """The first column of exp(-x T), one column per column of the symbol
+    table e: 1 at node 0, then at nodes 1..nz the series (E(y) - 1) / (1 + y),
+    c_i = e_i - c_{i-1} from c_0 = expm1(-t/2)."""
+    out = np.empty((len(e) + 1, e.shape[1]))
+    out[0] = 1.0
+    out[2:] = e[1:]
+    out[1] = np.expm1(-t / 2.0)
+    _running_sums(out[1:], -1.0)
+    return out
 
 
 def _toeplitz(column: np.ndarray, row: np.ndarray | None = None) -> np.ndarray:
@@ -504,14 +516,13 @@ def expm(x: float, nz: int, dz: float) -> np.ndarray:
     the first column.  A closed form, O(nz^2) to fill where a general matrix
     exponential is O(nz^3), and closer to the exact entries than scipy's
     Pade approximant.  The propagator never builds it: it needs only the
-    contractions ``_rows`` and ``_cols`` and, for Gramians, the symbol and
-    the first column.
+    row contraction ``_rows``, the columns exp(-x T) 1 (first column plus
+    running sums) and, for Gramians, the symbol and the first column.
     """
     t = np.array([x * dz])
     symbol = _symbols(t, nz)
     out = np.zeros((nz + 1, nz + 1))
-    out[0, 0] = 1.0
-    out[1:, 0] = _first_column(symbol, t)[:, 0]
+    out[:, 0] = _first_column(symbol, t)[:, 0]
     out[1:, 1:] = _toeplitz(symbol[:, 0], np.zeros(nz))
     return out
 
@@ -530,26 +541,30 @@ def _rows(h: np.ndarray, dz: float) -> np.ndarray:
     return out.T
 
 
-def _cols(e: np.ndarray, h: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(-x T) 1, one column per column of the symbol table e (running
-    sums h): node 0 holds 1 and node i + 1 the first column plus the
-    Toeplitz row sum, c_i + h_i.  O(nz) per area."""
-    out = np.empty((len(e) + 1, e.shape[1]))
-    out[0] = 1.0
-    np.add(_first_column(e, t), h, out=out[1:])
-    return out
+def _row_norms(h: np.ndarray, dz: float) -> np.ndarray:
+    """|w exp(-x T)|^2_{1/w}, the squares of ``_rows`` over the weights w,
+    one per column of the running sums h, from h itself: dz/4 (h_0^2 +
+    h_{nz-1}^2) + dz/2 (sum_i h_i^2 + sum_{i>=1} h_i h_{i-1}).  Two
+    column-wise dot products, no row table."""
+    ends = h[0] * h[0] + h[-1] * h[-1]
+    inner = np.einsum("ij,ij->j", h, h) + np.einsum("ij,ij->j", h[1:], h[:-1])
+    return (dz / 4.0) * ends + (dz / 2.0) * inner
+
+
+def _outside(high: np.ndarray, low: np.ndarray, bound: float) -> np.ndarray:
+    """Where a row whose largest entry is high and smallest low leaves
+    [-bound, bound]; "not <=" counts a NaN as outside."""
+    return ~((high <= bound) & (-low <= bound))
 
 
 def _diagonal_cumsum(p: np.ndarray) -> np.ndarray:
-    """q[i, l] = sum_{m <= min(i, l)} p[i - m, l - m] for symmetric p: each
-    diagonal summed from the top-left corner.  Laid out with row stride
-    n + 1, the diagonals of p become columns."""
-    n = len(p)
-    skew = np.zeros(n * (n + 1))
-    skew[:n * n] = p.ravel()
-    skew = np.cumsum(skew.reshape(n, n + 1), axis=0).ravel()[:n * n].reshape(n, n)
-    upper = np.triu(skew)
-    return upper + np.triu(upper, 1).T
+    """q[i, l] = sum_{m <= min(i, l)} p[i - m, l - m]: each diagonal summed
+    from the top-left corner, in place, by q[i, l] = p[i, l] + q[i-1, l-1].
+    One vector operation per row, as in ``_running_sums``."""
+    rows = list(p)
+    for i in range(1, len(rows)):
+        np.add(rows[i][1:], rows[i - 1][:-1], out=rows[i][1:])
+    return p
 
 
 def _mean_arrival(rate: float, dt: float) -> float:
@@ -643,9 +658,9 @@ class _Discretization:
         self.coeff_bound = 4.0 * max(1.0, self.phi * math.sqrt(g_max * length * gamma))
 
     def propagate(self, langevin: bool = True):
-        """The light-kernel table, the field weights w c_field and, with
-        ``langevin``, the initial weights w c_init and the Langevin part
-        w sig w of every node (None without), from one symbol table.
+        """The light-kernel table and, with ``langevin``, the initial weights
+        w c_init and the Langevin part w sig w of every node (None without),
+        from one symbol table.
 
         Run (start, stop, r) covers steps start..stop-1, q counts steps back
         from its end, and a later node K sees the run only through the row
@@ -653,17 +668,27 @@ class _Discretization:
         from o to K (from node 0, w c_init).  The run's own nodes see its
         field cells through the Toeplitz table of s[q] = (phi / dt) d^q
         w exp(-y_q T) 1, y_q = r (q dt + s_field), and add up its Langevin
-        terms g[q] = d^{2q} |w exp(-y'_q T)|^2_{1/w}, y'_q = r (q dt + s_lang).
-        A later node takes the row times the field columns (phi / dt) d^q
-        exp(-y_q T) 1, and the row's quadratic form with the Gramian
-        sum_q H_q diag(1/w) H_q^T, H_q = d^q exp(-y'_q T): outer products of
-        the first columns, and of the symbols summed along diagonals.
+        terms g[q] = d^{2q} |w exp(-y'_q T)|^2_{1/w}, y'_q = r (q dt + s_lang),
+        contracted from the running sums (``_row_norms``).  A later node
+        takes the row times the field columns (phi / dt) d^q exp(-y_q T) 1,
+        and the row's quadratic form with the Gramian sum_q H_q diag(1/w)
+        H_q^T, H_q = d^q exp(-y'_q T): outer products of the first columns,
+        and of the symbols summed along diagonals.
 
-        Each run's arrays are taken and the symbol and running-sum tables
-        released before any table is built.  Raises GridGrowthError at the
-        first node where a row (per coherence sample, r / w) or a field
-        weight (per unit length) leaves the coefficient bound; "not <="
-        counts a NaN left by overflow as growth.
+        The symbol table is the pass's one working table.  From it come, in
+        order: every run's field sums s; the raw columns the runs a later
+        node follows still need, their field columns and their Langevin
+        symbols and first columns (none under a constant drive); then the
+        running sums, in place over every column but the last run's field
+        areas, and from them the rows and the Langevin terms.  The table is
+        released before the kernel table is built.  Raises GridGrowthError
+        at the first node where a row (per coherence sample, r / w) or a
+        field weight, the kernel times dt sqrt(r) (per unit length), leaves
+        the coefficient bound.  The check reads the largest and smallest
+        entry of each row of every run's kernel block and of every origin's
+        rows, which decides it exactly: the field weights scale a run's
+        block by one positive factor, under which rounding is monotone, and
+        "not <=" counts a NaN left by overflow as growth.
         """
         dt, dz, d, nz, ntau, w = self.dt, self.dz, self.d, self.nz, self.ntau, self.w
         runs = self.runs
@@ -678,7 +703,10 @@ class _Discretization:
         e = _symbols(t, nz)
         edges = np.cumsum([0, *map(len, parts)])
         blocks = [slice(a, b) for a, b in itertools.pairwise(edges)]
-        n_rows = len(origins) + (len(runs) if langevin else 0)
+        n_rows, n_lang = len(origins), len(runs) if langevin else 0
+        row_blocks = blocks[:n_rows]
+        lang_blocks = blocks[n_rows:n_rows + n_lang]
+        field_blocks = blocks[n_rows + n_lang:]
 
         def powers(b):  # d^q for the q-th area of part b
             return d ** np.arange(b.stop - b.start)
@@ -686,59 +714,83 @@ class _Discretization:
         def part(table, b, group):  # part b's columns in a table of a group of parts
             return table[:, b.start - group.start:b.stop - group.start]
 
-        # running sums serve the rows and the full columns; full and first
-        # columns serve only the runs a later node follows: all but the last,
-        # whose field and Langevin parts come last in their groups
-        h = _running_sums(e[:, :edges[-2]].copy())
+        # the runs a later node follows are all but the last, whose field and
+        # Langevin parts come last in their groups; the last run's field part
+        # is the one the running sums leave raw
+        followed = slice(field_blocks[0].start, edges[-2])
+        lang_followed = slice(edges[n_rows], lang_blocks[-1].start if langevin else edges[n_rows])
+        sums = [(dz * np.arange(nz, 0, -1.0)) @ e[:, b] for b in field_blocks]  # w exp(-y T) 1
+        cols = _first_column(e[:, followed], t[followed])  # exp(-y T) 1 once h is added
+        lang_symbols = e[:, lang_followed].copy()
+        lang_firsts = _first_column(lang_symbols, t[lang_followed])
+        h = _running_sums(e[:, :edges[-2]])
+        cols[1:] += h[:, followed]  # the first column plus the Toeplitz row sums
         row_table = _rows(h[:, :edges[n_rows]], dz)
-        row_table *= np.concatenate([np.empty(0), *map(powers, blocks[:n_rows])])[:, None]
-        rows = {o: row_table[b] for o, b in zip(origins, blocks)}
-        followed = slice(edges[n_rows], edges[-2])
-        cols = _cols(e[:, followed], h[:, followed], t[followed])
-        lang_followed = slice(edges[len(origins)], edges[n_rows - 1] if langevin else 0)
-        firsts = _first_column(e[:, lang_followed], t[lang_followed])
-        field, lang = [], []
-        for (_, stop, _), b in zip(runs, blocks[n_rows:]):
-            scale = (self.phi / dt) * powers(b)
-            field.append(((dz * np.arange(nz, 0, -1.0)) @ e[:, b] * scale,  # w exp(-y T) 1
-                          part(cols, b, followed) * scale if stop < ntau else None))
-        for (_, stop, _), b in zip(runs, blocks[len(origins):n_rows]):
-            g = row_table[b] ** 2 @ (1.0 / w)
+        row_table *= np.concatenate([np.empty(0), *map(powers, row_blocks)])[:, None]
+        rows = {o: row_table[b] for o, b in zip(origins, row_blocks)}
+        lang = []
+        for (_, stop, _), b in zip(runs, lang_blocks):
+            scale = powers(b)
+            g = _row_norms(h[:, b], dz) * (scale * scale)
             if stop == ntau:
                 lang.append((g, None, None))
                 continue
-            scale = powers(b)
-            c = np.vstack([np.ones(len(scale)), part(firsts, b, lang_followed)])
-            lang.append((g, e[:, b] * scale, c * scale))
-        del e, h, cols, firsts
+            symbols = part(lang_symbols, b, lang_followed)
+            firsts = part(lang_firsts, b, lang_followed)
+            symbols *= scale
+            firsts *= scale
+            lang.append((g, symbols, firsts))
+        field = []
+        for (_, stop, _), b, s in zip(runs, field_blocks, sums):
+            scale = (self.phi / dt) * powers(b)
+            s *= scale
+            c = None
+            if stop < ntau:
+                c = part(cols, b, followed)
+                c *= scale
+            field.append((s, c))
+        del e, h
 
         kernel = np.zeros((ntau + 1, ntau))
+        bad = np.zeros(ntau + 1, dtype=bool)
+        bound = self.coeff_bound * self.length
         for (start, stop, rate), (s, c) in zip(runs, field):
             if rate == 0:
                 continue
+            factor = dt * math.sqrt(rate)  # from kernel entries to field weights
             kernel[start + 1:stop + 1, start:stop] = _toeplitz(s, np.zeros(stop - start))
+            # row start + 1 + i of the Toeplitz block holds s[i], ..., s[0] and zeros
+            bad[start + 1:stop + 1] |= _outside(np.maximum.accumulate(s) * factor,
+                                                np.minimum.accumulate(s) * factor, bound)
             if stop < ntau:
-                kernel[stop + 1:, start:stop] = rows[stop][1:] @ c[:, ::-1]
-        field_weights = kernel * (dt * np.sqrt(self.rates))
-        bad = ~np.all(np.abs(field_weights) <= self.coeff_bound * self.length, axis=1)
+                block = kernel[stop + 1:, start:stop]
+                block[...] = rows[stop][1:] @ c[:, ::-1]
+                bad[stop + 1:] |= _outside(block.max(axis=1) * factor,
+                                           block.min(axis=1) * factor, bound)
+        sample = self.coeff_bound * w  # the end nodes' half weights get half the bound
         for o, r in rows.items():
-            bad[o:] |= ~np.all(np.abs(r) <= self.coeff_bound * w, axis=1)
+            inner = r[:, 1:-1]
+            bad[o:] |= (_outside(inner.max(axis=1), inner.min(axis=1), sample[1])
+                        | _outside(r[:, 0], r[:, 0], sample[0])
+                        | _outside(r[:, -1], r[:, -1], sample[-1]))
         if bad.any():
             raise GridGrowthError(f"influence coefficients diverged at step {np.argmax(bad)}")
         if not langevin:
-            return kernel, field_weights, None, None
+            return kernel, None, None
 
         lang_part = np.zeros(ntau + 1)
         for (start, stop, _), (g, s, c) in zip(runs, lang):
             lang_part[start + 1:stop + 1] += np.cumsum(g)
             if stop < ntau:
                 row = rows[stop][1:]
-                p = s @ s.T
-                gram = _diagonal_cumsum(p) / dz
-                gram[-1, -1] += p[0, 0] / dz  # the last node's half weight
-                lang_part[stop + 1:] += (np.sum((row @ c) ** 2, axis=1) / w[0]
+                gram = _diagonal_cumsum(s @ s.T)
+                gram /= dz
+                gram[-1, -1] += gram[0, 0]  # the last node's half weight
+                first = row @ c
+                first *= first
+                lang_part[stop + 1:] += (np.sum(first, axis=1) / w[0]
                                          + np.einsum("ij,ij->i", row[:, 1:] @ gram, row[:, 1:]))
-        return kernel, field_weights, rows[0], self.lang_amp * lang_part
+        return kernel, rows[0], self.lang_amp * lang_part
 
     def table(self, init_weights, lang_part, light_part, light_kernel) -> KernelTable:
         """Assemble the tables from w c_init (init_weights), w sig w
@@ -775,7 +827,8 @@ def simulate_grid(
     and GridGrowthError if any influence coefficient grows without bound.
     """
     disc = _Discretization(medium, drive, grid)
-    light_kernel, field_weights, init_weights, lang_part = disc.propagate()
+    light_kernel, init_weights, lang_part = disc.propagate()
+    field_weights = light_kernel * (disc.dt * np.sqrt(disc.rates))
     if model.kind == "flat":
         weighted = (model.x0_sq / disc.dt) * field_weights
     else:
@@ -852,19 +905,20 @@ def light_kernel_convergence(
     coarsest first, and measures the relative L2 error of the kernel table.
     Every rung is discretized, and so checked against the stability bounds,
     before any runs.  The continuum kernel is evaluated once, on the finest
-    grid's nodes, and a grid coarser by s takes every s-th row and column.
+    grid's nodes, after every rung has run, and a grid coarser by s takes
+    every s-th row and column.
     """
     factor = 2 ** (levels - 1)
     if grid.nz % factor or grid.ntau % factor:
         raise GridConfigError(f"grid sizes must be divisible by {factor} for {levels} levels")
     discs = [_Discretization(medium, drive, GridSpec(grid.nz // s, grid.ntau // s, grid.tau_max))
              for s in (2 ** k for k in range(levels - 1, -1, -1))]
+    kernels = [disc.propagate(langevin=False)[0] for disc in discs]
     finest = discs[-1]
     fine = light_kernel_reference(finest.area, finest.length, finest.gamma, finest.tau)
     errors = []
-    for disc in discs:
+    for disc, kernel in zip(discs, kernels):
         reference = fine[::grid.ntau // disc.ntau, ::grid.ntau // disc.ntau]
-        kernel = disc.propagate(langevin=False)[0]
         kernel -= reference  # the table is the rung's own: no temporary of its size
         errors.append(float(np.linalg.norm(kernel) / np.linalg.norm(reference)))
     orders = tuple(float(np.log2(a / b)) for a, b in itertools.pairwise(errors))

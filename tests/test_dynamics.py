@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -41,6 +42,23 @@ def unit_medium(gamma0=1.0, length=1.0):
 
 def constant_drive(g, tau_pulse=1e6):
     return DriveParams(g=g, gamma_s=0.0, tau_pulse=tau_pulse)
+
+
+def traced_peak(run):
+    """Peak bytes of traced allocations above the start during run(), after
+    one warm-up call (which loads caches and lazy imports)."""
+    run()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 class TestPulseArea:
@@ -552,6 +570,31 @@ class TestSimulateGrid:
             simulate_grid(medium, constant_drive(1e-3),
                           GridSpec(nz=20, ntau=10, tau_max=100.0), SqueezingModel.flat(1.0))
 
+    # Traced peaks (tracemalloc counts numpy's buffers) of the grid oracle on
+    # the benchmark's grids, at unit Gamma and L and tau_max = 0.5, bounded a
+    # few per cent above what this pass allocates: the symbol table, the rows,
+    # the kernel and the field weights, 1.69 MB at n = 200; the rungs'
+    # kernels and then the reference, 3.33 MB on the constant 100/200/400
+    # ladder and 5.48 MB under three segments.  A pass that copied its
+    # running sums, built the Langevin rows and formed |field weights|
+    # peaked at 2.66, 5.67 and 9.83 MB.
+    @pytest.mark.parametrize("model", [SqueezingModel.flat(1.0),
+                                       SqueezingModel.lorentzian(5.0, s=0.7)],
+                             ids=["flat", "lorentzian"])
+    def test_grid_oracle_peak_memory(self, model):
+        grid = GridSpec(nz=200, ntau=200, tau_max=0.5)
+        peak = traced_peak(lambda: simulate_grid(unit_medium(), constant_drive(0.5), grid, model))
+        assert peak <= 1.8e6
+
+    @pytest.mark.parametrize("profile, bound", [
+        ((), 3.5e6),
+        (((0.125, 1.0), (0.25, 0.5), (0.125, 0.8137)), 5.8e6),
+    ], ids=["constant", "three-segment"])
+    def test_kernel_ladder_peak_memory(self, profile, bound):
+        drive = DriveParams(g=0.5, gamma_s=0.0, tau_pulse=1.0, profile=profile)
+        grid = GridSpec(nz=400, ntau=400, tau_max=0.5)
+        assert traced_peak(lambda: light_kernel_convergence(unit_medium(), drive, grid)) <= bound
+
     @pytest.mark.parametrize("profile, distinct_rates", [
         ((), 1),
         (((0.25, 1.0), (0.5, 0.5), (0.25, 0.8)), 3),
@@ -594,6 +637,101 @@ class TestSimulateGrid:
             # 1.5 e^{-Gamma dt} = 1.4925 per step passes the bound 4 at step 4
             simulate_grid(unit_medium(), drive, GridSpec(nz=20, ntau=200, tau_max=1.0),
                           SqueezingModel.flat(1.0))
+
+    def test_growth_guard_field_weight_just_past_bound(self, monkeypatch):
+        # a short medium at the decay bound, where the field weights per unit
+        # length (dt sqrt(g) ~ 2.8) stand above the initial weights per
+        # coherence sample (<= 1): a bound just below the largest field weight
+        # fails the first row that holds it, one just above it fails none
+        medium, drive = unit_medium(length=0.02), constant_drive(32.0)
+        grid = GridSpec(nz=4, ntau=8, tau_max=4.0)
+        table, _ = simulate_grid(medium, drive, grid, SqueezingModel.flat(1.0))
+        disc = dynamics._Discretization(medium, drive, grid)
+        weights = np.abs(table.light_kernel * (disc.dt * np.sqrt(disc.rates)))
+        top = weights.max()
+        below = above = top / medium.length
+        while below * medium.length >= top:
+            below = math.nextafter(below, 0.0)
+        while above * medium.length < top:
+            above = math.nextafter(above, math.inf)
+        assert np.abs(table.init_kernel).max() < below / 2
+        step = int(np.argmax(weights.max(axis=1) > below * medium.length))
+        for bound in (below, above):
+            class Bounded(dynamics._Discretization):
+                def __init__(self, *args):
+                    super().__init__(*args)
+                    self.coeff_bound = bound
+
+            monkeypatch.setattr(dynamics, "_Discretization", Bounded)
+            if bound == below:
+                with pytest.raises(GridGrowthError, match=f"at step {step}$"):
+                    simulate_grid(medium, drive, grid, SqueezingModel.flat(1.0))
+            else:
+                simulate_grid(medium, drive, grid, SqueezingModel.flat(1.0))
+
+    @staticmethod
+    def poison_field_symbols(monkeypatch, disc, run, q, value):
+        """Set every symbol of run ``run``'s field area q, on grids of disc's
+        nz, to ``value``; the first kernel row holding it is step start + q + 1."""
+        start, stop, rate = disc.runs[run]
+        target = rate * (q * disc.dt + disc.s_field) * disc.dz  # as the pass forms it
+        original = dynamics._symbols
+
+        def poisoned(t, nz):
+            e = original(t, nz)
+            if nz == disc.nz:
+                hit = t == target
+                assert hit.sum() == 1
+                e[:, hit] = value
+            return e
+
+        monkeypatch.setattr(dynamics, "_symbols", poisoned)
+        return start + q + 1
+
+    @pytest.mark.parametrize("value", [1e6, math.nan], ids=["past", "nan"])
+    @pytest.mark.parametrize("profile, run", [((), 0), (((0.5, 1.0), (0.5, 0.5)), 0),
+                                              (((0.5, 1.0), (0.5, 0.5)), 1)])
+    def test_growth_guard_reads_every_kernel_block(self, monkeypatch, profile, run, value):
+        medium = unit_medium()
+        drive = DriveParams(g=2.0, gamma_s=0.0, tau_pulse=2.0, profile=profile)
+        grid = GridSpec(nz=20, ntau=40, tau_max=1.0)
+        step = self.poison_field_symbols(
+            monkeypatch, dynamics._Discretization(medium, drive, grid), run, 6, value)
+        with pytest.raises(GridGrowthError, match=f"at step {step}$"):
+            simulate_grid(medium, drive, grid, SqueezingModel.flat(1.0))
+
+    @pytest.mark.parametrize("value", ["past", "nan"])
+    @pytest.mark.parametrize("node", [0, -1])
+    def test_growth_guard_reads_the_end_columns_of_a_row(self, monkeypatch, node, value):
+        # one entry of the initial row at step k, past the end nodes' bound
+        # coeff_bound dz / 2 but inside the interior nodes' coeff_bound dz once
+        # the row is scaled by d^k, or NaN
+        medium, drive = unit_medium(), constant_drive(2.0)
+        grid = GridSpec(nz=20, ntau=40, tau_max=1.0)
+        disc = dynamics._Discretization(medium, drive, grid)
+        k = 7
+        entry = math.nan if value == "nan" else 0.75 * disc.coeff_bound * disc.dz / disc.d ** k
+        original = dynamics._rows
+
+        def patched(h, dz):
+            rows = original(h, dz)
+            rows[k, node] = entry
+            return rows
+
+        monkeypatch.setattr(dynamics, "_rows", patched)
+        with pytest.raises(GridGrowthError, match=f"at step {k}$"):
+            simulate_grid(medium, drive, grid, SqueezingModel.flat(1.0))
+
+    @pytest.mark.parametrize("profile", [(), ((0.25, 1.0), (0.25, 0.5))])
+    def test_kernel_ladder_raises_on_a_growing_rung(self, monkeypatch, profile):
+        # the coarser rungs run clean; the finest one's kernel holds a NaN
+        medium = unit_medium()
+        drive = DriveParams(g=2.0, gamma_s=0.0, tau_pulse=1.0, profile=profile)
+        grid = GridSpec(nz=16, ntau=24, tau_max=0.5)
+        step = self.poison_field_symbols(
+            monkeypatch, dynamics._Discretization(medium, drive, grid), 0, 3, math.nan)
+        with pytest.raises(GridGrowthError, match=f"at step {step}$"):
+            light_kernel_convergence(medium, drive, grid)
 
     @pytest.mark.parametrize("profile", [(), ((2e-6, 1.0), (3e-6, 0.25), (5e-6, 0.6))])
     def test_coefficient_bound_does_not_depend_on_the_time_unit(self, profile):
