@@ -40,12 +40,24 @@ coherence.  The halved values are returned, and the change of each part
 floor), else QuadratureConvergenceError (exit 3).  Cost: flat input
 evaluates the kernels at 16 nodes a panel, lorentzian input 17 x 6 more for
 the gaps (118 a panel), on the panels and on their halves; 1-25 panels
-cover the parameter ranges the CLI and the benchmark use.  A lorentzian
-panel holds ~16 KB of temporaries, so a call that needs more than
-TRANSIENT_PANEL_LIMIT panels raises OverflowError (exit 3) before building
-any.  The nested adaptive quadrature this replaces is kept in the tests as
-the reference.  For constant drive and Gamma tau >> 1 these reproduce the
-closed-form and spectral steady states.
+cover the parameter ranges the CLI and the benchmark use.  On the
+benchmark's points a flat call evaluates 85 nodes on average, a
+three-segment drive 125 and a lorentzian call at Gamma tau = 10 about
+4300, so a flat call is almost all fixed cost, about a hundred numpy
+calls on small arrays: ~90 us on one core of a 2-vCPU Xeon for one panel
+(48 nodes), against ~300 us for a lorentzian call of 12 panels.  To keep
+that cost down the panel geometry takes one bisection and one search:
+``PulseArea.pieces`` gives the cuts and a at each, the panel starts are
+searched among the cuts, and ``PulseArea.on_segments`` gives a and a' of
+every panel from its piece.  The gap nodes run along the first axis, so
+no operation runs six-element inner loops, and the filter's carry runs on
+Python floats.  A lorentzian panel holds ~16 KB of temporaries, so a call
+that needs more than TRANSIENT_PANEL_LIMIT panels raises OverflowError
+(exit 3) before building any.  The tests keep two references: the nested
+adaptive quadrature this pass replaced, and the pass as it stood before
+its fixed cost was cut, which this one matches float for float.  For
+constant drive and Gamma tau >> 1 these reproduce the closed-form and
+spectral steady states.
 
 Grid oracle
 -----------
@@ -121,6 +133,7 @@ straddle a breakpoint.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -131,7 +144,7 @@ import numpy as np
 from .mapping import NoiseReport, SqueezingModel
 from .model import DriveParams, MediumParams, total_dephasing
 from .specfun import (QuadratureConvergenceError, QuadratureResult, bessel_kernels, gauss_panels,
-                      within_budget)
+                      gauss_rule, within_budget)
 # the benchmark's span binding spinmap.dynamics.integrate_adaptive (bench/spans.py)
 from .specfun import integrate_adaptive  # noqa: F401
 
@@ -194,33 +207,56 @@ class PulseArea:
         return cls(breakpoints=tuple(breakpoints), rates=tuple(rates), final_rate=0.0)
 
     @functools.cached_property
-    def _segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Start, rate and area at the start of every segment, the open
-        last one included."""
-        starts = np.array([0.0, *self.breakpoints])
-        rates = np.array([*self.rates, self.final_rate])
-        return starts, rates, np.concatenate(([0.0], np.cumsum(rates[:-1] * np.diff(starts))))
+    def _segments(self) -> np.ndarray:
+        """Start, rate and area at the start of every segment, the open last
+        one included, as the rows of one array.  The areas are summed in
+        plain floats, left to right, so a fresh drive costs one array."""
+        starts = (0.0, *self.breakpoints)
+        rates = (*self.rates, self.final_rate)
+        areas = [0.0]
+        for rate, start, end in zip(rates, starts, self.breakpoints):
+            areas.append(areas[-1] + rate * (end - start))
+        return np.array((starts, rates, areas))
 
     def _locate(self, tau, side: str):
         t = np.asarray(tau, dtype=float)
         if not (t >= 0).all():  # "not >=" rejects NaN too
             raise ValueError(f"tau must be nonnegative, got {tau}")
-        return t, self._segments[0][1:].searchsorted(t, side=side)
+        return t, self._segments[0, 1:].searchsorted(t, side=side)
+
+    def on_segments(self, t, k) -> tuple[np.ndarray, np.ndarray]:
+        """a(t) and the rate a'(t) for times t that lie in segments k, ends
+        included (0 for the first segment, len(breakpoints) for the open
+        last one): the one formula of the area, with no lookup.  At a
+        breakpoint either segment gives the same float, since the next
+        segment's area at its start is this sum at its end."""
+        start, rate, area = self._segments.take(k, axis=1)
+        return area + rate * (t - start), rate
 
     def value(self, tau):
         """a(tau); a(0) = 0, nondecreasing.  A float gives a float, an array
         of times an array."""
-        t, k = self._locate(tau, "left")  # the first segment ending at or after tau
-        starts, rates, areas = self._segments
-        a = areas[k] + rates[k] * (t - starts[k])
+        a = self.on_segments(*self._locate(tau, "right"))[0]
         return float(a) if a.ndim == 0 else a
 
     def rate(self, tau):
         """Instantaneous coupling rate a'(tau) (right-continuous); a float
         gives a float, an array of times an array."""
         _, k = self._locate(tau, "right")
-        r = self._segments[1][k]
+        r = self._segments[1, k]
         return float(r) if r.ndim == 0 else r
+
+    def pieces(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """The cuts 0, the breakpoints before tau, and tau, and a(t) at each:
+        the ends of the pieces of [0, tau] that lie in one segment each,
+        piece i in segment i.  Only tau is looked up, by bisection; a cut
+        before it starts a segment, whose area there is in the table."""
+        m = bisect.bisect_left(self.breakpoints, tau)
+        cuts = np.array((0.0, *self.breakpoints[:m], tau))
+        a = np.empty(m + 2)
+        a[:-1] = self._segments[2, :m + 1]
+        a[-1] = self.on_segments(tau, m)[0]
+        return cuts, a
 
     def step_rates(self, dt: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Mean coupling rate r over each step [k dt, (k+1) dt], k < n, and
@@ -264,33 +300,33 @@ TRANSIENT_PANEL_LIMIT = 10_000  # most panels on [0, tau]; a lorentzian call at 
                                 # holds ~160 MB of temporaries (~16 KB a panel)
 
 
-def _panel_edges(area: PulseArea, length: float, rate: float, tau: float) -> np.ndarray:
-    """Panel edges on [0, tau] for integrands smooth between breakpoints.
+def _panel_edges(cuts: np.ndarray, ul: np.ndarray, rate: float) -> np.ndarray:
+    """Panel edges on [0, tau] for integrands smooth between the cuts
+    0, the drive breakpoints before tau, and tau, given u L at each cut,
+    u = a(tau) - a(t) (nonincreasing).
 
-    The edges hold every drive breakpoint before tau, a uniform grid that
-    spans at most PANEL_DECAY e-folds of the exponential rate ``rate`` per
-    step, and the times where the Bessel phase 2 sqrt(u L),
-    u = a(tau) - a(t), crosses a multiple of its step (at most PANEL_PHASE),
-    so no panel spans more of either.  Raises OverflowError, before any
-    edge is placed, where that takes more than TRANSIENT_PANEL_LIMIT panels.
+    The edges hold every cut, a uniform grid that spans at most PANEL_DECAY
+    e-folds of the exponential rate ``rate`` per step, and the times where
+    the Bessel phase 2 sqrt(u L) crosses a multiple of its step (at most
+    PANEL_PHASE), so no panel spans more of either.  Raises OverflowError,
+    before any edge is placed, where that takes more than
+    TRANSIENT_PANEL_LIMIT panels.
     """
-    ends = np.array([0.0, *(t for t in area.breakpoints if t < tau), tau])
-    a = area.value(ends)
-    ul = (a[-1] - a) * length  # nonincreasing
+    tau = cuts[-1]
     phase = 2.0 * math.sqrt(ul[0])
     n_phase = max(math.ceil(phase / PANEL_PHASE), 1)
     n_decay = max(math.ceil(tau * rate / PANEL_DECAY), 1)
-    panels = len(ends) + n_phase + n_decay - 3
+    panels = len(cuts) + n_phase + n_decay - 3
     if panels > TRANSIENT_PANEL_LIMIT:
         raise OverflowError(
             f"the transient pass on [0, {tau:.6g}] needs {panels:.6g} panels, more than "
             f"TRANSIENT_PANEL_LIMIT = {TRANSIENT_PANEL_LIMIT}: (2 Gamma + Gq) tau = "
             f"{tau * rate:.6g} e-folds and {phase:.6g} rad of Bessel phase")
-    crossings = (np.arange(1, n_phase) * (phase / n_phase / 2.0)) ** 2
+    crossings = (np.arange(1.0, n_phase) * (phase / n_phase / 2.0)) ** 2
     return np.sort(np.concatenate([
-        ends,
-        np.arange(1, n_decay) * (tau / n_decay),
-        np.interp(crossings, ul[::-1], ends[::-1]),
+        cuts,
+        np.arange(1.0, n_decay) * (tau / n_decay),
+        np.interp(crossings, ul[::-1], cuts[::-1]),
     ]))
 
 
@@ -321,14 +357,15 @@ def transient_variance(
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    a_tau = area.value(tau)
+    cuts, a_cuts = area.pieces(tau)
+    a_tau = float(a_cuts[-1])
     # the initial coherence decays through J0^2 + J1^2 at 2 sqrt(a(tau) L),
     # with J0 and sqrt(1/y) J1 at y = a(tau) L the exchange kernels
     y_init = a_tau * length
     gq = model.gamma_q if model.kind == "lorentzian" else 0.0
 
     # the panels whole (n of them), then halved, each pass in time order
-    edges = _panel_edges(area, length, 2.0 * gamma + gq, tau)
+    edges = _panel_edges(cuts, (a_tau - a_cuts) * length, 2.0 * gamma + gq)
     n = len(edges) - 1
     halved = np.empty(2 * n + 1)
     halved[::2] = edges
@@ -336,26 +373,37 @@ def transient_variance(
     lo = np.concatenate([edges[:-1], halved[:-1]])
     hi = np.concatenate([edges[1:], halved[1:]])
     t, w = gauss_panels(lo, hi)
-    # the edges hold every breakpoint, so inside a panel the rate a' is
-    # constant and u L falls linearly from its value at the panel's start
+    # the edges hold every cut, so each panel lies in the piece, and so the
+    # drive segment, its start falls in: inside it the rate a' is constant
+    # and u L falls linearly from its value at the start
+    a_lo, rate = area.on_segments(lo, cuts[1:-1].searchsorted(lo, "right"))
     a, b = lo[:, None], hi[:, None]
-    ul_start = ((a_tau - area.value(lo)) * length)[:, None]
-    slope = area.rate((lo + hi) / 2.0)[:, None] * length
+    ul_start = ((a_tau - a_lo) * length)[:, None]
+    slope = rate[:, None] * length
     weight = np.sqrt(slope)  # the drive weight sqrt(a' L) of the light kernel
-    ul = ul_start - slope * (t - a)
     # J0 and j = sqrt(1/(u L)) J1 at 2 sqrt(u L) for every node and, last,
     # for the initial coherence: one evaluation
-    j0, j = bessel_kernels(np.append(ul, y_init))
+    y = np.empty(t.size + 1)
+    ul = y[:-1].reshape(t.shape)
+    np.subtract(ul_start, slope * (t - a), out=ul)
+    y[-1] = y_init
+    j0, j = bessel_kernels(y)
     atom_init = math.exp(-2.0 * gamma * tau) * float(j0[-1] ** 2 + y_init * j[-1] ** 2)
     j0, j = j0[:-1].reshape(t.shape), j[:-1].reshape(t.shape)
     damp = np.exp(-gamma * (tau - t))
     # the light kernel on the white input, sqrt(a'(t) L) j, decayed
     amp = weight * j * damp
-    # the Langevin kernel J0^2 + J1^2 at 2 sqrt(u L); it and white are nonnegative
-    lang = 2.0 * gamma * (w * damp * damp * (j0 * j0 + ul * j * j)).sum(axis=1)
+    # per panel: the Langevin part, the light part and the integral of its
+    # |integrand|; the Langevin kernel J0^2 + J1^2 at 2 sqrt(u L) and the
+    # white light kernel are nonnegative
+    parts = np.empty((3, len(lo)))
+    lang, light, light_abs = parts
+    (w * damp * damp * (j0 * j0 + ul * j * j)).sum(axis=1, out=lang)
+    lang *= 2.0 * gamma
     white = (w * amp * amp).sum(axis=1)
     if model.kind == "flat":
-        light = light_abs = model.x0_sq * white
+        np.multiply(white, model.x0_sq, out=light)
+        light_abs[:] = light
         evaluations = t.size
     else:
         # e^{-Gq |t - t'|} = e^{-Gq (t - t')} for t' < t, so the correlator's
@@ -366,29 +414,36 @@ def transient_variance(
         # increment inc_k = int A(t') e^{-Gq (t_k - t')} dt' over the gap, and
         # y(t_i) = e^{-Gq (t_i - a)} (y(a) + sum_{k <= i} e^{Gq (t_k - a)} inc_k),
         # whose factors stay below e^{PANEL_DECAY}.  y(b) carries over to the
-        # next panel as one scalar.
+        # next panel as one scalar.  The gap nodes run along the first axis,
+        # so every operation below runs over whole [panel, gap] planes.
         ends = np.concatenate([t, b], axis=1)
-        tg, wg = gauss_panels(np.concatenate([a, t], axis=1), ends, GAP_NODES)
-        ulg = ul_start[:, :, None] - slope[:, :, None] * (tg - a[:, :, None])
-        inc = (wg * weight[:, :, None] * bessel_kernels(ulg, (1,))[0] * np.exp(
-            -gamma * (tau - tg) - gq * (ends[:, :, None] - tg))).sum(axis=-1)
+        starts = np.concatenate([a, t], axis=1)
+        width = ends - starts
+        x, wx = gauss_rule(GAP_NODES)
+        tg = starts + width * x[:, None, None]
+        wg = width * wx[:, None, None]
+        ulg = ul_start - slope * (tg - a)
+        inc = (wg * weight * bessel_kernels(ulg, (1,))[0] * np.exp(
+            -gamma * (tau - tg) - gq * (ends - tg))).sum(axis=0)
         rise = gq * (ends - a)
         fade = np.exp(-rise)
         sums = np.cumsum(np.exp(rise) * inc, axis=1)
-        y_start = np.zeros(len(lo))
-        for p in range(1, len(lo)):
-            if p != n:  # y(0) = 0 where the halved pass starts again
-                y_start[p] = fade[p - 1, -1] * (y_start[p - 1] + sums[p - 1, -1])
-        corr = 2.0 * w * amp * fade[:, :-1] * (y_start[:, None] + sums[:, :-1])
-        light = white - model.s * (gq / 2.0) * corr.sum(axis=1)
-        light_abs = white + model.s * (gq / 2.0) * np.abs(corr).sum(axis=1)
+        # the carry from panel to panel, in floats; y(0) = 0 where the
+        # halved pass starts again
+        y_end = [0.0] * len(lo)
+        for p, (f, s) in enumerate(zip(fade[:-1, -1].tolist(), sums[:-1, -1].tolist()), 1):
+            if p != n:
+                y_end[p] = f * (y_end[p - 1] + s)
+        corr = 2.0 * w * amp * fade[:, :-1] * (np.array(y_end)[:, None] + sums[:, :-1])
+        np.subtract(white, model.s * (gq / 2.0) * corr.sum(axis=1), out=light)
+        np.add(white, model.s * (gq / 2.0) * np.abs(corr).sum(axis=1), out=light_abs)
         evaluations = t.size + tg.size
 
     # each part whole and halved, and the integral of its |integrand| halved
     # (the same where the integrand is nonnegative); the halved values are
     # kept and their change under halving is each part's error estimate
     (whole_lang, lang), (whole_light, light), (_, light_abs) = (
-        np.add.reduceat(v, [0, n]).tolist() for v in (lang, light, light_abs))
+        np.add.reduceat(parts, [0, n], axis=1).tolist())
     result = QuadratureResult(values=(lang, light),
                               errors=(abs(lang - whole_lang), abs(light - whole_light)),
                               magnitudes=(lang, light_abs), evaluations=evaluations)
@@ -830,10 +885,12 @@ def simulate_grid(
     light_kernel, init_weights, lang_part = disc.propagate()
     field_weights = light_kernel * (disc.dt * np.sqrt(disc.rates))
     if model.kind == "flat":
-        weighted = (model.x0_sq / disc.dt) * field_weights
+        # white input: the correlator is x0^2 / dt on the diagonal, so no
+        # second table of the field weights' size is formed
+        light_part = (model.x0_sq / disc.dt) * np.einsum("ij,ij->i", field_weights, field_weights)
     else:
         weighted = field_weights @ _cell_correlator(model, disc.dt, disc.rho)
-    light_part = np.einsum("ij,ij->i", weighted, field_weights)
+        light_part = np.einsum("ij,ij->i", weighted, field_weights)
     table = disc.table(init_weights, lang_part, light_part, light_kernel)
     return table, NoiseReport.from_parts(float(table.atom_part_trace[-1]),
                                          float(table.light_part_trace[-1]), model.noise_floor)

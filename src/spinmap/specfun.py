@@ -47,8 +47,9 @@ bisected.  A part that has met its budget keeps the result of the pass
 where it first met it, so it reads as a pass of its own that stopped there.
 
 ``gauss_panels`` gives the nodes and weights of the panel rule on any
-intervals, for callers that run their own composite pass where they know
-the integrand is smooth (the transient engine).  Every rule judges its
+intervals, and ``gauss_rule`` the rule itself on [0, 1], for callers that
+run their own composite pass where they know the integrand is smooth (the
+transient engine).  Every rule judges its
 result (``QuadratureResult``, one value, estimate and magnitude per part)
 by one rule, ``within_budget``: each part meets ``tol``, or its round-off
 floor ROUND_OFF times the integral of its |f| where that is larger.
@@ -188,33 +189,33 @@ ASYMPTOTIC_COEFFICIENTS = _asymptotic_coefficients()  # (P, Q) of A&S 9.2.5
 
 
 @functools.lru_cache(maxsize=None)
-def _hankel_coefficients(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """ASYMPTOTIC_COEFFICIENTS of the orders asked for, as arrays laid out
-    [power, n, 1] for the vectorized series."""
+def _hankel_coefficients(orders: tuple[int, ...]) -> np.ndarray:
+    """ASYMPTOTIC_COEFFICIENTS of the orders asked for, as one array laid out
+    [power, P or Q, n, 1] for the vectorized series."""
     import numpy as np
 
-    arrays = tuple(np.array(table)[:, list(orders), None] for table in ASYMPTOTIC_COEFFICIENTS)
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+    table = np.array(ASYMPTOTIC_COEFFICIENTS).transpose(1, 0, 2)[:, :, list(orders), None]
+    table.flags.writeable = False
+    return table
 
 
 def _taylor(y: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
     """The Taylor piece about the nearest center c, in h = y - c:
     p_0 + h p_1 + h^2 p_2 + h^3 p_3 with p_r the terms m = r mod 4, each a
-    polynomial in h^4 whose coefficients are gathered one power at a time."""
+    polynomial in h^4, with every coefficient gathered by one ``take``."""
     scaled = y * PIECES_PER_UNIT
     centers = scaled.round()  # half to even, as rint
     h = (scaled - centers) * (1.0 / PIECES_PER_UNIT)
     centers = centers.astype("intp")
-    table = _taylor_table(orders)  # [m // 4, m % 4, n, k]
     h2 = h * h
     h4 = h2 * h2
-    # clipped indices keep a NaN argument a NaN value
-    p = table[-1].take(centers, axis=-1, mode="clip")
-    for row in table[-2::-1]:
+    # every coefficient at once, [m // 4, m % 4, n, value]; clipped indices
+    # keep a NaN argument a NaN value
+    coeffs = _taylor_table(orders).take(centers, axis=-1, mode="clip")
+    p = coeffs[-1]
+    for row in coeffs[-2::-1]:
         p *= h4
-        p += row.take(centers, axis=-1, mode="clip")
+        p += row
     q = p[0::2] + h * p[1::2]
     return q[0] + h2 * q[1]
 
@@ -222,18 +223,16 @@ def _taylor(y: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
 def _hankel(x: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
     """A&S 9.2.5: J_n(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi),
     chi = x - (n/2 + 1/4) pi.  chi is rounded to double as cephes rounds it,
-    so at large x the absolute error grows like 1e-16 sqrt(x)."""
+    so at large x the absolute error grows like 1e-16 sqrt(x).  P and Q
+    run through Horner's rule side by side, one array operation a step."""
     import numpy as np
 
-    p_coeffs, q_coeffs = _hankel_coefficients(orders)
     y = 1.0 / (x * x)
-    p = np.zeros((len(orders), len(x)))
-    q = np.zeros_like(p)
-    for pc, qc in zip(p_coeffs, q_coeffs):
-        p *= y
-        p += pc
-        q *= y
-        q += qc
+    pq = np.zeros((2, len(orders), len(x)))
+    for coefficient in _hankel_coefficients(orders):
+        pq *= y
+        pq += coefficient
+    p, q = pq
     chi = x - (np.array(orders)[:, None] / 2.0 + 0.25) * np.pi
     return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) - q / x * np.sin(chi))
 
@@ -248,27 +247,33 @@ def _kernels(y: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
     out[:, ~far] = _taylor(y[~far], orders)
     x = 2.0 * np.sqrt(y[far])
     j = _hankel(x, orders)
-    if orders[-1] == 1:
-        j[-1] *= 2.0 / x  # J1 / sqrt(y)
+    for row, order in zip(j, orders):
+        if order == 1:
+            row *= 2.0 / x  # J1 / sqrt(y)
     out[:, far] = j
     return out
 
 
 def bessel_kernels(y, orders: tuple[int, ...] = (0, 1)) -> np.ndarray:
     """The exchange kernels J0(2 sqrt(y)) (order 0) and sqrt(1/y) J1(2 sqrt(y))
-    (order 1, 1 at y = 0) for the orders asked for, stacked along a new first
-    axis.  y is an array of finite nonnegative values, evaluated in blocks of
-    BESSEL_BLOCK so the temporaries stay in cache."""
+    (order 1, 1 at y = 0) for the orders asked for, in any order, stacked
+    along a new first axis.  y is an array of finite nonnegative values,
+    evaluated in blocks of BESSEL_BLOCK so the temporaries stay in cache.
+    Raises ValueError for an order other than 0 and 1."""
     import numpy as np
 
     orders = tuple(orders)
+    for order in orders:
+        if type(order) is not int or order not in (0, 1):  # they index the tables
+            raise ValueError(f"bessel_kernels evaluates orders 0 and 1, got order {order!r}")
     y = np.asarray(y, dtype=float)
     flat = y.reshape(-1)
     # each block's result is allocated after its temporaries, then joined:
     # filling an array allocated up front made lorentzian transient calls
     # fault ~200 heap pages back in per call in some processes
-    out = np.concatenate([_kernels(flat[start:start + BESSEL_BLOCK], orders)
-                          for start in range(0, max(flat.size, 1), BESSEL_BLOCK)], axis=1)
+    blocks = [_kernels(flat[start:start + BESSEL_BLOCK], orders)
+              for start in range(0, max(flat.size, 1), BESSEL_BLOCK)]
+    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
     return out.reshape(out.shape[:1] + y.shape)
 
 
@@ -362,8 +367,9 @@ def _legendre_p(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre rule moved to [0, 1]: nodes and weights.
+def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule moved to [0, 1]: nodes and weights,
+    read-only.
 
     The nodes are the roots of P_n, found by Newton's method from the
     guesses cos(pi (k - 1/4) / (n + 1/2)); the weights are
@@ -389,7 +395,7 @@ def gauss_panels(lo, hi, nodes: int | None = None) -> tuple[np.ndarray, np.ndarr
     broadcast, and the nodes of each interval run along a new last axis."""
     import numpy as np
 
-    x, w = _legendre(PANEL_NODES if nodes is None else nodes)
+    x, w = gauss_rule(PANEL_NODES if nodes is None else nodes)
     lo = np.asarray(lo, dtype=float)[..., None]
     width = np.asarray(hi, dtype=float)[..., None] - lo
     return lo + width * x, width * w

@@ -586,6 +586,15 @@ class TestSimulateGrid:
         peak = traced_peak(lambda: simulate_grid(unit_medium(), constant_drive(0.5), grid, model))
         assert peak <= 1.8e6
 
+    def test_flat_input_forms_no_second_field_weight_table(self):
+        # white input contracts the field weights with themselves: the peak
+        # is propagate's own, 1.51 MB, where a weighted copy of the field
+        # weights (0.32 MB at n = 200) put it at 1.69 MB
+        grid = GridSpec(nz=200, ntau=200, tau_max=0.5)
+        peak = traced_peak(lambda: simulate_grid(unit_medium(), constant_drive(0.5), grid,
+                                                 SqueezingModel.flat(0.3)))
+        assert peak <= 1.55e6
+
     @pytest.mark.parametrize("profile, bound", [
         ((), 3.5e6),
         (((0.125, 1.0), (0.25, 0.5), (0.125, 0.8137)), 5.8e6),

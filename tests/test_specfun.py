@@ -76,6 +76,26 @@ class TestBesselJ:
             rhs = 2.0 * bessel_j1(x) / x
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    # on both sides of TABLE_END = 169, where the Hankel series takes over
+    @pytest.mark.parametrize("y", [100.0, specfun.TABLE_END - 1e-9, specfun.TABLE_END, 200.0,
+                                   1e4])
+    def test_each_order_is_the_same_in_any_order(self, y):
+        j0, j = bessel_kernels([y], (0, 1))[:, 0]
+        assert j == pytest.approx(jn(1, 2.0 * math.sqrt(y)) / math.sqrt(y), abs=1e-15)
+        for orders in ((1, 0), (1,), (0,), (1, 1, 0)):
+            got = bessel_kernels([y], orders)[:, 0].tolist()
+            assert got == [(j0, j)[order] for order in orders], orders
+
+    def test_j1_kernel_past_the_table_with_order_one_first(self):
+        # J1 / sqrt(y) at y = 200, not J1 = 0.10362
+        assert bessel_kernels([200.0], (1, 0))[0, 0] == pytest.approx(0.00732709, abs=1e-8)
+
+    @pytest.mark.parametrize("orders, named", [((2,), "2"), ((0, -1), "-1"), ((1, 0.5), "0.5"),
+                                               ((1.0,), "1.0"), ((0, True), "True")])
+    def test_orders_other_than_zero_and_one_rejected(self, orders, named):
+        with pytest.raises(ValueError, match=f"order {named}"):
+            bessel_kernels([1.0], orders)
+
 
 class TestScaledBesselI:
     def test_origin(self):

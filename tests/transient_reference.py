@@ -1,21 +1,30 @@
-"""Nested adaptive-quadrature reference of the transient engine.
+"""References of the transient engine.
 
-This is the implementation ``dynamics.transient_variance`` replaced: every
-integral is an adaptive ``scipy.integrate.quad`` split at the drive
-breakpoints, and the lorentzian correlator is a double integral, an inner
-adaptive quadrature per outer node with an explicit split at the
+``transient_variance`` is the nested adaptive quadrature the panel engine
+replaced: every integral is an adaptive ``scipy.integrate.quad`` split at
+the drive breakpoints, and the lorentzian correlator is a double integral,
+an inner adaptive quadrature per outer node with an explicit split at the
 correlator's kink.  It uses scipy's scalar Bessel functions and
 ``PulseArea.value`` one point at a time, and shares no quadrature rule,
 node, filter or Bessel evaluation with the panel engine.
+
+``panel_pass`` is the panel engine as it stood before its fixed cost per
+call was cut: the same rule, nodes and filter, reached through public
+``PulseArea`` calls and plain numpy layouts.  The library's pass must
+return exactly its floats.
 """
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 from scipy.special import j0 as bessel_j0
 from scipy.special import j1 as bessel_j1
 
+from spinmap.dynamics import GAP_NODES, PANEL_DECAY, PANEL_PHASE, TRANSIENT_PANEL_LIMIT
 from spinmap.mapping import NoiseReport, eta_from_variance
+from spinmap.specfun import (QuadratureConvergenceError, QuadratureResult, bessel_kernels,
+                             gauss_panels, within_budget)
 
 
 def _phi2(y):
@@ -82,3 +91,134 @@ def transient_variance(area, length, gamma, model, tau, tol=1e-10) -> NoiseRepor
     return NoiseReport(variance_norm=variance,
                        eta=eta_from_variance(variance, model.noise_floor),
                        atom_langevin_part=var_init + var_lang, light_part=var_light)
+
+
+def _panel_edges(area, length: float, rate: float, tau: float) -> np.ndarray:
+    """Panel edges on [0, tau] for integrands smooth between breakpoints.
+
+    The edges hold every drive breakpoint before tau, a uniform grid that
+    spans at most PANEL_DECAY e-folds of the exponential rate ``rate`` per
+    step, and the times where the Bessel phase 2 sqrt(u L),
+    u = a(tau) - a(t), crosses a multiple of its step (at most PANEL_PHASE),
+    so no panel spans more of either.  Raises OverflowError, before any
+    edge is placed, where that takes more than TRANSIENT_PANEL_LIMIT panels.
+    """
+    ends = np.array([0.0, *(t for t in area.breakpoints if t < tau), tau])
+    a = area.value(ends)
+    ul = (a[-1] - a) * length  # nonincreasing
+    phase = 2.0 * math.sqrt(ul[0])
+    n_phase = max(math.ceil(phase / PANEL_PHASE), 1)
+    n_decay = max(math.ceil(tau * rate / PANEL_DECAY), 1)
+    panels = len(ends) + n_phase + n_decay - 3
+    if panels > TRANSIENT_PANEL_LIMIT:
+        raise OverflowError(
+            f"the transient pass on [0, {tau:.6g}] needs {panels:.6g} panels, more than "
+            f"TRANSIENT_PANEL_LIMIT = {TRANSIENT_PANEL_LIMIT}: (2 Gamma + Gq) tau = "
+            f"{tau * rate:.6g} e-folds and {phase:.6g} rad of Bessel phase")
+    crossings = (np.arange(1, n_phase) * (phase / n_phase / 2.0)) ** 2
+    return np.sort(np.concatenate([
+        ends,
+        np.arange(1, n_decay) * (tau / n_decay),
+        np.interp(crossings, ul[::-1], ends[::-1]),
+    ]))
+
+
+def panel_pass(
+    area,
+    length: float,
+    gamma: float,
+    model,
+    tau: float,
+    tol: float = 1e-10,
+) -> NoiseReport:
+    """The panel pass as ``dynamics.transient_variance`` ran it before its
+    panel geometry came from one segment lookup: a(tau), the areas of the
+    ends and of every panel start, and every panel's rate each from their
+    own ``PulseArea.value`` or ``rate`` call; the filter's gap nodes along
+    the last axis; the carry from panel to panel in numpy scalars; the
+    kernels of every node and of the initial coherence joined by
+    ``np.append``.  The library must return the same floats."""
+    for name, value in (("length", length), ("gamma", gamma), ("tau", tau)):
+        if not 0.0 <= value < math.inf:  # rejects NaN too
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    a_tau = area.value(tau)
+    # the initial coherence decays through J0^2 + J1^2 at 2 sqrt(a(tau) L),
+    # with J0 and sqrt(1/y) J1 at y = a(tau) L the exchange kernels
+    y_init = a_tau * length
+    gq = model.gamma_q if model.kind == "lorentzian" else 0.0
+
+    # the panels whole (n of them), then halved, each pass in time order
+    edges = _panel_edges(area, length, 2.0 * gamma + gq, tau)
+    n = len(edges) - 1
+    halved = np.empty(2 * n + 1)
+    halved[::2] = edges
+    halved[1::2] = (edges[1:] + edges[:-1]) / 2.0
+    lo = np.concatenate([edges[:-1], halved[:-1]])
+    hi = np.concatenate([edges[1:], halved[1:]])
+    t, w = gauss_panels(lo, hi)
+    # the edges hold every breakpoint, so inside a panel the rate a' is
+    # constant and u L falls linearly from its value at the panel's start
+    a, b = lo[:, None], hi[:, None]
+    ul_start = ((a_tau - area.value(lo)) * length)[:, None]
+    slope = area.rate((lo + hi) / 2.0)[:, None] * length
+    weight = np.sqrt(slope)  # the drive weight sqrt(a' L) of the light kernel
+    ul = ul_start - slope * (t - a)
+    # J0 and j = sqrt(1/(u L)) J1 at 2 sqrt(u L) for every node and, last,
+    # for the initial coherence: one evaluation
+    j0, j = bessel_kernels(np.append(ul, y_init))
+    atom_init = math.exp(-2.0 * gamma * tau) * float(j0[-1] ** 2 + y_init * j[-1] ** 2)
+    j0, j = j0[:-1].reshape(t.shape), j[:-1].reshape(t.shape)
+    damp = np.exp(-gamma * (tau - t))
+    # the light kernel on the white input, sqrt(a'(t) L) j, decayed
+    amp = weight * j * damp
+    # the Langevin kernel J0^2 + J1^2 at 2 sqrt(u L); it and white are nonnegative
+    lang = 2.0 * gamma * (w * damp * damp * (j0 * j0 + ul * j * j)).sum(axis=1)
+    white = (w * amp * amp).sum(axis=1)
+    if model.kind == "flat":
+        light = light_abs = model.x0_sq * white
+        evaluations = t.size
+    else:
+        # e^{-Gq |t - t'|} = e^{-Gq (t - t')} for t' < t, so the correlator's
+        # double integral is 2 int A(t) y(t) dt with the causal filter
+        # y(t) = int_0^t A(t') e^{-Gq (t - t')} dt'.  The nodes of a panel
+        # [a, b] cut it into gaps [a, t_1], [t_1, t_2], ..., [t_16, b] with
+        # right ends t_k (t_17 = b); a GAP_NODES-point rule gives each gap's
+        # increment inc_k = int A(t') e^{-Gq (t_k - t')} dt' over the gap, and
+        # y(t_i) = e^{-Gq (t_i - a)} (y(a) + sum_{k <= i} e^{Gq (t_k - a)} inc_k),
+        # whose factors stay below e^{PANEL_DECAY}.  y(b) carries over to the
+        # next panel as one scalar.
+        ends = np.concatenate([t, b], axis=1)
+        tg, wg = gauss_panels(np.concatenate([a, t], axis=1), ends, GAP_NODES)
+        ulg = ul_start[:, :, None] - slope[:, :, None] * (tg - a[:, :, None])
+        inc = (wg * weight[:, :, None] * bessel_kernels(ulg, (1,))[0] * np.exp(
+            -gamma * (tau - tg) - gq * (ends[:, :, None] - tg))).sum(axis=-1)
+        rise = gq * (ends - a)
+        fade = np.exp(-rise)
+        sums = np.cumsum(np.exp(rise) * inc, axis=1)
+        y_start = np.zeros(len(lo))
+        for p in range(1, len(lo)):
+            if p != n:  # y(0) = 0 where the halved pass starts again
+                y_start[p] = fade[p - 1, -1] * (y_start[p - 1] + sums[p - 1, -1])
+        corr = 2.0 * w * amp * fade[:, :-1] * (y_start[:, None] + sums[:, :-1])
+        light = white - model.s * (gq / 2.0) * corr.sum(axis=1)
+        light_abs = white + model.s * (gq / 2.0) * np.abs(corr).sum(axis=1)
+        evaluations = t.size + tg.size
+
+    # each part whole and halved, and the integral of its |integrand| halved
+    # (the same where the integrand is nonnegative); the halved values are
+    # kept and their change under halving is each part's error estimate
+    (whole_lang, lang), (whole_light, light), (_, light_abs) = (
+        np.add.reduceat(v, [0, n]).tolist() for v in (lang, light, light_abs))
+    result = QuadratureResult(values=(lang, light),
+                              errors=(abs(lang - whole_lang), abs(light - whole_light)),
+                              magnitudes=(lang, light_abs), evaluations=evaluations)
+    met = within_budget(result, tol)
+    if not all(met):
+        part = met.index(False)
+        raise QuadratureConvergenceError(
+            f"panel quadrature of the {('Langevin part', 'light part')[part]} did not converge on "
+            f"[{edges[0]}, {edges[-1]}]: it changed by {result.errors[part]:.3g} when {n} panels "
+            f"were halved", result)
+    return NoiseReport.from_parts(atom_init + lang, light, model.noise_floor)
