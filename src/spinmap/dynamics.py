@@ -96,19 +96,31 @@ are O(nz) closed forms at any area (sums of the Laguerre symbol of
 ``_Discretization.propagate`` is one pass over one symbol table, and the
 table is the only table-sized array it allocates besides what it hands on:
 the kernel table, the rows from every origin, and the columns and symbols
-of the runs a later node follows (none under a constant drive).  It takes
-the field sums and those raw columns from the table, overwrites the rest
-with its running sums in place, builds the rows from them and contracts
-each Langevin term from them directly, and releases the table before it
-builds the kernel table (building while the table was alive ran up to
-1.6x slower at n = 200 on one core of a 2-vCPU Xeon).  The growth check
-reads the largest and smallest entry of each row, and only
-``simulate_grid``, which needs them for the light variance, forms the
-field weights.  Cost under one rate: O(ntau nz) for the table and the
-rows, O(ntau^2) for the kernel tables; each further run adds O(ntau nz^2)
-for its columns and Gramian, and the light variance of every node against
-the input correlator is one BLAS product, O(ntau^3).  The dense loop that
-steps the full coefficient matrices is kept in the tests as the reference.
+of the runs a later node follows (none under a constant drive).  The
+table holds the areas of the rows, then the Langevin areas, the last
+run's first, then the field areas, so the Langevin and field areas of the
+followed runs sit side by side and one first-column pass covers both.  It
+takes the field sums, those first columns and the followed runs' raw
+Langevin symbols from the table, overwrites the rest with its running
+sums in place, builds the rows from them and contracts each Langevin term
+from them directly, and releases the table before it builds the kernel
+table (building while the table was alive ran up to 1.6x slower at
+n = 200 on one core of a 2-vCPU Xeon).  The growth check reads the
+largest and smallest entry of each row, and only ``simulate_grid``, which
+needs them for the light variance, forms the field weights.  At the sizes
+the CLI and the benchmark run a call is bound by its fixed cost, the
+number of numpy calls more than their arithmetic.  The recurrences down
+the rows make them: 2 nz for the Laguerre symbols and nz for the running
+sums, and where a later node follows a run, nz for the first columns and
+nz for each followed run's Gramian; everything else makes about a
+hundred.  On that core a call at n = 100 takes ~0.55 ms under a constant
+drive and ~1.3 ms under three segments.  Cost under one rate: O(ntau nz)
+for the table and the rows, O(ntau^2) for the kernel tables; each further
+run adds O(ntau nz^2) for its columns and Gramian, and the light variance
+of every node against the input correlator is one BLAS product,
+O(ntau^3).  The tests keep two references: the dense loop that steps the
+full coefficient matrices, and the pass as it stood before its fixed cost
+was cut, which this one matches float for float.
 
 ``light_kernel_convergence`` makes the same pass, Langevin part off, on a
 ladder of grids halved from the given one and compares each light-kernel
@@ -137,6 +149,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -469,6 +482,12 @@ class GridSpec:
     tau_max: float
 
     def __post_init__(self):
+        for name in ("nz", "ntau"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.nz < 2 or self.ntau < 2:
             raise ValueError("nz and ntau must be at least 2")
         if not self.tau_max > 0:
@@ -516,9 +535,9 @@ def _symbols(t: np.ndarray, nz: int) -> np.ndarray:
         np.multiply.outer(np.where(odd, -0.5, -2.0) / k, t, out=e[3:])
         e[3:] += np.where(odd, 1.0, 4.0)[:, None]
         f = list(e)
-        for i in range(2, nz - 1):
-            np.multiply(f[i + 1], f[i], out=f[i + 1])
-            np.subtract(f[i + 1], f[i - 1], out=f[i + 1])
+        for prev, cur, nxt in zip(f[1:], f[2:], f[3:]):
+            np.multiply(nxt, cur, nxt)
+            np.subtract(nxt, prev, nxt)
         k = np.arange(3.0, nz)
         e[3:] *= (np.where(k % 2 == 1, 1.0, 2.0) / k)[:, None]
     return e
@@ -530,8 +549,8 @@ def _running_sums(a: np.ndarray, sign: float = 1.0) -> np.ndarray:
     several times slower on these tables)."""
     step = np.add if sign > 0 else np.subtract
     rows = list(a) if a.size else []
-    for i in range(1, len(rows)):
-        step(rows[i], rows[i - 1], out=rows[i])
+    for prev, row in zip(rows, rows[1:]):
+        step(row, prev, row)
     return a
 
 
@@ -550,13 +569,17 @@ def _first_column(e: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _toeplitz(column: np.ndarray, row: np.ndarray | None = None) -> np.ndarray:
     """The Toeplitz matrix with this first column and first row (row[0] is
     ignored; symmetric when row is omitted): a read-only strided view of its
-    diagonals, for the caller to copy or assign from."""
+    diagonals, for the caller to copy or assign from.  The ndarray
+    constructor builds the view: a call takes ~2 us on one core of a 2-vCPU
+    Xeon, ~5.5 us through ``as_strided``."""
     row = column if row is None else row
     # entry (i, j) is diagonals[len(row) - 1 + i - j]
     diagonals = np.concatenate((row[:0:-1], column))
     step = diagonals.strides[0]
-    return np.lib.stride_tricks.as_strided(diagonals[len(row) - 1:], shape=(len(column), len(row)),
-                                           strides=(step, -step), writeable=False)
+    view = np.ndarray((len(column), len(row)), diagonals.dtype, diagonals, (len(row) - 1) * step,
+                      (step, -step))
+    view.flags.writeable = False
+    return view
 
 
 def expm(x: float, nz: int, dz: float) -> np.ndarray:
@@ -616,9 +639,8 @@ def _diagonal_cumsum(p: np.ndarray) -> np.ndarray:
     """q[i, l] = sum_{m <= min(i, l)} p[i - m, l - m]: each diagonal summed
     from the top-left corner, in place, by q[i, l] = p[i, l] + q[i-1, l-1].
     One vector operation per row, as in ``_running_sums``."""
-    rows = list(p)
-    for i in range(1, len(rows)):
-        np.add(rows[i][1:], rows[i - 1][:-1], out=rows[i][1:])
+    for prev, row in zip(p[:-1, :-1], p[1:, 1:]):
+        np.add(row, prev, row)
     return p
 
 
@@ -730,81 +752,102 @@ class _Discretization:
         H_q^T, H_q = d^q exp(-y'_q T): outer products of the first columns,
         and of the symbols summed along diagonals.
 
-        The symbol table is the pass's one working table.  From it come, in
-        order: every run's field sums s; the raw columns the runs a later
-        node follows still need, their field columns and their Langevin
-        symbols and first columns (none under a constant drive); then the
+        The symbol table is the pass's one working table.  Its columns are
+        the areas of the rows from every origin, then the Langevin areas of
+        the last run and of the runs a later node follows, in run order,
+        then the field areas of every run; so the followed runs' Langevin
+        and field areas form one slice, which ends where the last run's
+        field areas, the ones the running sums leave raw, begin.  From the
+        raw table come, in order: every run's field sums s; the first
+        columns of that slice, in one pass; the followed runs' Langevin
+        symbols (nothing of the two under a constant drive); then the
         running sums, in place over every column but the last run's field
-        areas, and from them the rows and the Langevin terms.  The table is
-        released before the kernel table is built.  Raises GridGrowthError
-        at the first node where a row (per coherence sample, r / w) or a
-        field weight, the kernel times dt sqrt(r) (per unit length), leaves
-        the coefficient bound.  The check reads the largest and smallest
-        entry of each row of every run's kernel block and of every origin's
-        rows, which decides it exactly: the field weights scale a run's
-        block by one positive factor, under which rounding is monotone, and
+        areas, from which come the field columns, the rows and the Langevin
+        terms.  The table is released before anything is scaled by d^q,
+        whose powers are slices of one table, and before the kernel table
+        is built.  Raises GridGrowthError at the first node where a row
+        (per coherence sample, r / w) or a field weight, the kernel times
+        dt sqrt(r) (per unit length), leaves the coefficient bound.  The
+        check reads the largest and smallest entry of each row of every
+        run's kernel block and, in one reduction, of every origin's rows,
+        which decides it exactly: the field weights scale a run's block by
+        one positive factor, under which rounding is monotone, and
         "not <=" counts a NaN left by overflow as growth.
         """
         dt, dz, d, nz, ntau, w = self.dt, self.dz, self.d, self.nz, self.ntau, self.w
         runs = self.runs
         origins = ([0] if langevin else []) + [stop for _, stop, _ in runs[:-1]]
-        steps = [np.arange(stop - start) * dt for start, stop, _ in runs]
+        steps = [self.tau[:stop - start] for start, stop, _ in runs]  # q dt
         parts = [self.node_t[o:] - self.node_t[o] for o in origins]
-        if langevin:
-            parts += [rate * (q + self.s_lang) * dz for q, (_, _, rate) in zip(steps, runs)]
+        if langevin:  # the last run's Langevin part first, then the others in run order
+            parts += [rate * (q + self.s_lang) * dz
+                      for q, (_, _, rate) in zip(steps[-1:] + steps[:-1], runs[-1:] + runs[:-1])]
         parts += [rate * (q + self.s_field) * dz if rate > 0 else q[:0]
                   for q, (_, _, rate) in zip(steps, runs)]
         t = np.concatenate(parts)
         e = _symbols(t, nz)
-        edges = np.cumsum([0, *map(len, parts)])
+        edges = list(itertools.accumulate(map(len, parts), initial=0))
         blocks = [slice(a, b) for a, b in itertools.pairwise(edges)]
-        n_rows, n_lang = len(origins), len(runs) if langevin else 0
+        n_rows = len(origins)
         row_blocks = blocks[:n_rows]
-        lang_blocks = blocks[n_rows:n_rows + n_lang]
-        field_blocks = blocks[n_rows + n_lang:]
+        field_blocks = blocks[-len(runs):]
+        # back in run order: the last run's Langevin part comes first in the table
+        lang_blocks = [*blocks[n_rows + 1:-len(runs)], blocks[n_rows]] if langevin else []
 
-        def powers(b):  # d^q for the q-th area of part b
-            return d ** np.arange(b.stop - b.start)
+        # the runs a later node follows are all but the last: their Langevin
+        # and then their field parts, one slice of the table that ends where
+        # the last run's field part, the one the running sums leave raw, begins
+        followed = slice(edges[n_rows + langevin], edges[-2])
+        lang_followed = slice(followed.start, field_blocks[0].start)
+        field_followed = slice(field_blocks[0].start, followed.stop)
+        lang_areas = slice(edges[n_rows], field_blocks[0].start)  # every run's Langevin areas
 
         def part(table, b, group):  # part b's columns in a table of a group of parts
             return table[:, b.start - group.start:b.stop - group.start]
 
-        # the runs a later node follows are all but the last, whose field and
-        # Langevin parts come last in their groups; the last run's field part
-        # is the one the running sums leave raw
-        followed = slice(field_blocks[0].start, edges[-2])
-        lang_followed = slice(edges[n_rows], lang_blocks[-1].start if langevin else edges[n_rows])
-        sums = [(dz * np.arange(nz, 0, -1.0)) @ e[:, b] for b in field_blocks]  # w exp(-y T) 1
-        cols = _first_column(e[:, followed], t[followed])  # exp(-y T) 1 once h is added
+        weights = dz * np.arange(nz, 0, -1.0)
+        sums = [weights @ e[:, b] for b in field_blocks]  # w exp(-y T) 1
+        firsts = _first_column(e[:, followed], t[followed])
         lang_symbols = e[:, lang_followed].copy()
-        lang_firsts = _first_column(lang_symbols, t[lang_followed])
         h = _running_sums(e[:, :edges[-2]])
-        cols[1:] += h[:, followed]  # the first column plus the Toeplitz row sums
+        cols = part(firsts, field_followed, followed)
+        cols[1:] += h[:, field_followed]  # exp(-y T) 1: the first column plus the Toeplitz row sums
         row_table = _rows(h[:, :edges[n_rows]], dz)
-        row_table *= np.concatenate([np.empty(0), *map(powers, row_blocks)])[:, None]
+        norms = _row_norms(h[:, lang_areas], dz)
+        del e, h, weights
+
+        # numpy hands a product with one column to BLAS as a vector, and gemv
+        # rounds a unit-stride vector differently from a strided one: a group
+        # of one column is copied out, so each group's products round as on
+        # a table of its own
+        lang_firsts, cols = (group.copy() if group.shape[1] == 1 else group
+                             for group in (part(firsts, lang_followed, followed), cols))
+        powers = d ** np.arange(ntau + 1)  # d^q for the q-th area of a part
+        scale = np.concatenate([powers[:0], *(powers[:ntau + 1 - o] for o in origins)])
+        row_table *= scale[:, None]  # d^q on the q-th row from each origin
         rows = {o: row_table[b] for o, b in zip(origins, row_blocks)}
         lang = []
         for (_, stop, _), b in zip(runs, lang_blocks):
-            scale = powers(b)
-            g = _row_norms(h[:, b], dz) * (scale * scale)
+            scale = powers[:b.stop - b.start]
+            g = norms[b.start - lang_areas.start:b.stop - lang_areas.start]
+            g *= scale * scale
             if stop == ntau:
                 lang.append((g, None, None))
                 continue
             symbols = part(lang_symbols, b, lang_followed)
-            firsts = part(lang_firsts, b, lang_followed)
+            first = part(lang_firsts, b, lang_followed)
             symbols *= scale
-            firsts *= scale
-            lang.append((g, symbols, firsts))
+            first *= scale
+            lang.append((g, symbols, first))
         field = []
         for (_, stop, _), b, s in zip(runs, field_blocks, sums):
-            scale = (self.phi / dt) * powers(b)
+            scale = (self.phi / dt) * powers[:b.stop - b.start]
             s *= scale
             c = None
             if stop < ntau:
-                c = part(cols, b, followed)
+                c = part(cols, b, field_followed)
                 c *= scale
             field.append((s, c))
-        del e, h
 
         kernel = np.zeros((ntau + 1, ntau))
         bad = np.zeros(ntau + 1, dtype=bool)
@@ -823,11 +866,12 @@ class _Discretization:
                 bad[stop + 1:] |= _outside(block.max(axis=1) * factor,
                                            block.min(axis=1) * factor, bound)
         sample = self.coeff_bound * w  # the end nodes' half weights get half the bound
-        for o, r in rows.items():
-            inner = r[:, 1:-1]
-            bad[o:] |= (_outside(inner.max(axis=1), inner.min(axis=1), sample[1])
-                        | _outside(r[:, 0], r[:, 0], sample[0])
-                        | _outside(r[:, -1], r[:, -1], sample[-1]))
+        inner = row_table[:, 1:-1]
+        row_bad = (_outside(inner.max(axis=1), inner.min(axis=1), sample[1])
+                   | _outside(row_table[:, 0], row_table[:, 0], sample[0])
+                   | _outside(row_table[:, -1], row_table[:, -1], sample[-1]))
+        for o, b in zip(origins, row_blocks):
+            bad[o:] |= row_bad[b]
         if bad.any():
             raise GridGrowthError(f"influence coefficients diverged at step {np.argmax(bad)}")
         if not langevin:

@@ -573,11 +573,13 @@ class TestSimulateGrid:
     # Traced peaks (tracemalloc counts numpy's buffers) of the grid oracle on
     # the benchmark's grids, at unit Gamma and L and tau_max = 0.5, bounded a
     # few per cent above what this pass allocates: the symbol table, the rows,
-    # the kernel and the field weights, 1.69 MB at n = 200; the rungs'
-    # kernels and then the reference, 3.33 MB on the constant 100/200/400
-    # ladder and 5.48 MB under three segments.  A pass that copied its
-    # running sums, built the Langevin rows and formed |field weights|
-    # peaked at 2.66, 5.67 and 9.83 MB.
+    # the kernel and the field weights, 1.69 MB at n = 200; under three
+    # segments also the field columns, Langevin symbols and first columns of
+    # the two runs a later node follows, 2.88 MB; the rungs' kernels and then
+    # the reference, 3.33 MB on the constant 100/200/400 ladder and 5.48 MB
+    # under three segments.  A pass that copied its running sums, built the
+    # Langevin rows and formed |field weights| peaked at 2.66, 5.67 and
+    # 9.83 MB.
     @pytest.mark.parametrize("model", [SqueezingModel.flat(1.0),
                                        SqueezingModel.lorentzian(5.0, s=0.7)],
                              ids=["flat", "lorentzian"])
@@ -585,6 +587,15 @@ class TestSimulateGrid:
         grid = GridSpec(nz=200, ntau=200, tau_max=0.5)
         peak = traced_peak(lambda: simulate_grid(unit_medium(), constant_drive(0.5), grid, model))
         assert peak <= 1.8e6
+
+    @pytest.mark.parametrize("model", [SqueezingModel.flat(1.0),
+                                       SqueezingModel.lorentzian(5.0, s=0.7)],
+                             ids=["flat", "lorentzian"])
+    def test_grid_oracle_peak_memory_under_three_segments(self, model):
+        drive = DriveParams(g=0.5, gamma_s=0.0, tau_pulse=0.5,
+                            profile=((0.125, 1.0), (0.25, 0.5), (0.125, 0.8137)))
+        grid = GridSpec(nz=200, ntau=200, tau_max=0.5)
+        assert traced_peak(lambda: simulate_grid(unit_medium(), drive, grid, model)) <= 3.0e6
 
     def test_flat_input_forms_no_second_field_weight_table(self):
         # white input contracts the field weights with themselves: the peak
@@ -765,3 +776,10 @@ class TestSimulateGrid:
             GridSpec(nz=1, ntau=10, tau_max=1.0)
         with pytest.raises(ValueError):
             GridSpec(nz=10, ntau=10, tau_max=0.0)
+        # a size that is no integer fails at construction, naming its field,
+        # not deep inside the discretization
+        for nz, ntau, name in ((10.5, 10, "nz"), (10, 20.0, "ntau"), ("10", 10, "nz"),
+                               (None, 10, "nz")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                GridSpec(nz=nz, ntau=ntau, tau_max=1.0)
+        assert GridSpec(nz=np.int64(10), ntau=10, tau_max=1.0).nz == 10
