@@ -22,40 +22,50 @@ composite Gauss-Legendre panels (``specfun.gauss_panels``, 16 nodes a
 panel).  The panels split at the drive breakpoints, where the integrands
 kink, and are cut so that none spans more than PANEL_DECAY e-folds of the
 fastest exponential (2 Gamma + Gq) or PANEL_PHASE radians of the Bessel
-phase 2 sqrt(uL), spaced uniformly in that phase.  The 16 nodes of a panel
-[a, b] cut it into 17 gaps [a, t_1], [t_1, t_2], ..., [t_16, b], and one
-composite pass of GAP_NODES-point Gauss rules over the gaps gives the
-filter at every node and at b: its value at a, damped by e^{-Gq (t - a)},
-plus the gaps' increments, each damped from its end, as one cumulative sum
-(Gq (b - a) <= PANEL_DECAY keeps the factors below e^12).  The widest gap
-is about a tenth of the panel, 1.2 e-folds and 1 rad of Bessel phase at
-most, where 6 nodes are good to ~1e-14 relative.  From panel to panel the
-filter carries over by one scalar recursion.  One evaluation of the
-exchange kernels covers the panels, then the panels halved (the filter
-restarts from y(0) = 0 where the halved pass begins), and the initial
-coherence.  The halved values are returned, and the change of each part
-(Langevin, light) is its error estimate.  Both parts form one
+phase 2 sqrt(uL), spaced uniformly in that phase.  One evaluation of the
+exchange kernels covers the panels, then the panels halved, and the
+initial coherence.  The halved values are returned, and the change of each
+part (Langevin, light) is its error estimate.  Both parts form one
 ``QuadratureResult``, judged as the adaptive rule judges its own
 (``specfun.within_budget``: each part within ``tol`` or its round-off
-floor), else QuadratureConvergenceError (exit 3).  Cost: flat input
-evaluates the kernels at 16 nodes a panel, lorentzian input 17 x 6 more for
-the gaps (118 a panel), on the panels and on their halves; 1-25 panels
-cover the parameter ranges the CLI and the benchmark use.  On the
+floor), else QuadratureConvergenceError (exit 3).
+
+Both passes read the filter y from one computation, so the estimate does
+not see it: like the Bessel kernels, it is exact to round-off by
+construction.  Each whole panel is cut into FILTER_PIECES = 4 equal pieces
+of width h, each with its own 16 Gauss nodes, where the order-1 kernel
+gives A.  A piece spans at most 3 e-folds of 2 Gamma + Gq and a small
+share of the panel's Bessel phase (up to half of it, but only next to
+u = 0, where the kernel is smooth in y), so B(t') = A(t') e^{-Gq (e - t')},
+e the piece's end, is a polynomial of degree 15 to ~1e-14 relative.  The
+piece's Gauss rule on B carries y to its end, every factor at most 1, and
+from panel to panel y carries over by one scalar recursion.  At the whole
+panel's 16 nodes and its halves' 32, y is e^{Gq h (1 - xi)} <= e^3 times
+y at the piece's start, damped to its end, plus the integral of B's
+interpolant from the start to the node; ``_filter_tables`` holds those
+integrals, with every piece's Gauss rule beside them, as one table cached
+per node count, so the filter of a call is one matrix product.
+
+Cost: flat input evaluates the kernels at 48 nodes a panel (16 whole, 32
+halved), lorentzian input 64 more for the pieces (112 a panel); 1-25
+panels cover the parameter ranges the CLI and the benchmark use.  On the
 benchmark's points a flat call evaluates 85 nodes on average, a
 three-segment drive 125 and a lorentzian call at Gamma tau = 10 about
-4300, so a flat call is almost all fixed cost, about a hundred numpy
-calls on small arrays: ~90 us on one core of a 2-vCPU Xeon for one panel
-(48 nodes), against ~300 us for a lorentzian call of 12 panels.  To keep
+1400, so a flat call is almost all fixed cost, about a hundred numpy
+calls on small arrays: ~85 us on one core of a 2-vCPU Xeon for one panel
+(48 nodes), against ~220 us for a lorentzian call of 12 panels.  To keep
 that cost down the panel geometry takes one bisection and one search:
 ``PulseArea.pieces`` gives the cuts and a at each, the panel starts are
 searched among the cuts, and ``PulseArea.on_segments`` gives a and a' of
-every panel from its piece.  The gap nodes run along the first axis, so
-no operation runs six-element inner loops, and the filter's carry runs on
-Python floats.  A lorentzian panel holds ~16 KB of temporaries, so a call
-that needs more than TRANSIENT_PANEL_LIMIT panels raises OverflowError
-(exit 3) before building any.  The tests keep two references: the nested
-adaptive quadrature this pass replaced, and the pass as it stood before
-its fixed cost was cut, which this one matches float for float.  For
+every panel from its piece; the filter's pieces run along the last axis
+and its carry runs on Python floats.  A lorentzian panel holds ~5.5 KB of
+temporaries, so a call that needs more than TRANSIENT_PANEL_LIMIT panels
+raises OverflowError (exit 3) before building any.  The tests keep two
+references: the nested adaptive quadrature this pass replaced, and the
+pass as it stood before its fixed cost was cut, with the filter it had
+then (a 6-node Gauss rule in each of the 17 gaps between a panel's nodes,
+on the whole and on the halved panels), which this one matches float for
+float under flat input and to round-off under lorentzian input.  For
 constant drive and Gamma tau >> 1 these reproduce the closed-form and
 spectral steady states.
 
@@ -285,8 +295,9 @@ class PulseArea:
         lo = np.arange(n) * dt
         hi = np.arange(1, n + 1) * dt
         slack = 1e-9 * dt
-        rates = self.rate((lo + hi) / 2.0)
-        straddle = self._locate(hi - slack, "left")[1] > self._locate(lo + slack, "right")[1]
+        ends = self._segments[0, 1:]
+        rates = self._segments[1, ends.searchsorted((lo + hi) / 2.0, "right")]
+        straddle = ends.searchsorted(hi - slack, "left") > ends.searchsorted(lo + slack, "right")
         rho = np.ones(n)
         if straddle.any():
             lo, hi = lo[straddle], hi[straddle]
@@ -308,9 +319,51 @@ class PulseArea:
 
 PANEL_PHASE = 10.0   # most Bessel phase 2 sqrt(u L) a transient panel spans [rad]
 PANEL_DECAY = 12.0   # most e-folds of the fastest exponential a transient panel spans
-GAP_NODES = 6        # Gauss-Legendre nodes per gap between a panel's nodes (the filter)
+FILTER_PIECES = 4    # equal pieces of a whole panel that carry the lorentzian filter
 TRANSIENT_PANEL_LIMIT = 10_000  # most panels on [0, tau]; a lorentzian call at the limit
-                                # holds ~160 MB of temporaries (~16 KB a panel)
+                                # holds ~55 MB of temporaries (~5.5 KB a panel)
+
+
+@functools.lru_cache(maxsize=None)
+def _filter_tables(m: int) -> tuple[np.ndarray, ...]:
+    """The fixed tables of the lorentzian filter on panels of m Gauss nodes,
+    in units of the panel [0, 1] and of its pieces' width h (read-only).
+
+    A whole panel is cut into FILTER_PIECES pieces, each with its own m-node
+    Gauss rule.  Returns the pieces' nodes ``at``, piece by piece; ``tail``,
+    the distance (piece end - node) / h of each; ``piece`` and ``lift``,
+    the piece each outer node lies in and 1 - xi, xi its place in that piece
+    (the whole panel's m nodes, then its left and right halves'); and
+    ``rows``, the (FILTER_PIECES m) x (3 m + FILTER_PIECES) table that takes
+    values at the pieces' nodes to, for each outer node, the integral from
+    its piece's start to it of their degree m - 1 interpolant, and, last,
+    to each piece's Gauss rule.
+
+    On [0, 1] the Lagrange basis of the Gauss nodes x_i is
+    l_i = w_i sum_{k < m} (2k + 1) P_k(2 x_i - 1) P_k(2 s - 1) (the rule is
+    exact on l_i P_k), and (2k + 1) int_0^xi P_k(2 s - 1) ds is
+    (P_{k+1} - P_{k-1})(2 xi - 1) / 2, xi for k = 0.
+    """
+    x, w = gauss_rule(m)
+    outer = np.concatenate([x, x / 2.0, 0.5 + x / 2.0]) * FILTER_PIECES
+    piece = outer.astype(np.intp)  # floor: no outer node is a piece's end
+    xi = outer - piece
+    legendre = np.empty((m + 1, 4 * m))  # P_k at 2 x_i - 1, then at 2 xi - 1
+    legendre[0] = 1.0
+    legendre[1] = np.concatenate([x, xi]) * 2.0 - 1.0
+    for k in range(1, m):
+        legendre[k + 1] = ((2 * k + 1) * legendre[1] * legendre[k] - k * legendre[k - 1]) / (k + 1)
+    at_x, at_xi = legendre[:, :m], legendre[:, m:]
+    partial = w * (xi[:, None] + (at_xi[2:] - at_xi[:-2]).T @ at_x[1:m] / 2.0)
+    rows = np.zeros((FILTER_PIECES * m, 3 * m + FILTER_PIECES))
+    rows[piece[:, None] * m + np.arange(m), np.arange(3 * m)[:, None]] = partial
+    pieces = np.arange(FILTER_PIECES).repeat(m)
+    rows[np.arange(FILTER_PIECES * m), 3 * m + pieces] = np.tile(w, FILTER_PIECES)
+    at = (pieces + np.tile(x, FILTER_PIECES)) / FILTER_PIECES
+    tables = at, 1.0 - np.tile(x, FILTER_PIECES), rows, piece, 1.0 - xi
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _panel_edges(cuts: np.ndarray, ul: np.ndarray, rate: float) -> np.ndarray:
@@ -335,6 +388,8 @@ def _panel_edges(cuts: np.ndarray, ul: np.ndarray, rate: float) -> np.ndarray:
             f"the transient pass on [0, {tau:.6g}] needs {panels:.6g} panels, more than "
             f"TRANSIENT_PANEL_LIMIT = {TRANSIENT_PANEL_LIMIT}: (2 Gamma + Gq) tau = "
             f"{tau * rate:.6g} e-folds and {phase:.6g} rad of Bessel phase")
+    if n_phase == n_decay == 1:
+        return cuts
     crossings = (np.arange(1.0, n_phase) * (phase / n_phase / 2.0)) ** 2
     return np.sort(np.concatenate([
         cuts,
@@ -356,14 +411,18 @@ def transient_variance(
     Sums the decayed initial coherence, the Langevin restoration and the
     absorbed-light contribution, all in one composite Gauss-Legendre pass
     whose panels split at the drive breakpoints.  Lorentzian input adds the
-    correlator's double integral through a causal filter at the same nodes.
+    correlator's double integral 2 int A y through a causal filter y,
+    computed to round-off on every panel's quarters and read at the same
+    nodes.
 
     ``model.gamma_q`` is a rate in the time unit of ``area``, ``gamma``
     and ``tau``: at Gamma = 1, as the CLI runs, it is b = Gamma_q / Gamma.
 
     Raises QuadratureConvergenceError when halving the panels moves the
     Langevin or the light part by more than the budget: ``tol``, or the
-    round-off floor where that is larger.
+    round-off floor where that is larger.  Both passes share the filter,
+    so the estimate measures the outer rule alone, on int A y as on the
+    other integrals.
     """
     for name, value in (("length", length), ("gamma", gamma), ("tau", tau)):
         if not 0.0 <= value < math.inf:  # rejects NaN too
@@ -421,36 +480,42 @@ def transient_variance(
     else:
         # e^{-Gq |t - t'|} = e^{-Gq (t - t')} for t' < t, so the correlator's
         # double integral is 2 int A(t) y(t) dt with the causal filter
-        # y(t) = int_0^t A(t') e^{-Gq (t - t')} dt'.  The nodes of a panel
-        # [a, b] cut it into gaps [a, t_1], [t_1, t_2], ..., [t_16, b] with
-        # right ends t_k (t_17 = b); a GAP_NODES-point rule gives each gap's
-        # increment inc_k = int A(t') e^{-Gq (t_k - t')} dt' over the gap, and
-        # y(t_i) = e^{-Gq (t_i - a)} (y(a) + sum_{k <= i} e^{Gq (t_k - a)} inc_k),
-        # whose factors stay below e^{PANEL_DECAY}.  y(b) carries over to the
-        # next panel as one scalar.  The gap nodes run along the first axis,
-        # so every operation below runs over whole [panel, gap] planes.
-        ends = np.concatenate([t, b], axis=1)
-        starts = np.concatenate([a, t], axis=1)
-        width = ends - starts
-        x, wx = gauss_rule(GAP_NODES)
-        tg = starts + width * x[:, None, None]
-        wg = width * wx[:, None, None]
-        ulg = ul_start - slope * (tg - a)
-        inc = (wg * weight * bessel_kernels(ulg, (1,))[0] * np.exp(
-            -gamma * (tau - tg) - gq * (ends - tg))).sum(axis=0)
-        rise = gq * (ends - a)
-        fade = np.exp(-rise)
-        sums = np.cumsum(np.exp(rise) * inc, axis=1)
-        # the carry from panel to panel, in floats; y(0) = 0 where the
-        # halved pass starts again
-        y_end = [0.0] * len(lo)
-        for p, (f, s) in enumerate(zip(fade[:-1, -1].tolist(), sums[:-1, -1].tolist()), 1):
-            if p != n:
-                y_end[p] = f * (y_end[p - 1] + s)
-        corr = 2.0 * w * amp * fade[:, :-1] * (np.array(y_end)[:, None] + sums[:, :-1])
+        # y(t) = int_0^t A(t') e^{-Gq (t - t')} dt', A = amp.  It runs on the
+        # FILTER_PIECES pieces [s, e] of width h of every whole panel, where
+        # B(t') = A(t') e^{-Gq (e - t')}, factors at most 1, is a polynomial
+        # of degree m - 1 to round-off.  A piece's Gauss rule carries y to
+        # its end, y(e) = z + int_s^e B with z = e^{-Gq h} y(s), and an outer
+        # node t = s + h xi of the piece reads
+        # y(t) = e^{Gq h (1 - xi)} (z + int_s^t B), at most e^3 times z plus
+        # the integral of B's interpolant: ``rows`` gives every integral.
+        m = t.shape[1]
+        at, tail, rows, piece, lift = _filter_tables(m)
+        width = (hi[:n] - lo[:n])[:, None]
+        h = width / FILTER_PIECES
+        gh = gq * h
+        b_h = (h * weight[:n]) * bessel_kernels(ul_start[:n] - (slope[:n] * width) * at, (1,))[0]
+        # -Gamma (tau - t') - Gq (e - t') at t' = a + width at
+        b_h *= np.exp(width * (gamma * at - gq / FILTER_PIECES * tail) - gamma * (tau - a[:n]))
+        ints = b_h @ rows
+        inc = ints[:, 3 * m:]
+        # z of every piece with y = 0 at the panel's start, then y(start)
+        # carried from panel to panel in floats, e^{-Gq k h} at the k-th piece
+        fade = np.exp(gh * -np.arange(1.0, FILTER_PIECES + 1.0))
+        z = np.zeros((n, FILTER_PIECES))
+        for k in range(1, FILTER_PIECES):
+            np.add(z[:, k - 1], inc[:, k - 1], out=z[:, k])
+            z[:, k] *= fade[:, 0]
+        y_start = [0.0] * n
+        for p, (f, own) in enumerate(zip(fade[:-1, -1].tolist(),
+                                         (z[:-1, -1] + inc[:-1, -1]).tolist()), 1):
+            y_start[p] = f * y_start[p - 1] + own
+        z += np.array(y_start)[:, None] * fade
+        y = np.exp(gh * lift) * (z[:, piece] + ints[:, :3 * m])
+        # the filter at the whole panels' nodes, then at the halves' in time order
+        corr = 2.0 * w * amp * np.concatenate([y[:, :m], y[:, m:].reshape(2 * n, m)])
         np.subtract(white, model.s * (gq / 2.0) * corr.sum(axis=1), out=light)
         np.add(white, model.s * (gq / 2.0) * np.abs(corr).sum(axis=1), out=light_abs)
-        evaluations = t.size + tg.size
+        evaluations = t.size + b_h.size
 
     # each part whole and halved, and the integral of its |integrand| halved
     # (the same where the integrand is nonnegative); the halved values are
@@ -532,8 +597,10 @@ def _symbols(t: np.ndarray, nz: int) -> np.ndarray:
         np.multiply(1.0 - t / 2.0, e[1], out=e[2])
         k = np.arange(2.0, nz - 1.0)
         odd = k % 2 == 1
-        np.multiply.outer(np.where(odd, -0.5, -2.0) / k, t, out=e[3:])
-        e[3:] += np.where(odd, 1.0, 4.0)[:, None]
+        v = e[3:]
+        v[...] = t
+        v *= (np.where(odd, -0.5, -2.0) / k)[:, None]
+        v += np.where(odd, 1.0, 4.0)[:, None]
         f = list(e)
         for prev, cur, nxt in zip(f[1:], f[2:], f[3:]):
             np.multiply(nxt, cur, nxt)

@@ -203,9 +203,10 @@ def _taylor(y: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
     """The Taylor piece about the nearest center c, in h = y - c:
     p_0 + h p_1 + h^2 p_2 + h^3 p_3 with p_r the terms m = r mod 4, each a
     polynomial in h^4, with every coefficient gathered by one ``take``."""
-    scaled = y * PIECES_PER_UNIT
-    centers = scaled.round()  # half to even, as rint
-    h = (scaled - centers) * (1.0 / PIECES_PER_UNIT)
+    h = y * PIECES_PER_UNIT
+    centers = h.round()  # half to even, as rint
+    h -= centers
+    h *= 1.0 / PIECES_PER_UNIT
     centers = centers.astype("intp")
     h2 = h * h
     h4 = h2 * h2
@@ -216,8 +217,13 @@ def _taylor(y: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
     for row in coeffs[-2::-1]:
         p *= h4
         p += row
-    q = p[0::2] + h * p[1::2]
-    return q[0] + h2 * q[1]
+    # q = p_0,2 + h p_1,3 in place, then q_0 + h^2 q_1
+    q = p[1::2]
+    q *= h
+    q += p[0::2]
+    out = h2 * q[1]
+    out += q[0]
+    return out
 
 
 def _hankel(x: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
@@ -262,19 +268,29 @@ def bessel_kernels(y, orders: tuple[int, ...] = (0, 1)) -> np.ndarray:
     Raises ValueError for an order other than 0 and 1."""
     import numpy as np
 
-    orders = tuple(orders)
+    orders = _checked_orders(*orders)
+    y = np.asarray(y, dtype=float)
+    flat = y.reshape(-1)
+    if flat.size <= BESSEL_BLOCK:
+        out = _kernels(flat, orders)
+    else:
+        # each block's result is allocated after its temporaries, then joined:
+        # filling an array allocated up front made lorentzian transient calls
+        # fault ~200 heap pages back in per call in some processes
+        out = np.concatenate([_kernels(flat[start:start + BESSEL_BLOCK], orders)
+                              for start in range(0, flat.size, BESSEL_BLOCK)], axis=1)
+    return out.reshape(out.shape[:1] + y.shape)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _checked_orders(*orders) -> tuple[int, ...]:
+    """The orders as a tuple, once each is known to be 0 or 1.  Cached by
+    value and type of every order, so 1.0 and True, equal to 1, are still
+    checked (and rejected) on every call."""
     for order in orders:
         if type(order) is not int or order not in (0, 1):  # they index the tables
             raise ValueError(f"bessel_kernels evaluates orders 0 and 1, got order {order!r}")
-    y = np.asarray(y, dtype=float)
-    flat = y.reshape(-1)
-    # each block's result is allocated after its temporaries, then joined:
-    # filling an array allocated up front made lorentzian transient calls
-    # fault ~200 heap pages back in per call in some processes
-    blocks = [_kernels(flat[start:start + BESSEL_BLOCK], orders)
-              for start in range(0, max(flat.size, 1), BESSEL_BLOCK)]
-    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-    return out.reshape(out.shape[:1] + y.shape)
+    return orders
 
 
 def scaled_bessel_i(x: float) -> tuple[float, float]:

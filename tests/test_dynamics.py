@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import j1
 
+import transient_reference
 from spinmap import dynamics, specfun
 from spinmap.config import RunConfig
 from spinmap.dynamics import (
@@ -313,15 +314,36 @@ class TestTransientVariance:
         assert isinstance(best, QuadratureResult)
         assert math.isfinite(best.value) and best.error_estimate > 1e-8
 
-    def test_gap_rule_budget_miss_raises(self, monkeypatch):
-        # two nodes a gap leave the filter's error to the doubling estimate,
-        # which misses the budget; the Langevin part does not use the filter
-        monkeypatch.setattr(dynamics, "GAP_NODES", 2)
-        model = SqueezingModel.lorentzian(5.0, s=0.8)
-        with pytest.raises(QuadratureConvergenceError, match="light part did not converge") as err:
-            transient_variance(PulseArea.constant(5.0), 1.0, 1.0, model, 3.0)
-        best = err.value.best
-        assert math.isfinite(best.value) and best.error_estimate > 1e-10
+    def test_filter_is_exact_to_round_off(self):
+        # the doubling estimate does not see the lorentzian filter, which both
+        # passes share, so the filter must be exact by construction.  On a
+        # panel s in [0, 1] its rows integrate, piece by piece, every
+        # polynomial of degree < m and e^{(PANEL_DECAY + i PANEL_PHASE) s},
+        # the steepest and fastest integrand a panel admits, to round-off;
+        # at the geometry bounds of the high-bandwidth drives the light part
+        # is the gap-rule reference's to 1e-13
+        m, pieces = specfun.PANEL_NODES, dynamics.FILTER_PIECES
+        at, tail, rows, piece, lift = dynamics._filter_tables(m)
+        x = specfun.gauss_rule(m)[0]
+        outer = np.concatenate([x, x / 2.0, 0.5 + x / 2.0])
+        np.testing.assert_allclose((piece + 1.0 - lift) / pieces, outer, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(at + tail / pieces, np.arange(1, pieces + 1).repeat(m) / pieces,
+                                   rtol=0, atol=1e-15)
+        starts = np.concatenate([piece / pieces, np.arange(pieces) / pieces])
+        ends = np.concatenate([outer, np.arange(1, pieces + 1) / pieces])
+        for degree in range(m):
+            p = np.polynomial.Legendre.basis(degree, domain=[0.0, 1.0])
+            exact = p.integ()(ends) - p.integ()(starts)
+            np.testing.assert_allclose(p(at) @ rows / pieces, exact, rtol=0, atol=1e-15)
+        k = complex(dynamics.PANEL_DECAY, dynamics.PANEL_PHASE)
+        steep = np.exp(k * (np.concatenate([at, ends, starts]) - 1.0))
+        at_nodes, at_ends, at_starts = np.split(steep, [at.size, at.size + ends.size])
+        error = np.abs(at_nodes @ rows / pieces - (at_ends - at_starts) / k)
+        assert (error <= 1e-14 * np.abs(at_ends)).all()
+        for area, model, tau in transient_reference.HIGH_BANDWIDTH:
+            rep = transient_variance(area, 1.0, 1.0, model, tau)
+            ref = transient_reference.panel_pass(area, 1.0, 1.0, model, tau)
+            assert abs(rep.light_part - ref.light_part) <= 1e-13
 
     def test_panel_limit_counts_every_panel(self, monkeypatch):
         # b = 1000 at Gamma tau = 15 takes 1254 panels: 1253 for the decay

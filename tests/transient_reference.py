@@ -9,9 +9,12 @@ correlator's kink.  It uses scipy's scalar Bessel functions and
 node, filter or Bessel evaluation with the panel engine.
 
 ``panel_pass`` is the panel engine as it stood before its fixed cost per
-call was cut: the same rule, nodes and filter, reached through public
-``PulseArea`` calls and plain numpy layouts.  The library's pass must
-return exactly its floats.
+call was cut: the same rule and nodes, reached through public
+``PulseArea`` calls and plain numpy layouts, with the lorentzian filter it
+had then, a GAP_NODES-point Gauss rule in every gap between a panel's
+nodes, run on the whole and on the halved panels.  The library's pass must
+return exactly its floats under flat input, and agree with the filter to
+round-off under lorentzian input.
 """
 
 import math
@@ -21,10 +24,22 @@ from scipy.integrate import quad
 from scipy.special import j0 as bessel_j0
 from scipy.special import j1 as bessel_j1
 
-from spinmap.dynamics import GAP_NODES, PANEL_DECAY, PANEL_PHASE, TRANSIENT_PANEL_LIMIT
-from spinmap.mapping import NoiseReport, eta_from_variance
+from spinmap.dynamics import PANEL_DECAY, PANEL_PHASE, TRANSIENT_PANEL_LIMIT, PulseArea
+from spinmap.mapping import NoiseReport, SqueezingModel, eta_from_variance
 from spinmap.specfun import (QuadratureConvergenceError, QuadratureResult, bessel_kernels,
                              gauss_panels, within_budget)
+
+GAP_NODES = 6  # Gauss-Legendre nodes per gap between a panel's nodes (the filter)
+
+# the lorentzian filter's geometry bounds: b = Gq / Gamma up to 200 puts up to
+# ~50 panels on [0, tau] (PANEL_DECAY e-folds of 2 Gamma + Gq each), with
+# breakpoints and a dark segment; (area, model, tau)
+HIGH_BANDWIDTH = [
+    (PulseArea.constant(5.0), SqueezingModel.lorentzian(200.0, s=1.0), 3.0),
+    (PulseArea((0.7, 1.9), (40.0, 12.0), 25.0), SqueezingModel.lorentzian(120.0, s=0.9), 2.5),
+    (PulseArea((0.4, 1.1, 2.0), (10.0, 0.0, 30.0), 0.0), SqueezingModel.lorentzian(60.0, s=0.6),
+     3.0),
+]
 
 
 def _phi2(y):
@@ -134,10 +149,11 @@ def panel_pass(
     """The panel pass as ``dynamics.transient_variance`` ran it before its
     panel geometry came from one segment lookup: a(tau), the areas of the
     ends and of every panel start, and every panel's rate each from their
-    own ``PulseArea.value`` or ``rate`` call; the filter's gap nodes along
-    the last axis; the carry from panel to panel in numpy scalars; the
-    kernels of every node and of the initial coherence joined by
-    ``np.append``.  The library must return the same floats."""
+    own ``PulseArea.value`` or ``rate`` call; the lorentzian filter's gap
+    rule, its gap nodes along the last axis; the carry from panel to panel
+    in numpy scalars; the kernels of every node and of the initial
+    coherence joined by ``np.append``.  Under flat input the library must
+    return the same floats."""
     for name, value in (("length", length), ("gamma", gamma), ("tau", tau)):
         if not 0.0 <= value < math.inf:  # rejects NaN too
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
