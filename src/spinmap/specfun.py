@@ -31,22 +31,25 @@ coefficients of 9.2.5 at -1/x^2); every order at once from
 ``scaled_bessel_i_sequence``, Miller's backward recurrence normalized by
 e^x = I0 + 2 sum_{n>=1} I_n (A&S 9.6.34 at theta = 0).
 
-``integrate_adaptive`` is a globally adaptive Gauss-Legendre rule for
+``integrate_adaptive`` is a globally adaptive Gauss-Kronrod rule for
 vectorized integrands over the half-line [0, inf), mapped onto the unit
 interval with the rational substitution
 
     x = t / (1 - t),    dx = dt / (1 - t)^2,    t in [0, 1).
 
 An integrand may have several parts, stacked along a first axis, which
-share every node and every panel.  Every panel carries ``PANEL_NODES``
-nodes and its error is estimated, part by part, by halving it.  While some
-part's summed estimate misses its budget, that part asks for every panel
-but those with its smallest estimates (which together spend at most half
-its budget) to be bisected, and the union of what the parts ask for is
-bisected.  A part that has met its budget keeps the result of the pass
-where it first met it, so it reads as a pass of its own that stopped there.
+share every node and every panel.  Every panel carries the 2 PANEL_NODES + 1
+nodes of ``kronrod_rule``, the Kronrod extension of the PANEL_NODES-point
+Gauss rule (Laurie, Math. Comp. 66, 1997); a part's value on it is the
+Kronrod sum, and its error estimate the difference from the embedded Gauss
+sum.  While some part's summed estimate misses its budget, that part asks
+for every panel but those with its smallest estimates (which together
+spend at most half its budget) to be bisected, and the union of what the
+parts ask for is bisected.  A part that has met its budget keeps the
+result of the pass where it first met it, so it reads as a pass of its own
+that stopped there.
 
-``gauss_panels`` gives the nodes and weights of the panel rule on any
+``gauss_panels`` gives the nodes and weights of the Gauss panel rule on any
 intervals, and ``gauss_rule`` the rule itself on [0, 1], for callers that
 run their own composite pass where they know the integrand is smooth (the
 transient engine).  Every rule judges its
@@ -248,9 +251,10 @@ def _kernels(y: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
         return _taylor(y, orders)
     import numpy as np
 
-    far = y >= TABLE_END
+    near = y < TABLE_END  # not at NaN: the Hankel series keeps a NaN a NaN
+    far = ~near
     out = np.empty((len(orders), y.size))
-    out[:, ~far] = _taylor(y[~far], orders)
+    out[:, near] = _taylor(y[near], orders)
     x = 2.0 * np.sqrt(y[far])
     j = _hankel(x, orders)
     for row, order in zip(j, orders):
@@ -405,49 +409,121 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_panels(lo, hi, nodes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``nodes``-point Gauss-Legendre rule
-    (``PANEL_NODES`` by default) on every interval [lo, hi]; lo and hi
-    broadcast, and the nodes of each interval run along a new last axis."""
+def gauss_panels(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``PANEL_NODES``-point Gauss-Legendre rule on
+    every interval [lo, hi]; lo and hi broadcast, and the nodes of each
+    interval run along a new last axis."""
     import numpy as np
 
-    x, w = gauss_rule(PANEL_NODES if nodes is None else nodes)
+    x, w = gauss_rule(PANEL_NODES)
     lo = np.asarray(lo, dtype=float)[..., None]
     width = np.asarray(hi, dtype=float)[..., None] - lo
     return lo + width * x, width * w
 
 
-def _halve(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The left halves of the panels [lo, hi], then their right halves."""
-    import numpy as np
-
-    mid = (lo + hi) / 2.0
-    return np.concatenate([lo, mid]), np.concatenate([mid, hi])
-
-
-def _unit_nodes(lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and weights on the panels [lo, hi] of the unit interval,
-    moved onto [0, inf) by x = t / (1 - t)."""
-    t, w = gauss_panels(lo, hi)
-    u = 1.0 - t
-    return t / u, w / (u * u)
+def _laurie(n: int) -> tuple[list[float], list[float]]:
+    """Recurrence coefficients a_0..a_2n, b_0..b_2n of the Jacobi-Kronrod
+    matrix of the n-point Gauss-Legendre rule on [-1, 1] (Laurie, Math. Comp.
+    66, 1997): monic pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1}, b_0 = 2.  The
+    first 3n/2 of them are Legendre's, a_k = 0 and b_k = k^2 / (4 k^2 - 1);
+    the rest follow from the mixed moments s and t."""
+    a = [0.0] * (2 * n + 1)
+    b = [2.0] + [k * k / (4.0 * k * k - 1.0) if k <= (3 * n + 1) // 2 else 0.0
+                 for k in range(1, 2 * n + 1)]
+    # s[j + 1] and t[j + 1] hold Laurie's s_j and t_j, j = -1 .. n // 2
+    s, t = [0.0] * (n // 2 + 2), [0.0] * (n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            u += (a[k + n + 1] - a[m - k]) * t[k + 1] + b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - m + k
+            u -= ((a[k + n + 1] - a[m - k]) * t[j + 1] + b[k + n + 1] * s[j + 1]
+                  - b[m - k] * s[j + 2])
+            s[j + 1] = u
+        k = (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    return a, b
 
 
 @functools.lru_cache(maxsize=None)
-def _first_pass(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_unit_nodes`` of the adaptive rule's first pass: ``panels`` equal
-    panels of the unit interval whole, then their left and right halves."""
+def kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2n + 1)-point Gauss-Kronrod extension of ``gauss_rule(n)`` on
+    [0, 1]: nodes in ascending order and weights, read-only.
+
+    The odd-indexed nodes, ``nodes[1::2]``, are ``gauss_rule(n)``'s bit for
+    bit.  The nodes are the roots of pi_{2n+1}, the characteristic
+    polynomial of Laurie's Jacobi-Kronrod matrix; the n + 1 others
+    interlace the Gauss nodes, and Newton's method finds them from the
+    angles halfway between those of the Gauss nodes.  The weights are the
+    Christoffel numbers 1 / sum_k pi_k(x)^2 / (b_0 ... b_k), k < 2n + 1.
+    Like ``gauss_rule``, this calls no LAPACK routine.
+    """
+    import numpy as np
+
+    a, b = _laurie(n)
+    gauss = gauss_rule(n)[0]
+    angles = np.concatenate([[np.pi], np.arccos(2.0 * gauss - 1.0), [0.0]])
+    extra = np.cos((angles[:-1] + angles[1:]) / 2.0)
+    for _ in range(8):  # quadratic convergence from these guesses
+        p0, p1, d0, d1 = 0.0, 1.0, 0.0, 0.0
+        for ak, bk in zip(a, b):
+            p0, p1, d0, d1 = p1, (extra - ak) * p1 - bk * p0, d1, p1 + (extra - ak) * d1 - bk * d0
+        extra = extra - p1 / d1
+    x = np.empty(2 * n + 1)  # on [-1, 1]
+    x[0::2], x[1::2] = extra, 2.0 * gauss - 1.0
+    nodes = (x + 1.0) / 2.0
+    nodes[1::2] = gauss
+    p0, p1, norm = 0.0, 1.0, b[0]
+    christoffel = 1.0 / norm
+    for ak, bk, bnext in zip(a, b, b[1:]):
+        p0, p1 = p1, (x - ak) * p1 - bk * p0
+        norm *= bnext
+        christoffel = christoffel + p1 * p1 / norm
+    weights = 0.5 / christoffel
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _kronrod_panels(lo, hi, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``kronrod_rule(n)`` nodes and weights on the panels [lo, hi] of
+    the unit interval, moved onto [0, inf) by x = t / (1 - t), and the
+    weights of the embedded Gauss rule at the odd-indexed nodes: [panel, node]."""
+    t, w = kronrod_rule(n)
+    lo = lo[:, None]
+    width = hi[:, None] - lo
+    t = lo + width * t
+    u = 1.0 - t
+    scale = width / (u * u)
+    return t / u, scale * w, scale[:, 1::2] * gauss_rule(n)[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _initial_panels(panels: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_kronrod_panels`` of the adaptive rule's first pass, ``panels``
+    equal panels of the unit interval."""
     import numpy as np
 
     edges = np.linspace(0.0, 1.0, panels + 1)
-    left, right = _halve(edges[:-1], edges[1:])
-    x, w = _unit_nodes(np.concatenate([edges[:-1], left]), np.concatenate([edges[1:], right]))
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    tables = _kronrod_panels(edges[:-1], edges[1:], n)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], tol: float) -> QuadratureResult:
-    """Globally adaptive Gauss-Legendre quadrature of ``f`` over [0, inf).
+    """Globally adaptive Gauss-Kronrod quadrature of ``f`` over [0, inf).
 
     Parameters
     ----------
@@ -457,11 +533,11 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], tol: float) -> Qua
         stack of one).  Every part must be integrable on the half-line.
     tol : float
         Absolute tolerance target of every part.  A part's error estimate
-        is the summed change of every panel under halving; it meets ``tol``,
-        or the part's round-off floor where that is larger.  Every part
-        evaluates at every node; a part that has met its budget keeps the
-        value and estimate of the pass where it first met it while another
-        part still bisects.
+        is the summed difference of every panel's Kronrod and embedded Gauss
+        values; it meets ``tol``, or the part's round-off floor where that
+        is larger.  Every part evaluates at every node; a part that has met
+        its budget keeps the value and estimate of the pass where it first
+        met it while another part still bisects.
 
     Raises
     ------
@@ -477,36 +553,38 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], tol: float) -> Qua
         raise ValueError(f"tol must be positive and finite, got {tol}")
     import numpy as np
 
-    def panel_sums(nodes, weights):
-        # integrals of every part and of its |f| on every panel, from one
-        # call of f: [part, panel]
-        values = f(nodes) * weights
-        return values.sum(axis=-1), np.abs(values).sum(axis=-1)
+    def panel_sums(nodes, weights, gauss_weights):
+        # every part's Kronrod value, its estimate (the difference from the
+        # embedded Gauss value) and the Kronrod integral of its |f| on every
+        # panel, from one call of f: [3, part, panel]
+        values = np.asarray(f(nodes))
+        weighted = values * weights
+        sums = np.empty((3, *weighted.shape[:-1]))
+        weighted.sum(axis=-1, out=sums[0])
+        np.multiply(values[..., 1::2], gauss_weights).sum(axis=-1, out=sums[1])
+        np.subtract(sums[0], sums[1], out=sums[1])
+        np.abs(sums[1], out=sums[1])
+        np.abs(weighted, out=weighted).sum(axis=-1, out=sums[2])
+        return sums
 
-    # panels live on the unit interval; the first pass evaluates every
-    # panel whole and halved
-    n = min(INITIAL_PANELS, PANEL_LIMIT)
-    nodes, weights = _first_pass(n)
-    sums, mags = panel_sums(nodes, weights)
-    if sums.ndim != 2:
+    # panels live on the unit interval; tables are their nodes, Kronrod and
+    # Gauss weights
+    n, rule = min(INITIAL_PANELS, PANEL_LIMIT), PANEL_NODES
+    tables = _initial_panels(n, rule)
+    sums = panel_sums(*tables)
+    nodes = tables[0]
+    if sums.ndim != 3:
         raise ValueError("the integrand must return its parts stacked along a new first axis, "
-                         f"shape (parts, *x.shape); got shape {sums.shape + nodes.shape[-1:]} "
+                         f"shape (parts, *x.shape); got shape {sums.shape[1:] + nodes.shape[-1:]} "
                          f"for x of shape {nodes.shape}")
     evaluations = nodes.size
-    parts = len(sums)
-    # [part, panel] whole, [part, half, panel] halved
-    whole, halves, mags = (sums[:, :n], sums[:, n:].reshape(parts, 2, n),
-                           mags[:, n:].reshape(parts, 2, n))
+    parts = sums.shape[1]
     panels = None  # [lo, hi] of every panel, from the first bisection on
     # (value, error, magnitude) of each part from the pass where it first met
     # its budget: a part that has met it keeps that result
     settled = [None] * parts
     while True:
-        fine = halves.sum(axis=1)
-        errors = np.abs(fine - whole)
-        rows = [done or row for done, row in zip(settled, zip(
-            fine.sum(axis=1).tolist(), errors.sum(axis=1).tolist(),
-            mags.reshape(parts, -1).sum(axis=1).tolist()))]
+        rows = [done or row for done, row in zip(settled, zip(*sums.sum(axis=-1).tolist()))]
         values, errs, magnitudes = zip(*rows)
         result = QuadratureResult(values=values, errors=errs, magnitudes=magnitudes,
                                   evaluations=evaluations)
@@ -517,7 +595,8 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], tol: float) -> Qua
         # a part that misses its budget keeps the panels with its smallest
         # estimates while together they spend at most half that budget, and
         # asks for the rest to be bisected (NaN sorts last)
-        split = np.zeros(whole.shape[1], dtype=bool)
+        errors = sums[1]
+        split = np.zeros(errors.shape[1], dtype=bool)
         for part in (p for p, ok in enumerate(met) if not ok):
             order = np.argsort(errors[part])
             kept = np.cumsum(errors[part, order]) <= budget(result.magnitudes[part], tol) / 2.0
@@ -533,11 +612,10 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], tol: float) -> Qua
             edges = np.linspace(0.0, 1.0, n + 1)
             panels = np.stack([edges[:-1], edges[1:]])
         keep = ~split
-        children = np.stack(_halve(*panels[:, split]))
-        nodes, weights = _unit_nodes(*_halve(*children))
-        sums, new_mags = panel_sums(nodes, weights)
-        evaluations += nodes.size
+        lo, hi = panels[:, split]
+        mid = (lo + hi) / 2.0
+        children = np.stack([np.concatenate([lo, mid]), np.concatenate([mid, hi])])
+        tables = _kronrod_panels(*children, rule)
         panels = np.concatenate([panels[:, keep], children], axis=1)
-        whole = np.concatenate([whole[:, keep], halves[:, 0, split], halves[:, 1, split]], axis=1)
-        halves = np.concatenate([halves[:, :, keep], sums.reshape(parts, 2, -1)], axis=2)
-        mags = np.concatenate([mags[:, :, keep], new_mags.reshape(parts, 2, -1)], axis=2)
+        evaluations += tables[0].size
+        sums = np.concatenate([sums[:, :, keep], panel_sums(*tables)], axis=2)

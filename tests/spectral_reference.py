@@ -5,9 +5,9 @@ density and the light term are integrated by two complete runs of a scalar
 adaptive rule, each at ``tol / 2``, each with its own first pass, budget
 check and refinement loop.  The densities are written out as they were,
 with (-2 alpha)/q in the Langevin exponent.  The rule shares the node
-tables (``specfun._first_pass``, ``_unit_nodes``, ``_halve``) with the
-engine, so a pass that meets its budget on the first pass must be
-reproduced by the engine bit for bit.
+tables (``specfun._initial_panels``, ``_kronrod_panels``) with the engine,
+so a pass that meets its budget on the first pass must be reproduced by
+the engine bit for bit.
 """
 
 import math
@@ -31,21 +31,21 @@ def integrate_adaptive(f, tol):
     misses max(tol, ROUND_OFF magnitude), every panel but those with the
     smallest estimates (together at most half that budget) is bisected."""
 
-    def panel_sums(nodes, weights):
-        values = f(nodes) * weights
-        return values.sum(axis=-1), np.abs(values).sum(axis=-1)
+    def panel_sums(nodes, weights, gauss_weights):
+        values = f(nodes)
+        weighted = values * weights
+        kronrod = weighted.sum(axis=-1)
+        gauss = (values[:, 1::2] * gauss_weights).sum(axis=-1)
+        return kronrod, np.abs(kronrod - gauss), np.abs(weighted).sum(axis=-1)
 
-    n = specfun.INITIAL_PANELS
-    nodes, weights = specfun._first_pass(n)
-    sums, mags = panel_sums(nodes, weights)
-    evaluations = nodes.size
+    n, rule = specfun.INITIAL_PANELS, specfun.PANEL_NODES
+    tables = specfun._initial_panels(n, rule)
+    sums, errors, mags = panel_sums(*tables)
+    evaluations = tables[0].size
     edges = np.linspace(0.0, 1.0, n + 1)
     panels = np.stack([edges[:-1], edges[1:]])
-    whole, halves, mags = sums[:n], sums[n:].reshape(2, n), mags[n:].reshape(2, n)
     while True:
-        fine = halves.sum(axis=0)
-        errors = np.abs(fine - whole)
-        result = ScalarResult(float(fine.sum()), float(errors.sum()), float(mags.sum()),
+        result = ScalarResult(float(sums.sum()), float(errors.sum()), float(mags.sum()),
                               evaluations)
         budget = max(tol, specfun.ROUND_OFF * result.magnitude)
         if math.isfinite(result.value) and result.error_estimate <= budget:
@@ -55,14 +55,16 @@ def integrate_adaptive(f, tol):
         keep, split = order[kept], order[~kept]
         if not len(split) or panels.shape[1] + len(split) > specfun.PANEL_LIMIT:
             raise specfun.QuadratureConvergenceError("reference pass did not converge", None)
-        children = np.stack(specfun._halve(*panels[:, split]))
-        nodes, weights = specfun._unit_nodes(*specfun._halve(*children))
-        sums, new_mags = panel_sums(nodes, weights)
-        evaluations += nodes.size
+        lo, hi = panels[:, split]
+        mid = (lo + hi) / 2.0
+        children = np.stack([np.concatenate([lo, mid]), np.concatenate([mid, hi])])
+        tables = specfun._kronrod_panels(*children, rule)
+        new_sums, new_errors, new_mags = panel_sums(*tables)
+        evaluations += tables[0].size
         panels = np.concatenate([panels[:, keep], children], axis=1)
-        whole = np.concatenate([whole[keep], halves[0, split], halves[1, split]])
-        halves = np.concatenate([halves[:, keep], sums.reshape(2, -1)], axis=1)
-        mags = np.concatenate([mags[:, keep], new_mags.reshape(2, -1)], axis=1)
+        sums = np.concatenate([sums[keep], new_sums])
+        errors = np.concatenate([errors[keep], new_errors])
+        mags = np.concatenate([mags[keep], new_mags])
 
 
 def spectral_passes(alpha, model, tol):

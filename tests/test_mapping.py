@@ -177,7 +177,7 @@ class TestVarianceSpectral:
         monkeypatch.setattr(mapping, "integrate_adaptive", recording)
         report = variance_spectral(1e5, SqueezingModel.flat(0.0), tol=1e-10)
         (result,) = results
-        first_pass = 3 * specfun.INITIAL_PANELS * specfun.PANEL_NODES
+        first_pass = specfun.INITIAL_PANELS * (2 * specfun.PANEL_NODES + 1)
         assert result.evaluations > first_pass
         atom, light = result.values
         assert (report.atom_langevin_part, report.light_part) == (2.0 * atom, 2.0 * light)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from spinmap.specfun import (
     QuadratureResult,
     bessel_kernels,
     gauss_panels,
+    gauss_rule,
     integrate_adaptive,
+    kronrod_rule,
     scaled_bessel_i,
     scaled_bessel_i_sequence,
     within_budget,
@@ -89,6 +92,16 @@ class TestBesselJ:
     def test_j1_kernel_past_the_table_with_order_one_first(self):
         # J1 / sqrt(y) at y = 200, not J1 = 0.10362
         assert bessel_kernels([200.0], (1, 0))[0, 0] == pytest.approx(0.00732709, abs=1e-8)
+
+    def test_nan_argument_gives_nan_without_a_warning(self):
+        # beside arguments on the Taylor tables and past them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y in ([math.nan, 1.0], [1.0, math.nan, 200.0]):
+                got = bessel_kernels(np.array(y))
+                np.testing.assert_array_equal(np.isnan(got), np.isnan([y, y]))
+                finite = ~np.isnan(y)
+                assert got[:, finite].tolist() == bessel_kernels(np.array(y)[finite]).tolist()
 
     @pytest.mark.parametrize("orders, named", [((2,), "2"), ((0, -1), "-1"), ((1, 0.5), "0.5"),
                                                ((1.0,), "1.0"), ((0, True), "True")])
@@ -175,14 +188,57 @@ class TestScaledBesselISequence:
                 scaled_bessel_i_sequence(bad)
 
 
+class TestKronrodRule:
+    """The Gauss-Kronrod extension of the panel rule, from Laurie's
+    Jacobi-Kronrod recurrence."""
+
+    @pytest.mark.parametrize("n", [1, 2, 6, PANEL_NODES])
+    def test_monomials_exact_and_weights_positive(self, n):
+        x, w = kronrod_rule(n)
+        assert x.shape == w.shape == (2 * n + 1,)
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        for degree in range(3 * n + 2):
+            # x ** degree carries ~degree / 2 rounding errors
+            assert np.sum(w * x ** degree) == pytest.approx(
+                1.0 / (degree + 1), rel=(degree + 2) * np.finfo(float).eps, abs=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 6, PANEL_NODES])
+    def test_embeds_the_gauss_rule_bit_for_bit(self, n):
+        assert kronrod_rule(n)[0][1::2].tolist() == gauss_rule(n)[0].tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 6, PANEL_NODES])
+    def test_nodes_are_the_eigenvalues_of_laurie_matrix(self, n):
+        a, b = specfun._laurie(n)
+        off = np.sqrt(b[1:])
+        eigenvalues = np.linalg.eigvalsh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+        np.testing.assert_allclose(kronrod_rule(n)[0], (eigenvalues + 1.0) / 2.0,
+                                   rtol=0, atol=4 * np.finfo(float).eps)
+
+    def test_built_without_numpy_linalg(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in np.linalg.__all__:
+            routine = getattr(np.linalg, name)
+            if callable(routine) and not isinstance(routine, type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        before = kronrod_rule(PANEL_NODES)
+        for cached in (kronrod_rule, gauss_rule, specfun._initial_panels):
+            cached.cache_clear()
+        after = kronrod_rule(PANEL_NODES)
+        assert after[0].tolist() == before[0].tolist() and after[1].tolist() == before[1].tolist()
+        assert not after[0].flags.writeable and not after[1].flags.writeable
+        assert integrate_adaptive(lambda x: [np.exp(-x)], tol=1e-12).value == pytest.approx(1.0)
+
+
 class TestIntegrateAdaptive:
     """The adaptive rule over [0, inf), mapped onto the unit interval by
     x = t / (1 - t); an integrand of one part is a stack of one."""
 
     def test_polynomials_exact(self):
-        # (1 + x)^-k maps to (1 - t)^(k - 2), a polynomial the panel rule
-        # integrates exactly
-        for k in range(2, 34):
+        # (1 + x)^-k maps to (1 - t)^(k - 2), a polynomial the Kronrod
+        # rule integrates exactly up to degree 3 PANEL_NODES + 1
+        for k in range(2, 3 * PANEL_NODES + 4):
             res = integrate_adaptive(lambda x: [(1.0 + x) ** -k], tol=1e-12)
             assert res.value == pytest.approx(1.0 / (k - 1), abs=5e-16)
 
@@ -213,15 +269,31 @@ class TestIntegrateAdaptive:
         assert math.isfinite(err.value.best.value)
 
     def test_first_pass_counts_every_node(self):
-        first = 3 * INITIAL_PANELS * PANEL_NODES  # panels whole and halved
+        first = INITIAL_PANELS * (2 * PANEL_NODES + 1)  # one Kronrod rule a panel
         assert integrate_adaptive(lambda x: [(1.0 + x) ** -2], tol=1e-12).evaluations == first
+
+    def test_estimate_is_the_embedded_gauss_rule_error(self):
+        # on 1 / (c^2 + x^2), c = 0.01, the Kronrod values are exact to
+        # ~3e-13 and the first pass's 16-point Gauss values miss by ~2e-6,
+        # so the estimate is the Gauss rule's summed error on the panels
+        c = 0.01
+        res = integrate_adaptive(lambda x: [1.0 / (c * c + x * x)], tol=1e-3)
+        assert res.evaluations == INITIAL_PANELS * (2 * PANEL_NODES + 1)
+        assert res.value == pytest.approx(math.pi / (2.0 * c), abs=1e-12)
+        edges = np.linspace(0.0, 1.0, INITIAL_PANELS + 1)
+        t, w = gauss_panels(edges[:-1], edges[1:])
+        u = 1.0 - t
+        gauss = (w / (u * u) / (c * c + (t / u) ** 2)).sum(axis=-1)
+        with np.errstate(divide="ignore"):  # the last edge maps to x = inf
+            exact = np.diff(np.arctan(edges / (1.0 - edges) / c)) / c
+        assert res.error_estimate == pytest.approx(np.abs(gauss - exact).sum(), rel=1e-6)
 
     def test_refines_where_the_integrand_is_sharp(self):
         eps = 1e-6
         res = integrate_adaptive(lambda x: [1.0 / (eps + x * x)], tol=1e-7)
         assert res.value == pytest.approx(math.pi / (2.0 * math.sqrt(eps)), abs=1e-7)
         assert res.error_estimate <= 1e-7
-        assert res.evaluations > 3 * INITIAL_PANELS * PANEL_NODES
+        assert res.evaluations > INITIAL_PANELS * (2 * PANEL_NODES + 1)
 
     def test_parts_bisect_the_union_of_their_requests(self):
         # two parts sharp at x = 0 and at x = 100: each asks for its own

@@ -116,7 +116,7 @@ def test_one_pass_matches_a_pass_per_density(alpha, model, tol):
     # every part meets its own budget, tol / 2 or its round-off floor
     for error, magnitude in zip(result.errors, result.magnitudes):
         assert error <= max(tol / 2, specfun.ROUND_OFF * magnitude)
-    first_pass = 3 * specfun.INITIAL_PANELS * specfun.PANEL_NODES
+    first_pass = specfun.INITIAL_PANELS * (2 * specfun.PANEL_NODES + 1)
     refined = any(p.evaluations > first_pass for p in passes)
     event("refined" if refined else "first pass")
     assert refined or result.evaluations == first_pass

@@ -27,7 +27,7 @@ from scipy.special import j1 as bessel_j1
 from spinmap.dynamics import PANEL_DECAY, PANEL_PHASE, TRANSIENT_PANEL_LIMIT, PulseArea
 from spinmap.mapping import NoiseReport, SqueezingModel, eta_from_variance
 from spinmap.specfun import (QuadratureConvergenceError, QuadratureResult, bessel_kernels,
-                             gauss_panels, within_budget)
+                             gauss_panels, gauss_rule, within_budget)
 
 GAP_NODES = 6  # Gauss-Legendre nodes per gap between a panel's nodes (the filter)
 
@@ -206,7 +206,10 @@ def panel_pass(
         # whose factors stay below e^{PANEL_DECAY}.  y(b) carries over to the
         # next panel as one scalar.
         ends = np.concatenate([t, b], axis=1)
-        tg, wg = gauss_panels(np.concatenate([a, t], axis=1), ends, GAP_NODES)
+        xg, wg = gauss_rule(GAP_NODES)
+        starts = np.concatenate([a, t], axis=1)[..., None]
+        width = ends[..., None] - starts
+        tg, wg = starts + width * xg, width * wg
         ulg = ul_start[:, :, None] - slope[:, :, None] * (tg - a[:, :, None])
         inc = (wg * weight[:, :, None] * bessel_kernels(ulg, (1,))[0] * np.exp(
             -gamma * (tau - tg) - gq * (ends[:, :, None] - tg))).sum(axis=-1)
