@@ -228,7 +228,7 @@ def _verify_checks(cfg: RunConfig):
     # of the transient left), ideal squeezing; both engines hold each of their
     # two parts to tolerance.quad_abs, 1e-9 by default, so LORENTZIAN_TOL is
     # their budget at the default (measured at every tolerance.quad_abs from
-    # 1e-3 to 1e-16: <= 1.3e-14, and <= 2.2e-15 on the spectral rows)
+    # 1e-3 to 1e-16: <= 1.25e-14, and <= 2.1e-15 on the spectral rows)
     for alpha, b in LORENTZIAN_SPECTRAL_POINTS:
         model = mapping.SqueezingModel.lorentzian(b, s=1.0)
         add("lorentzian_spectral", f"alpha={_fmt(alpha)} b={_fmt(b)}",

@@ -18,56 +18,54 @@ integral is 2 int_0^tau A(t) y(t) dt with the causal first-order filter
 y(t) = int_0^t A(t') e^{-Gq (t - t')} dt', y' = -Gq y + A.
 
 ``transient_variance`` evaluates every integral in one vectorized pass of
-composite Gauss-Legendre panels (``specfun.gauss_panels``, 16 nodes a
-panel).  The panels split at the drive breakpoints, where the integrands
-kink, and are cut so that none spans more than PANEL_DECAY e-folds of the
-fastest exponential (2 Gamma + Gq) or PANEL_PHASE radians of the Bessel
-phase 2 sqrt(uL), spaced uniformly in that phase.  One evaluation of the
-exchange kernels covers the panels, then the panels halved, and the
-initial coherence.  The halved values are returned, and the change of each
-part (Langevin, light) is its error estimate.  Both parts form one
-``QuadratureResult``, judged as the adaptive rule judges its own
-(``specfun.within_budget``: each part within ``tol`` or its round-off
-floor), else QuadratureConvergenceError (exit 3).
+composite Gauss-Kronrod panels (``specfun.kronrod_panels``, the 33 nodes
+of ``kronrod_rule(16)`` a panel, the spectral engine's rule).  The panels
+split at the drive breakpoints, where the integrands kink, and are cut so
+that none spans more than PANEL_DECAY e-folds of the fastest exponential
+(2 Gamma + Gq) or PANEL_PHASE radians of the Bessel phase 2 sqrt(uL),
+spaced uniformly in that phase.  One evaluation of the exchange kernels
+covers every panel's nodes and the initial coherence, and
+``specfun.panel_sums``, the spectral engine's reduction, gives each part
+(Langevin, light) its Kronrod value, its estimate |Kronrod - embedded
+Gauss| summed over the panels, and its magnitude, the Kronrod sum of |f|.
+Both parts form one ``QuadratureResult``, judged as the adaptive rule
+judges its own (``specfun.within_budget``: each part within ``tol`` or its
+round-off floor), else QuadratureConvergenceError (exit 3).
 
-Both passes read the filter y from one computation, so the estimate does
+Both rules read the filter y from one computation, so the estimate does
 not see it: like the Bessel kernels, it is exact to round-off by
-construction.  Each whole panel is cut into FILTER_PIECES = 4 equal pieces
-of width h, each with its own 16 Gauss nodes, where the order-1 kernel
-gives A.  A piece spans at most 3 e-folds of 2 Gamma + Gq and a small
-share of the panel's Bessel phase (up to half of it, but only next to
-u = 0, where the kernel is smooth in y), so B(t') = A(t') e^{-Gq (e - t')},
-e the piece's end, is a polynomial of degree 15 to ~1e-14 relative.  The
-piece's Gauss rule on B carries y to its end, every factor at most 1, and
-from panel to panel y carries over by one scalar recursion.  At the whole
-panel's 16 nodes and its halves' 32, y is e^{Gq h (1 - xi)} <= e^3 times
-y at the piece's start, damped to its end, plus the integral of B's
-interpolant from the start to the node; ``_filter_tables`` holds those
-integrals, with every piece's Gauss rule beside them, as one table cached
-per node count, so the filter of a call is one matrix product.
+construction.  Each panel is cut into FILTER_PIECES = 4 equal pieces of
+width h, each with its own 16 Gauss nodes, where the order-1 kernel gives
+A.  A piece spans at most 3 e-folds of 2 Gamma + Gq and a small share of
+the panel's Bessel phase (up to half of it, but only next to u = 0, where
+the kernel is smooth in y), so B(t') = A(t') e^{-Gq (e - t')}, e the
+piece's end, is a polynomial of degree 15 to ~1e-14 relative.  The piece's
+Gauss rule on B carries y to its end, every factor at most 1, and from
+panel to panel y carries over by one scalar recursion.  At the panel's 33
+Kronrod nodes y is e^{Gq h (1 - xi)} <= e^3 times y at the piece's start,
+damped to its end, plus the integral of B's interpolant from the start to
+the node (the middle node starts the third piece); ``_filter_tables``
+holds those integrals, with every piece's Gauss rule beside them, as one
+table cached per node count, so the filter of a call is one matrix
+product.
 
-Cost: flat input evaluates the kernels at 48 nodes a panel (16 whole, 32
-halved), lorentzian input 64 more for the pieces (112 a panel); 1-25
-panels cover the parameter ranges the CLI and the benchmark use.  On the
-benchmark's points a flat call evaluates 85 nodes on average, a
-three-segment drive 125 and a lorentzian call at Gamma tau = 10 about
-1400, so a flat call is almost all fixed cost, about a hundred numpy
-calls on small arrays: ~85 us on one core of a 2-vCPU Xeon for one panel
-(48 nodes), against ~220 us for a lorentzian call of 12 panels.  To keep
-that cost down the panel geometry takes one bisection and one search:
+Cost: flat input evaluates the kernels at 33 nodes a panel, lorentzian
+input 64 more for the pieces (97 a panel); 1-25 panels cover the
+parameter ranges the CLI and the benchmark use, so a flat call is almost
+all fixed cost, about a hundred numpy calls on small arrays.  To keep that
+cost down the panel geometry takes one bisection and one search:
 ``PulseArea.pieces`` gives the cuts and a at each, the panel starts are
 searched among the cuts, and ``PulseArea.on_segments`` gives a and a' of
 every panel from its piece; the filter's pieces run along the last axis
-and its carry runs on Python floats.  A lorentzian panel holds ~5.5 KB of
+and its carry runs on Python floats.  A lorentzian panel holds ~4.6 KB of
 temporaries, so a call that needs more than TRANSIENT_PANEL_LIMIT panels
 raises OverflowError (exit 3) before building any.  The tests keep two
 references: the nested adaptive quadrature this pass replaced, and the
-pass as it stood before its fixed cost was cut, with the filter it had
-then (a 6-node Gauss rule in each of the 17 gaps between a panel's nodes,
-on the whole and on the halved panels), which this one matches float for
-float under flat input and to round-off under lorentzian input.  For
-constant drive and Gamma tau >> 1 these reproduce the closed-form and
-spectral steady states.
+pass as it stood before its fixed cost was cut, on 16 Gauss nodes a panel
+and again on the halved panels, whose change was its estimate, with the
+filter it had then (a 6-node Gauss rule in each of the 17 gaps between a
+panel's nodes); this one matches it to round-off.  For constant drive and
+Gamma tau >> 1 these reproduce the closed-form and spectral steady states.
 
 Grid oracle
 -----------
@@ -166,8 +164,8 @@ import numpy as np
 
 from .mapping import NoiseReport, SqueezingModel
 from .model import DriveParams, MediumParams, total_dephasing
-from .specfun import (QuadratureConvergenceError, QuadratureResult, bessel_kernels, gauss_panels,
-                      gauss_rule, within_budget)
+from .specfun import (QuadratureConvergenceError, QuadratureResult, bessel_kernels, gauss_rule,
+                      kronrod_panels, kronrod_rule, panel_sums, within_budget)
 # the benchmark's span binding spinmap.dynamics.integrate_adaptive (bench/spans.py)
 from .specfun import integrate_adaptive  # noqa: F401
 
@@ -321,23 +319,23 @@ PANEL_PHASE = 10.0   # most Bessel phase 2 sqrt(u L) a transient panel spans [ra
 PANEL_DECAY = 12.0   # most e-folds of the fastest exponential a transient panel spans
 FILTER_PIECES = 4    # equal pieces of a whole panel that carry the lorentzian filter
 TRANSIENT_PANEL_LIMIT = 10_000  # most panels on [0, tau]; a lorentzian call at the limit
-                                # holds ~55 MB of temporaries (~5.5 KB a panel)
+                                # holds ~46 MB of temporaries (~4.6 KB a panel)
 
 
 @functools.lru_cache(maxsize=None)
 def _filter_tables(m: int) -> tuple[np.ndarray, ...]:
-    """The fixed tables of the lorentzian filter on panels of m Gauss nodes,
-    in units of the panel [0, 1] and of its pieces' width h (read-only).
+    """The fixed tables of the lorentzian filter on panels of the
+    (2m + 1)-node ``kronrod_rule(m)``, in units of the panel [0, 1] and of
+    its pieces' width h (read-only).
 
-    A whole panel is cut into FILTER_PIECES pieces, each with its own m-node
+    A panel is cut into FILTER_PIECES pieces, each with its own m-node
     Gauss rule.  Returns the pieces' nodes ``at``, piece by piece; ``tail``,
     the distance (piece end - node) / h of each; ``piece`` and ``lift``,
-    the piece each outer node lies in and 1 - xi, xi its place in that piece
-    (the whole panel's m nodes, then its left and right halves'); and
-    ``rows``, the (FILTER_PIECES m) x (3 m + FILTER_PIECES) table that takes
-    values at the pieces' nodes to, for each outer node, the integral from
-    its piece's start to it of their degree m - 1 interpolant, and, last,
-    to each piece's Gauss rule.
+    the piece each Kronrod node lies in and 1 - xi, xi its place in that
+    piece; and ``rows``, the (FILTER_PIECES m) x (2m + 1 + FILTER_PIECES)
+    table that takes values at the pieces' nodes to, for each Kronrod node,
+    the integral from its piece's start to it of their degree m - 1
+    interpolant, and, last, to each piece's Gauss rule.
 
     On [0, 1] the Lagrange basis of the Gauss nodes x_i is
     l_i = w_i sum_{k < m} (2k + 1) P_k(2 x_i - 1) P_k(2 s - 1) (the rule is
@@ -345,20 +343,23 @@ def _filter_tables(m: int) -> tuple[np.ndarray, ...]:
     (P_{k+1} - P_{k-1})(2 xi - 1) / 2, xi for k = 0.
     """
     x, w = gauss_rule(m)
-    outer = np.concatenate([x, x / 2.0, 0.5 + x / 2.0]) * FILTER_PIECES
-    piece = outer.astype(np.intp)  # floor: no outer node is a piece's end
+    outer = kronrod_rule(m)[0] * FILTER_PIECES
+    # floor, kept below FILTER_PIECES: a node on a piece boundary, as the
+    # middle node is, starts the later piece (xi = 0)
+    piece = np.minimum(outer.astype(np.intp), FILTER_PIECES - 1)
     xi = outer - piece
-    legendre = np.empty((m + 1, 4 * m))  # P_k at 2 x_i - 1, then at 2 xi - 1
+    nodes = len(outer)
+    legendre = np.empty((m + 1, m + nodes))  # P_k at 2 x_i - 1, then at 2 xi - 1
     legendre[0] = 1.0
     legendre[1] = np.concatenate([x, xi]) * 2.0 - 1.0
     for k in range(1, m):
         legendre[k + 1] = ((2 * k + 1) * legendre[1] * legendre[k] - k * legendre[k - 1]) / (k + 1)
     at_x, at_xi = legendre[:, :m], legendre[:, m:]
     partial = w * (xi[:, None] + (at_xi[2:] - at_xi[:-2]).T @ at_x[1:m] / 2.0)
-    rows = np.zeros((FILTER_PIECES * m, 3 * m + FILTER_PIECES))
-    rows[piece[:, None] * m + np.arange(m), np.arange(3 * m)[:, None]] = partial
+    rows = np.zeros((FILTER_PIECES * m, nodes + FILTER_PIECES))
+    rows[piece[:, None] * m + np.arange(m), np.arange(nodes)[:, None]] = partial
     pieces = np.arange(FILTER_PIECES).repeat(m)
-    rows[np.arange(FILTER_PIECES * m), 3 * m + pieces] = np.tile(w, FILTER_PIECES)
+    rows[np.arange(FILTER_PIECES * m), nodes + pieces] = np.tile(w, FILTER_PIECES)
     at = (pieces + np.tile(x, FILTER_PIECES)) / FILTER_PIECES
     tables = at, 1.0 - np.tile(x, FILTER_PIECES), rows, piece, 1.0 - xi
     for table in tables:
@@ -409,20 +410,20 @@ def transient_variance(
     """Collective-spin variance at finite time, in nL units.
 
     Sums the decayed initial coherence, the Langevin restoration and the
-    absorbed-light contribution, all in one composite Gauss-Legendre pass
+    absorbed-light contribution, all in one composite Gauss-Kronrod pass
     whose panels split at the drive breakpoints.  Lorentzian input adds the
     correlator's double integral 2 int A y through a causal filter y,
-    computed to round-off on every panel's quarters and read at the same
-    nodes.
+    computed to round-off on every panel's quarters and read at the
+    Kronrod nodes.
 
     ``model.gamma_q`` is a rate in the time unit of ``area``, ``gamma``
     and ``tau``: at Gamma = 1, as the CLI runs, it is b = Gamma_q / Gamma.
 
-    Raises QuadratureConvergenceError when halving the panels moves the
-    Langevin or the light part by more than the budget: ``tol``, or the
-    round-off floor where that is larger.  Both passes share the filter,
-    so the estimate measures the outer rule alone, on int A y as on the
-    other integrals.
+    Raises QuadratureConvergenceError when the Langevin or the light part's
+    Kronrod sum differs from its embedded Gauss sum, summed over the panels,
+    by more than the budget: ``tol``, or the round-off floor where that is
+    larger.  Both rules read the same filter, so the estimate measures the
+    outer rule alone, on int A y as on the other integrals.
     """
     for name, value in (("length", length), ("gamma", gamma), ("tau", tau)):
         if not 0.0 <= value < math.inf:  # rejects NaN too
@@ -436,20 +437,15 @@ def transient_variance(
     y_init = a_tau * length
     gq = model.gamma_q if model.kind == "lorentzian" else 0.0
 
-    # the panels whole (n of them), then halved, each pass in time order
     edges = _panel_edges(cuts, (a_tau - a_cuts) * length, 2.0 * gamma + gq)
-    n = len(edges) - 1
-    halved = np.empty(2 * n + 1)
-    halved[::2] = edges
-    halved[1::2] = (edges[1:] + edges[:-1]) / 2.0
-    lo = np.concatenate([edges[:-1], halved[:-1]])
-    hi = np.concatenate([edges[1:], halved[1:]])
-    t, w = gauss_panels(lo, hi)
+    lo, hi = edges[:-1], edges[1:]
+    n = len(lo)
+    t, w, w_gauss = kronrod_panels(lo, hi)
     # the edges hold every cut, so each panel lies in the piece, and so the
     # drive segment, its start falls in: inside it the rate a' is constant
     # and u L falls linearly from its value at the start
     a_lo, rate = area.on_segments(lo, cuts[1:-1].searchsorted(lo, "right"))
-    a, b = lo[:, None], hi[:, None]
+    a = lo[:, None]
     ul_start = ((a_tau - a_lo) * length)[:, None]
     slope = rate[:, None] * length
     weight = np.sqrt(slope)  # the drive weight sqrt(a' L) of the light kernel
@@ -465,39 +461,37 @@ def transient_variance(
     damp = np.exp(-gamma * (tau - t))
     # the light kernel on the white input, sqrt(a'(t) L) j, decayed
     amp = weight * j * damp
-    # per panel: the Langevin part, the light part and the integral of its
-    # |integrand|; the Langevin kernel J0^2 + J1^2 at 2 sqrt(u L) and the
-    # white light kernel are nonnegative
-    parts = np.empty((3, len(lo)))
-    lang, light, light_abs = parts
-    (w * damp * damp * (j0 * j0 + ul * j * j)).sum(axis=1, out=lang)
+    # the Langevin and the light integrand at every node, [part, panel, node],
+    # with the Langevin kernel J0^2 + J1^2 at 2 sqrt(u L)
+    parts = np.empty((2, *t.shape))
+    lang, light = parts
+    np.multiply(damp * damp, j0 * j0 + ul * j * j, out=lang)
     lang *= 2.0 * gamma
-    white = (w * amp * amp).sum(axis=1)
+    np.multiply(amp, amp, out=light)
     if model.kind == "flat":
-        np.multiply(white, model.x0_sq, out=light)
-        light_abs[:] = light
+        light *= model.x0_sq
         evaluations = t.size
     else:
         # e^{-Gq |t - t'|} = e^{-Gq (t - t')} for t' < t, so the correlator's
         # double integral is 2 int A(t) y(t) dt with the causal filter
         # y(t) = int_0^t A(t') e^{-Gq (t - t')} dt', A = amp.  It runs on the
-        # FILTER_PIECES pieces [s, e] of width h of every whole panel, where
+        # FILTER_PIECES pieces [s, e] of width h of every panel, where
         # B(t') = A(t') e^{-Gq (e - t')}, factors at most 1, is a polynomial
         # of degree m - 1 to round-off.  A piece's Gauss rule carries y to
-        # its end, y(e) = z + int_s^e B with z = e^{-Gq h} y(s), and an outer
-        # node t = s + h xi of the piece reads
+        # its end, y(e) = z + int_s^e B with z = e^{-Gq h} y(s), and a
+        # Kronrod node t = s + h xi of the piece reads
         # y(t) = e^{Gq h (1 - xi)} (z + int_s^t B), at most e^3 times z plus
         # the integral of B's interpolant: ``rows`` gives every integral.
-        m = t.shape[1]
+        m = w_gauss.shape[1]
         at, tail, rows, piece, lift = _filter_tables(m)
-        width = (hi[:n] - lo[:n])[:, None]
+        width = (hi - lo)[:, None]
         h = width / FILTER_PIECES
         gh = gq * h
-        b_h = (h * weight[:n]) * bessel_kernels(ul_start[:n] - (slope[:n] * width) * at, (1,))[0]
+        b_h = (h * weight) * bessel_kernels(ul_start - (slope * width) * at, (1,))[0]
         # -Gamma (tau - t') - Gq (e - t') at t' = a + width at
-        b_h *= np.exp(width * (gamma * at - gq / FILTER_PIECES * tail) - gamma * (tau - a[:n]))
+        b_h *= np.exp(width * (gamma * at - gq / FILTER_PIECES * tail) - gamma * (tau - a))
         ints = b_h @ rows
-        inc = ints[:, 3 * m:]
+        inc = ints[:, -FILTER_PIECES:]
         # z of every piece with y = 0 at the panel's start, then y(start)
         # carried from panel to panel in floats, e^{-Gq k h} at the k-th piece
         fade = np.exp(gh * -np.arange(1.0, FILTER_PIECES + 1.0))
@@ -510,28 +504,23 @@ def transient_variance(
                                          (z[:-1, -1] + inc[:-1, -1]).tolist()), 1):
             y_start[p] = f * y_start[p - 1] + own
         z += np.array(y_start)[:, None] * fade
-        y = np.exp(gh * lift) * (z[:, piece] + ints[:, :3 * m])
-        # the filter at the whole panels' nodes, then at the halves' in time order
-        corr = 2.0 * w * amp * np.concatenate([y[:, :m], y[:, m:].reshape(2 * n, m)])
-        np.subtract(white, model.s * (gq / 2.0) * corr.sum(axis=1), out=light)
-        np.add(white, model.s * (gq / 2.0) * np.abs(corr).sum(axis=1), out=light_abs)
+        y = np.exp(gh * lift) * (z[:, piece] + ints[:, :-FILTER_PIECES])
+        # A^2 - s Gq A y: the white part and the correlator's
+        light -= (model.s * gq) * amp * y
         evaluations = t.size + b_h.size
 
-    # each part whole and halved, and the integral of its |integrand| halved
-    # (the same where the integrand is nonnegative); the halved values are
-    # kept and their change under halving is each part's error estimate
-    (whole_lang, lang), (whole_light, light), (_, light_abs) = (
-        np.add.reduceat(parts, [0, n], axis=1).tolist())
-    result = QuadratureResult(values=(lang, light),
-                              errors=(abs(lang - whole_lang), abs(light - whole_light)),
-                              magnitudes=(lang, light_abs), evaluations=evaluations)
+    # each part's Kronrod value, its difference from the embedded Gauss value
+    # and the Kronrod integral of its |integrand|, summed over the panels
+    sums = panel_sums(parts, w, w_gauss).sum(axis=-1).tolist()
+    result = QuadratureResult(*map(tuple, sums), evaluations=evaluations)
     met = within_budget(result, tol)
     if not all(met):
         part = met.index(False)
         raise QuadratureConvergenceError(
             f"panel quadrature of the {('Langevin part', 'light part')[part]} did not converge on "
-            f"[{edges[0]}, {edges[-1]}]: it changed by {result.errors[part]:.3g} when {n} panels "
-            f"were halved", result)
+            f"[{edges[0]}, {edges[-1]}]: its Kronrod and Gauss sums differ by "
+            f"{result.errors[part]:.3g} on {n} panels", result)
+    lang, light = result.values
     return NoiseReport.from_parts(atom_init + lang, light, model.noise_floor)
 
 

@@ -49,13 +49,14 @@ parts ask for is bisected.  A part that has met its budget keeps the
 result of the pass where it first met it, so it reads as a pass of its own
 that stopped there.
 
-``gauss_panels`` gives the nodes and weights of the Gauss panel rule on any
-intervals, and ``gauss_rule`` the rule itself on [0, 1], for callers that
-run their own composite pass where they know the integrand is smooth (the
-transient engine).  Every rule judges its
-result (``QuadratureResult``, one value, estimate and magnitude per part)
-by one rule, ``within_budget``: each part meets ``tol``, or its round-off
-floor ROUND_OFF times the integral of its |f| where that is larger.
+``kronrod_panels`` puts the same panel rule on any finite intervals, for
+a caller that runs its own composite pass where it knows the integrand is
+smooth (the transient engine), and ``panel_sums`` reduces the values on
+the panels of either engine to each part's Kronrod value, estimate and
+magnitude per panel.  Both engines judge their result
+(``QuadratureResult``, one value, estimate and magnitude per part) by one
+rule, ``within_budget``: each part meets ``tol``, or its round-off floor
+ROUND_OFF times the integral of its |f| where that is larger.
 """
 
 from __future__ import annotations
@@ -409,18 +410,6 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_panels(lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``PANEL_NODES``-point Gauss-Legendre rule on
-    every interval [lo, hi]; lo and hi broadcast, and the nodes of each
-    interval run along a new last axis."""
-    import numpy as np
-
-    x, w = gauss_rule(PANEL_NODES)
-    lo = np.asarray(lo, dtype=float)[..., None]
-    width = np.asarray(hi, dtype=float)[..., None] - lo
-    return lo + width * x, width * w
-
-
 def _laurie(n: int) -> tuple[list[float], list[float]]:
     """Recurrence coefficients a_0..a_2n, b_0..b_2n of the Jacobi-Kronrod
     matrix of the n-point Gauss-Legendre rule on [-1, 1] (Laurie, Math. Comp.
@@ -496,6 +485,36 @@ def kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def kronrod_panels(lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``kronrod_rule(PANEL_NODES)`` nodes and weights on every interval
+    [lo, hi], and the weights of the embedded Gauss rule at the odd-indexed
+    nodes; lo and hi broadcast, and the nodes of each interval run along a
+    new last axis."""
+    import numpy as np
+
+    x, w = kronrod_rule(PANEL_NODES)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    width = np.asarray(hi, dtype=float)[..., None] - lo
+    return lo + width * x, width * w, width * gauss_rule(PANEL_NODES)[1]
+
+
+def panel_sums(values, weights, gauss_weights) -> np.ndarray:
+    """Every part's Kronrod value, its estimate (the difference from the
+    embedded Gauss value) and the Kronrod integral of its |f| on every
+    panel, [3, part, panel], from the values [part, panel, node] and the
+    weights of a ``kronrod_rule`` pass."""
+    import numpy as np
+
+    weighted = values * weights
+    sums = np.empty((3, *weighted.shape[:-1]))
+    weighted.sum(axis=-1, out=sums[0])
+    np.multiply(values[..., 1::2], gauss_weights).sum(axis=-1, out=sums[1])
+    np.subtract(sums[0], sums[1], out=sums[1])
+    np.abs(sums[1], out=sums[1])
+    np.abs(weighted, out=weighted).sum(axis=-1, out=sums[2])
+    return sums
+
+
 def _kronrod_panels(lo, hi, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``kronrod_rule(n)`` nodes and weights on the panels [lo, hi] of
     the unit interval, moved onto [0, inf) by x = t / (1 - t), and the
@@ -553,26 +572,11 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], tol: float) -> Qua
         raise ValueError(f"tol must be positive and finite, got {tol}")
     import numpy as np
 
-    def panel_sums(nodes, weights, gauss_weights):
-        # every part's Kronrod value, its estimate (the difference from the
-        # embedded Gauss value) and the Kronrod integral of its |f| on every
-        # panel, from one call of f: [3, part, panel]
-        values = np.asarray(f(nodes))
-        weighted = values * weights
-        sums = np.empty((3, *weighted.shape[:-1]))
-        weighted.sum(axis=-1, out=sums[0])
-        np.multiply(values[..., 1::2], gauss_weights).sum(axis=-1, out=sums[1])
-        np.subtract(sums[0], sums[1], out=sums[1])
-        np.abs(sums[1], out=sums[1])
-        np.abs(weighted, out=weighted).sum(axis=-1, out=sums[2])
-        return sums
-
-    # panels live on the unit interval; tables are their nodes, Kronrod and
+    # panels live on the unit interval, each with its nodes, Kronrod and
     # Gauss weights
     n, rule = min(INITIAL_PANELS, PANEL_LIMIT), PANEL_NODES
-    tables = _initial_panels(n, rule)
-    sums = panel_sums(*tables)
-    nodes = tables[0]
+    nodes, *weights = _initial_panels(n, rule)
+    sums = panel_sums(np.asarray(f(nodes)), *weights)
     if sums.ndim != 3:
         raise ValueError("the integrand must return its parts stacked along a new first axis, "
                          f"shape (parts, *x.shape); got shape {sums.shape[1:] + nodes.shape[-1:]} "
@@ -615,7 +619,8 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], tol: float) -> Qua
         lo, hi = panels[:, split]
         mid = (lo + hi) / 2.0
         children = np.stack([np.concatenate([lo, mid]), np.concatenate([mid, hi])])
-        tables = _kronrod_panels(*children, rule)
+        nodes, *weights = _kronrod_panels(*children, rule)
         panels = np.concatenate([panels[:, keep], children], axis=1)
-        evaluations += tables[0].size
-        sums = np.concatenate([sums[:, :, keep], panel_sums(*tables)], axis=2)
+        evaluations += nodes.size
+        sums = np.concatenate([sums[:, :, keep], panel_sums(np.asarray(f(nodes)), *weights)],
+                              axis=2)

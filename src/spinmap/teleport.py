@@ -27,14 +27,6 @@ DEFAULT_R_THRESHOLD = 0.3
 CLASSICAL_BASELINE = 1.0  # one vacuum unit of added noise; the bound any
                           # measure-and-reconstruct strategy cannot beat
 
-# symplectic form for two modes, (Xq, Pq, Xt, Pt) ordering, row by row
-OMEGA = (
-    (0.0, 1.0, 0.0, 0.0),
-    (-1.0, 0.0, 0.0, 0.0),
-    (0.0, 0.0, 0.0, 1.0),
-    (0.0, 0.0, -1.0, 0.0),
-)
-
 
 @dataclass(frozen=True)
 class TwoModeGaussian:
@@ -147,16 +139,14 @@ def apply_linear_bs(state: TwoModeGaussian, r: float) -> TwoModeGaussian:
 
 
 def commutator_defect(r: float) -> float:
-    """Deviation of the linearized map from a commutator-preserving one.
-
-    Measured as the largest entry of S^T Omega S - Omega; equals r^2 exactly
-    for this map family (S^T Omega S = (1 + r^2) Omega).
-    """
-    s = _bs_rows(r)
-    st_omega = [[sum(s[k][i] * OMEGA[k][j] for k in range(4)) for j in range(4)]
-                for i in range(4)]
-    return max(abs(sum(st_omega[i][k] * s[k][j] for k in range(4)) - OMEGA[i][j])
-               for i in range(4) for j in range(4))
+    """Deviation of the linearized map from a commutator-preserving one: the
+    largest entry of S^T Omega S - Omega, Omega the two-mode symplectic
+    form.  S^T Omega S = (1 + r^2) Omega for this map family, so it is r^2,
+    returned as such: the product would compute (1 + r^2) - 1 and lose the
+    digits of r^2 at small r."""
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
+    return r * r
 
 
 def readout_noise_budget(r: float, epr_residual: float) -> ReadoutBudget:

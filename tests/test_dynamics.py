@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import j1
+from scipy.special import j0, j1
 
 import transient_reference
 from spinmap import dynamics, specfun
@@ -306,7 +306,8 @@ class TestTransientVariance:
     @pytest.mark.parametrize("model", [SqueezingModel.flat(0.3),
                                        SqueezingModel.lorentzian(5.0, s=0.8)])
     def test_budget_miss_raises_with_best_estimate(self, monkeypatch, model):
-        # two nodes a panel leave the doubling estimate far above the budget
+        # the Kronrod extension of two Gauss nodes leaves the estimate far
+        # above the budget
         monkeypatch.setattr(specfun, "PANEL_NODES", 2)
         with pytest.raises(QuadratureConvergenceError, match="Langevin part did not converge") as err:
             transient_variance(PulseArea.constant(5.0), 1.0, 1.0, model, 3.0)
@@ -314,18 +315,43 @@ class TestTransientVariance:
         assert isinstance(best, QuadratureResult)
         assert math.isfinite(best.value) and best.error_estimate > 1e-8
 
+    def test_estimate_is_the_embedded_gauss_rule_error(self, monkeypatch):
+        # one panel at alpha tau = 24 (9.8 rad of Bessel phase); four Gauss
+        # nodes miss the parts by 0.03 and 0.09, so each part's estimate is
+        # the Gauss rule's error, |Kronrod - Gauss| on the panel, here from
+        # scipy's Bessel functions at the rules' own nodes
+        monkeypatch.setattr(specfun, "PANEL_NODES", 4)
+        alpha, tau, x0_sq = 20.0, 1.2, 0.3
+        with pytest.raises(QuadratureConvergenceError) as err:
+            transient_variance(PulseArea.constant(alpha), 1.0, 1.0, SqueezingModel.flat(x0_sq),
+                               tau)
+        best = err.value.best
+        assert best.evaluations == 9
+
+        def parts(x):
+            t = tau * x
+            u = alpha * (tau - t)
+            root, decay = 2.0 * np.sqrt(u), np.exp(-2.0 * (tau - t))
+            return tau * np.stack([2.0 * decay * (j0(root) ** 2 + j1(root) ** 2),
+                                   x0_sq * alpha * decay * (j1(root) / np.sqrt(u)) ** 2])
+
+        (xk, wk), (xg, wg) = specfun.kronrod_rule(4), specfun.gauss_rule(4)
+        kronrod, gauss = (parts(x) @ w for x, w in ((xk, wk), (xg, wg)))
+        np.testing.assert_allclose(best.values, kronrod, rtol=1e-13)
+        np.testing.assert_allclose(best.errors, np.abs(kronrod - gauss), rtol=1e-12)
+        assert min(best.errors) > 1e-2
+
     def test_filter_is_exact_to_round_off(self):
-        # the doubling estimate does not see the lorentzian filter, which both
-        # passes share, so the filter must be exact by construction.  On a
-        # panel s in [0, 1] its rows integrate, piece by piece, every
+        # the Kronrod-Gauss estimate does not see the lorentzian filter,
+        # which both rules read, so the filter must be exact by construction.
+        # On a panel s in [0, 1] its rows integrate, piece by piece, every
         # polynomial of degree < m and e^{(PANEL_DECAY + i PANEL_PHASE) s},
         # the steepest and fastest integrand a panel admits, to round-off;
         # at the geometry bounds of the high-bandwidth drives the light part
         # is the gap-rule reference's to 1e-13
         m, pieces = specfun.PANEL_NODES, dynamics.FILTER_PIECES
         at, tail, rows, piece, lift = dynamics._filter_tables(m)
-        x = specfun.gauss_rule(m)[0]
-        outer = np.concatenate([x, x / 2.0, 0.5 + x / 2.0])
+        outer = specfun.kronrod_rule(m)[0]
         np.testing.assert_allclose((piece + 1.0 - lift) / pieces, outer, rtol=0, atol=1e-15)
         np.testing.assert_allclose(at + tail / pieces, np.arange(1, pieces + 1).repeat(m) / pieces,
                                    rtol=0, atol=1e-15)

@@ -16,10 +16,11 @@ from spinmap.specfun import (
     QuadratureConvergenceError,
     QuadratureResult,
     bessel_kernels,
-    gauss_panels,
     gauss_rule,
     integrate_adaptive,
+    kronrod_panels,
     kronrod_rule,
+    panel_sums,
     scaled_bessel_i,
     scaled_bessel_i_sequence,
     within_budget,
@@ -281,7 +282,8 @@ class TestIntegrateAdaptive:
         assert res.evaluations == INITIAL_PANELS * (2 * PANEL_NODES + 1)
         assert res.value == pytest.approx(math.pi / (2.0 * c), abs=1e-12)
         edges = np.linspace(0.0, 1.0, INITIAL_PANELS + 1)
-        t, w = gauss_panels(edges[:-1], edges[1:])
+        t, _, w = kronrod_panels(edges[:-1], edges[1:])
+        t = t[:, 1::2]  # the Gauss nodes
         u = 1.0 - t
         gauss = (w / (u * u) / (c * c + (t / u) ** 2)).sum(axis=-1)
         with np.errstate(divide="ignore"):  # the last edge maps to x = inf
@@ -353,32 +355,36 @@ class TestIntegrateAdaptive:
 
 
 class TestIntegratePanels:
-    """The pieces of a composite panel pass: the Gauss rule on any panels
-    (``gauss_panels``) and the budget its estimate must meet
+    """The pieces of a composite panel pass: the Kronrod panel rule on any
+    panels (``kronrod_panels``), its reduction (``panel_sums``, shared with
+    the adaptive rule) and the budget its estimate must meet
     (``within_budget``, shared with the adaptive rule)."""
 
     def test_nodes_broadcast_and_weights_sum_to_width(self):
         lo = np.array([[0.0], [1.0]])
         hi = np.array([[0.5, 1.0, 2.0], [1.5, 3.0, 4.0]])
-        t, w = gauss_panels(lo, hi)
-        assert t.shape == w.shape == (2, 3, PANEL_NODES)
-        np.testing.assert_allclose(w.sum(axis=-1), hi - lo, rtol=1e-14)
+        t, w, w_gauss = kronrod_panels(lo, hi)
+        assert t.shape == w.shape == (2, 3, 2 * PANEL_NODES + 1)
+        assert w_gauss.shape == (2, 3, PANEL_NODES)
+        for weights in (w, w_gauss):
+            np.testing.assert_allclose(weights.sum(axis=-1), hi - lo, rtol=1e-14)
         assert np.all((t > lo[..., None]) & (t < hi[..., None]))
 
     def test_polynomials_exact_with_zero_estimate(self):
-        # degree 2n - 1 is the rule's exactness limit; halving every panel
-        # leaves the composite value where it was
+        # degree 2n - 1 is the embedded Gauss rule's exactness limit; there
+        # the Kronrod and Gauss values agree, so the estimate vanishes, and
+        # |x^degree| integrates to the magnitude
         degree = 2 * PANEL_NODES - 1
         exact = (2.0 ** (degree + 1) - 1.0) / (degree + 1)
-        whole, halved = (np.sum(w * t ** degree) for t, w in (
-            gauss_panels([-1.0, 0.5], [0.5, 2.0]),
-            gauss_panels([-1.0, -0.25, 0.5, 1.25], [-0.25, 0.5, 1.25, 2.0])))
-        assert halved == pytest.approx(exact, rel=1e-13)
-        assert abs(halved - whole) <= 1e-13 * exact
+        t, w, w_gauss = kronrod_panels([-1.0, 0.5], [0.5, 2.0])
+        value, estimate, magnitude = panel_sums((t ** degree)[None], w, w_gauss).sum(axis=-1)[:, 0]
+        assert value == pytest.approx(exact, rel=1e-13)
+        assert estimate <= 1e-13 * exact
+        assert magnitude == pytest.approx((2.0 ** (degree + 1) + 1.0) / (degree + 1), rel=1e-13)
 
     def test_named_integrals_share_the_nodes(self):
         # one set of nodes serves several integrands, each exact to round-off
-        t, w = gauss_panels(np.arange(3.0), np.arange(1.0, 4.0))
+        t, w, _ = kronrod_panels(np.arange(3.0), np.arange(1.0, 4.0))
         exp, cos = (w * np.stack([np.exp(t), np.cos(t)])).sum(axis=(1, 2))
         assert exp == pytest.approx(math.expm1(3.0), rel=1e-14)
         assert cos == pytest.approx(math.sin(3.0), abs=1e-14)
@@ -396,7 +402,7 @@ class TestIntegratePanels:
 
     def test_budget_is_tol_with_the_round_off_floor(self):
         def met(shift, tol, magnitude=1.0):
-            # whole and halved values differ by ``shift``; |f| integrates to ``magnitude``
+            # Kronrod and Gauss values differ by ``shift``; |f| integrates to ``magnitude``
             result = QuadratureResult(values=(1.0 + shift,), errors=(abs(shift),),
                                       magnitudes=(magnitude,), evaluations=1)
             (part_met,) = within_budget(result, tol)

@@ -106,6 +106,21 @@ class TestCommutatorDefect:
         for r in np.linspace(0.01, 0.5, 23):
             assert commutator_defect(float(r)) == pytest.approx(r * r, abs=1e-12)
 
+    def test_keeps_every_digit_at_small_r(self):
+        # S^T Omega S = (1 + r^2) Omega, so the defect is r^2 to round-off,
+        # also where 1 + r^2 rounds to 1
+        omega = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+        for r in np.geomspace(1e-8, 1e-2, 25):
+            s = bs_matrix(r)
+            np.testing.assert_allclose(s.T @ omega @ s, (1.0 + r * r) * omega, rtol=0,
+                                       atol=1e-15)
+            assert commutator_defect(float(r)) == pytest.approx(r * r, rel=1e-15, abs=0)
+
+    def test_non_finite_rejected(self):
+        for r in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                commutator_defect(r)
+
     def test_quadratic_scaling_ratio(self):
         for r in (1e-3, 1e-2, 0.05):
             assert commutator_defect(2.0 * r) / commutator_defect(r) == pytest.approx(

@@ -9,12 +9,13 @@ correlator's kink.  It uses scipy's scalar Bessel functions and
 node, filter or Bessel evaluation with the panel engine.
 
 ``panel_pass`` is the panel engine as it stood before its fixed cost per
-call was cut: the same rule and nodes, reached through public
+call was cut and before it moved onto Gauss-Kronrod panels: the same panel
+edges, the PANEL_NODES-point Gauss rule on every panel and again on its
+halves, whose change is the estimate, reached through public
 ``PulseArea`` calls and plain numpy layouts, with the lorentzian filter it
 had then, a GAP_NODES-point Gauss rule in every gap between a panel's
-nodes, run on the whole and on the halved panels.  The library's pass must
-return exactly its floats under flat input, and agree with the filter to
-round-off under lorentzian input.
+nodes.  The library's pass must reach the same outcome, and the same
+report to round-off.
 """
 
 import math
@@ -26,8 +27,8 @@ from scipy.special import j1 as bessel_j1
 
 from spinmap.dynamics import PANEL_DECAY, PANEL_PHASE, TRANSIENT_PANEL_LIMIT, PulseArea
 from spinmap.mapping import NoiseReport, SqueezingModel, eta_from_variance
-from spinmap.specfun import (QuadratureConvergenceError, QuadratureResult, bessel_kernels,
-                             gauss_panels, gauss_rule, within_budget)
+from spinmap.specfun import (PANEL_NODES, QuadratureConvergenceError, QuadratureResult,
+                             bessel_kernels, gauss_rule, within_budget)
 
 GAP_NODES = 6  # Gauss-Legendre nodes per gap between a panel's nodes (the filter)
 
@@ -152,8 +153,8 @@ def panel_pass(
     own ``PulseArea.value`` or ``rate`` call; the lorentzian filter's gap
     rule, its gap nodes along the last axis; the carry from panel to panel
     in numpy scalars; the kernels of every node and of the initial
-    coherence joined by ``np.append``.  Under flat input the library must
-    return the same floats."""
+    coherence joined by ``np.append``; the PANEL_NODES-point Gauss rule on
+    every panel and on its halves."""
     for name, value in (("length", length), ("gamma", gamma), ("tau", tau)):
         if not 0.0 <= value < math.inf:  # rejects NaN too
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
@@ -173,7 +174,9 @@ def panel_pass(
     halved[1::2] = (edges[1:] + edges[:-1]) / 2.0
     lo = np.concatenate([edges[:-1], halved[:-1]])
     hi = np.concatenate([edges[1:], halved[1:]])
-    t, w = gauss_panels(lo, hi)
+    x, w = gauss_rule(PANEL_NODES)
+    width = (hi - lo)[:, None]
+    t, w = lo[:, None] + width * x, width * w
     # the edges hold every breakpoint, so inside a panel the rate a' is
     # constant and u L falls linearly from its value at the panel's start
     a, b = lo[:, None], hi[:, None]
