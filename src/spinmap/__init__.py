@@ -36,8 +36,7 @@ _EXPORTS = {
         "QuadratureConvergenceError", "QuadratureResult", "integrate_adaptive",
     ], "specfun"),
     **dict.fromkeys([
-        "BsReport", "ReadoutBudget", "TwoModeGaussian", "apply_linear_bs", "bs_matrix",
-        "commutator_defect", "coupling_r", "readout_noise_budget",
+        "BsReport", "ReadoutBudget", "commutator_defect", "coupling_r", "readout_noise_budget",
     ], "teleport"),
 }
 _SUBMODULES = frozenset(_EXPORTS.values())

@@ -138,12 +138,14 @@ def cmd_simulate(cfg: RunConfig) -> tuple[list[str], int, list[str]]:
     tau_max = cfg["grid.tau_max_gamma"]
     medium, drive = _dimensionless_medium_drive(cfg.alpha(), tau_max, cfg.pulse())
     grid = dynamics.GridSpec(nz=cfg["grid.nz"], ntau=cfg["grid.ntau"], tau_max=tau_max)
-    if dynamics.PulseArea.from_drive(drive).max_rate() > 0.0:
+    if dynamics.PulseArea.from_drive(drive).value(tau_max) > 0.0:
+        # the coarsest rung, coarser by factor, needs at least 2 cells
         factor = 2 ** (SIMULATE_KERNEL_LEVELS - 1)
         for key in ("grid.nz", "grid.ntau"):
-            if cfg[key] % factor:
-                raise ConfigError(key, f"must be divisible by {factor} for the "
-                                       f"{SIMULATE_KERNEL_LEVELS}-level kernel study, got {cfg[key]}")
+            if cfg[key] % factor or cfg[key] < 2 * factor:
+                raise ConfigError(key, f"must be a multiple of {factor} of at least {2 * factor} "
+                                       f"for the {SIMULATE_KERNEL_LEVELS}-level kernel study, "
+                                       f"got {cfg[key]}")
         # the study's coarsest rung is the first grid to break a stability
         # bound, so it runs before the grid oracle
         study = dynamics.light_kernel_convergence(medium, drive, grid,

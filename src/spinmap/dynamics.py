@@ -46,8 +46,7 @@ Kronrod nodes y is e^{Gq h (1 - xi)} <= e^3 times y at the piece's start,
 damped to its end, plus the integral of B's interpolant from the start to
 the node (the middle node starts the third piece); ``_filter_tables``
 holds those integrals, with every piece's Gauss rule beside them, as one
-table cached per node count, so the filter of a call is one matrix
-product.
+cached table, so the filter of a call is one matrix product.
 
 Cost: flat input evaluates the kernels at 33 nodes a panel, lorentzian
 input 64 more for the pieces (97 a panel); 1-25 panels cover the
@@ -132,7 +131,11 @@ was cut, which this one matches float for float.
 
 ``light_kernel_convergence`` makes the same pass, Langevin part off, on a
 ladder of grids halved from the given one and compares each light-kernel
-table with the continuum kernel (``light_kernel_reference``).  Every rung
+table with the continuum kernel (``light_kernel_reference``) on the
+columns of the rung's lit steps: the table is zero on a dark step's
+column, where the continuum kernel is the one per unit drive amplitude,
+so a pulse that goes dark inside the window is compared where it couples
+(under a drive lit at every step, on the whole table).  Every rung
 runs first, so the reference is never held beside a rung's symbol table;
 it is evaluated after them, once, from the finest rung's discretization
 (area, dephasing, nodes), and sliced for every coarser rung: halving
@@ -162,6 +165,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .mapping import NoiseReport, SqueezingModel
 from .model import DriveParams, MediumParams, total_dephasing
 from .specfun import (QuadratureConvergenceError, QuadratureResult, bessel_kernels, gauss_rule,
@@ -239,12 +243,6 @@ class PulseArea:
             areas.append(areas[-1] + rate * (end - start))
         return np.array((starts, rates, areas))
 
-    def _locate(self, tau, side: str):
-        t = np.asarray(tau, dtype=float)
-        if not (t >= 0).all():  # "not >=" rejects NaN too
-            raise ValueError(f"tau must be nonnegative, got {tau}")
-        return t, self._segments[0, 1:].searchsorted(t, side=side)
-
     def on_segments(self, t, k) -> tuple[np.ndarray, np.ndarray]:
         """a(t) and the rate a'(t) for times t that lie in segments k, ends
         included (0 for the first segment, len(breakpoints) for the open
@@ -257,15 +255,11 @@ class PulseArea:
     def value(self, tau):
         """a(tau); a(0) = 0, nondecreasing.  A float gives a float, an array
         of times an array."""
-        a = self.on_segments(*self._locate(tau, "right"))[0]
+        t = np.asarray(tau, dtype=float)
+        if not (t >= 0).all():  # "not >=" rejects NaN too
+            raise ValueError(f"tau must be nonnegative, got {tau}")
+        a = self.on_segments(t, self._segments[0, 1:].searchsorted(t, side="right"))[0]
         return float(a) if a.ndim == 0 else a
-
-    def rate(self, tau):
-        """Instantaneous coupling rate a'(tau) (right-continuous); a float
-        gives a float, an array of times an array."""
-        _, k = self._locate(tau, "right")
-        r = self._segments[1, k]
-        return float(r) if r.ndim == 0 else r
 
     def pieces(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
         """The cuts 0, the breakpoints before tau, and tau, and a(t) at each:
@@ -311,9 +305,6 @@ class PulseArea:
         return PulseArea(self.breakpoints, tuple(map(math.sqrt, self.rates)),
                          math.sqrt(self.final_rate))
 
-    def max_rate(self) -> float:
-        return max((*self.rates, self.final_rate), default=self.final_rate)
-
 
 PANEL_PHASE = 10.0   # most Bessel phase 2 sqrt(u L) a transient panel spans [rad]
 PANEL_DECAY = 12.0   # most e-folds of the fastest exponential a transient panel spans
@@ -323,10 +314,10 @@ TRANSIENT_PANEL_LIMIT = 10_000  # most panels on [0, tau]; a lorentzian call at 
 
 
 @functools.lru_cache(maxsize=None)
-def _filter_tables(m: int) -> tuple[np.ndarray, ...]:
+def _filter_tables() -> tuple[np.ndarray, ...]:
     """The fixed tables of the lorentzian filter on panels of the
-    (2m + 1)-node ``kronrod_rule(m)``, in units of the panel [0, 1] and of
-    its pieces' width h (read-only).
+    (2m + 1)-node ``kronrod_rule(m)``, m = PANEL_NODES, in units of the
+    panel [0, 1] and of its pieces' width h (read-only).
 
     A panel is cut into FILTER_PIECES pieces, each with its own m-node
     Gauss rule.  Returns the pieces' nodes ``at``, piece by piece; ``tail``,
@@ -342,6 +333,7 @@ def _filter_tables(m: int) -> tuple[np.ndarray, ...]:
     exact on l_i P_k), and (2k + 1) int_0^xi P_k(2 s - 1) ds is
     (P_{k+1} - P_{k-1})(2 xi - 1) / 2, xi for k = 0.
     """
+    m = specfun.PANEL_NODES
     x, w = gauss_rule(m)
     outer = kronrod_rule(m)[0] * FILTER_PIECES
     # floor, kept below FILTER_PIECES: a node on a piece boundary, as the
@@ -477,13 +469,12 @@ def transient_variance(
         # y(t) = int_0^t A(t') e^{-Gq (t - t')} dt', A = amp.  It runs on the
         # FILTER_PIECES pieces [s, e] of width h of every panel, where
         # B(t') = A(t') e^{-Gq (e - t')}, factors at most 1, is a polynomial
-        # of degree m - 1 to round-off.  A piece's Gauss rule carries y to
-        # its end, y(e) = z + int_s^e B with z = e^{-Gq h} y(s), and a
-        # Kronrod node t = s + h xi of the piece reads
+        # of degree PANEL_NODES - 1 to round-off.  A piece's Gauss rule
+        # carries y to its end, y(e) = z + int_s^e B with z = e^{-Gq h} y(s),
+        # and a Kronrod node t = s + h xi of the piece reads
         # y(t) = e^{Gq h (1 - xi)} (z + int_s^t B), at most e^3 times z plus
         # the integral of B's interpolant: ``rows`` gives every integral.
-        m = w_gauss.shape[1]
-        at, tail, rows, piece, lift = _filter_tables(m)
+        at, tail, rows, piece, lift = _filter_tables()
         width = (hi - lo)[:, None]
         h = width / FILTER_PIECES
         gh = gq * h
@@ -763,7 +754,11 @@ class _Discretization:
         self.dz = dz = length / nz
         self.dt = dt = grid.tau_max / ntau
 
-        g_max = area.max_rate()
+        # the bounds read the drive inside the window: the rates of the
+        # segments that start before its end (a straddling step's mean rate
+        # can round an ulp above both of its segments')
+        inside = 1 + bisect.bisect_left(area.breakpoints, grid.tau_max)
+        g_max = max((*area.rates, area.final_rate)[:inside])
         if g_max * dt * dz > STABILITY_EXCHANGE_BOUND:
             raise GridConfigError(f"exchange bound violated at nz={nz} ntau={ntau}: "
                                   f"g*dt*dz = {g_max * dt * dz:.3g} > {STABILITY_EXCHANGE_BOUND}")
@@ -1059,11 +1054,15 @@ def light_kernel_convergence(
     """Refinement study of the discretized light kernel against the analytic one.
 
     Runs the oracle on ``levels`` grids obtained by halving the given grid,
-    coarsest first, and measures the relative L2 error of the kernel table.
-    Every rung is discretized, and so checked against the stability bounds,
-    before any runs.  The continuum kernel is evaluated once, on the finest
-    grid's nodes, after every rung has run, and a grid coarser by s takes
-    every s-th row and column.
+    coarsest first, and measures the relative L2 error of the kernel table
+    over the columns of the rung's lit steps (``rates > 0``): the table is
+    zero where the drive is dark, the continuum kernel is not, so both the
+    difference and the reference's norm leave those columns out.  A drive
+    lit at every step compares the whole table.  Every rung is discretized,
+    and so checked against the stability bounds, before any runs.  The
+    continuum kernel is evaluated once, on the finest grid's nodes, after
+    every rung has run, and a grid coarser by s takes every s-th row and
+    column.
     """
     factor = 2 ** (levels - 1)
     if grid.nz % factor or grid.ntau % factor:
@@ -1076,6 +1075,9 @@ def light_kernel_convergence(
     errors = []
     for disc, kernel in zip(discs, kernels):
         reference = fine[::grid.ntau // disc.ntau, ::grid.ntau // disc.ntau]
+        lit = disc.rates > 0
+        if not lit.all():  # else the whole table, in place
+            kernel, reference = kernel[:, lit], reference[:, lit]
         kernel -= reference  # the table is the rung's own: no temporary of its size
         errors.append(float(np.linalg.norm(kernel) / np.linalg.norm(reference)))
     orders = tuple(float(np.log2(a / b)) for a, b in itertools.pairwise(errors))

@@ -515,27 +515,28 @@ def panel_sums(values, weights, gauss_weights) -> np.ndarray:
     return sums
 
 
-def _kronrod_panels(lo, hi, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``kronrod_rule(n)`` nodes and weights on the panels [lo, hi] of
-    the unit interval, moved onto [0, inf) by x = t / (1 - t), and the
-    weights of the embedded Gauss rule at the odd-indexed nodes: [panel, node]."""
-    t, w = kronrod_rule(n)
+def _kronrod_panels(lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``kronrod_rule(PANEL_NODES)`` nodes and weights on the panels
+    [lo, hi] of the unit interval, moved onto [0, inf) by x = t / (1 - t),
+    and the weights of the embedded Gauss rule at the odd-indexed nodes:
+    [panel, node]."""
+    t, w = kronrod_rule(PANEL_NODES)
     lo = lo[:, None]
     width = hi[:, None] - lo
     t = lo + width * t
     u = 1.0 - t
     scale = width / (u * u)
-    return t / u, scale * w, scale[:, 1::2] * gauss_rule(n)[1]
+    return t / u, scale * w, scale[:, 1::2] * gauss_rule(PANEL_NODES)[1]
 
 
 @functools.lru_cache(maxsize=None)
-def _initial_panels(panels: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_kronrod_panels`` of the adaptive rule's first pass, ``panels``
+def _initial_panels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_kronrod_panels`` of the adaptive rule's first pass, INITIAL_PANELS
     equal panels of the unit interval."""
     import numpy as np
 
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    tables = _kronrod_panels(edges[:-1], edges[1:], n)
+    edges = np.linspace(0.0, 1.0, INITIAL_PANELS + 1)
+    tables = _kronrod_panels(edges[:-1], edges[1:])
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -574,8 +575,7 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], tol: float) -> Qua
 
     # panels live on the unit interval, each with its nodes, Kronrod and
     # Gauss weights
-    n, rule = min(INITIAL_PANELS, PANEL_LIMIT), PANEL_NODES
-    nodes, *weights = _initial_panels(n, rule)
+    nodes, *weights = _initial_panels()
     sums = panel_sums(np.asarray(f(nodes)), *weights)
     if sums.ndim != 3:
         raise ValueError("the integrand must return its parts stacked along a new first axis, "
@@ -613,13 +613,13 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], tol: float) -> Qua
                 f"({', '.join(f'{b:.3g}' for b in budgets)}) at the limit of {PANEL_LIMIT} panels",
                 result)
         if panels is None:
-            edges = np.linspace(0.0, 1.0, n + 1)
+            edges = np.linspace(0.0, 1.0, INITIAL_PANELS + 1)
             panels = np.stack([edges[:-1], edges[1:]])
         keep = ~split
         lo, hi = panels[:, split]
         mid = (lo + hi) / 2.0
         children = np.stack([np.concatenate([lo, mid]), np.concatenate([mid, hi])])
-        nodes, *weights = _kronrod_panels(*children, rule)
+        nodes, *weights = _kronrod_panels(*children)
         panels = np.concatenate([panels[:, keep], children], axis=1)
         evaluations += nodes.size
         sums = np.concatenate([sums[:, :, keep], panel_sums(np.asarray(f(nodes)), *weights)],

@@ -5,61 +5,20 @@ the field area mode theta through
 
     q_out = q_in - i r theta_in,      theta_out = theta_in - i r q_in,
 
-with r = sqrt(alpha_pulse).  The map is implemented literally on the four
-real quadratures (Xq, Pq, Xtheta, Ptheta).  Taken at face value it is not
+with r = sqrt(alpha_pulse).  The read-out is reported as scalars: the
+coupling r against its linearization threshold, the commutator defect and
+the EPR-resource condition.  Taken at face value the map is not
 symplectic: commutators grow by exactly r^2, which is surfaced as a
-diagnostic rather than silently corrected.
-
-The scalar read-out (``coupling_r``, ``readout_noise_budget``) runs on plain
-Python; numpy is imported only where arrays are built.
+diagnostic rather than silently corrected.  Everything here runs on plain
+Python.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_R_THRESHOLD = 0.3
 CLASSICAL_BASELINE = 1.0  # one vacuum unit of added noise; the bound any
                           # measure-and-reconstruct strategy cannot beat
-
-
-@dataclass(frozen=True)
-class TwoModeGaussian:
-    """Gaussian state of the atomic mode q and field area mode theta.
-
-    mean : quadrature expectation values (Xq, Pq, Xtheta, Ptheta)
-    cov : symmetric 4x4 covariance matrix; vacuum is the identity
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        import numpy as np
-
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.shape != (4,):
-            raise ValueError("mean must have shape (4,)")
-        if cov.shape != (4, 4):
-            raise ValueError("cov must have shape (4, 4)")
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
-        if not np.all(np.diag(cov) >= 0):  # "not >=" rejects NaN too
-            raise ValueError("covariance diagonal must be nonnegative")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @classmethod
-    def vacuum(cls) -> "TwoModeGaussian":
-        import numpy as np
-
-        return cls(mean=np.zeros(4), cov=np.eye(4))
 
 
 @dataclass(frozen=True)
@@ -91,30 +50,6 @@ class ReadoutBudget:
         return CLASSICAL_BASELINE
 
 
-def _bs_rows(r: float) -> tuple[tuple[float, ...], ...]:
-    """The rows of S (see ``bs_matrix``) as plain floats."""
-    if not math.isfinite(r):
-        raise ValueError(f"r must be finite, got {r}")
-    return (
-        (1.0, 0.0, 0.0, r),
-        (0.0, 1.0, -r, 0.0),
-        (0.0, r, 1.0, 0.0),
-        (-r, 0.0, 0.0, 1.0),
-    )
-
-
-def bs_matrix(r: float) -> np.ndarray:
-    """Quadrature representation of the beam-splitter map.
-
-    With q = Xq + i Pq and theta = Xt + i Pt, q - i r theta mixes real and
-    imaginary parts crosswise, giving S = I + r K with K antisymmetric.
-    Negative r is accepted so the map can be applied in reverse.
-    """
-    import numpy as np
-
-    return np.array(_bs_rows(r))
-
-
 def coupling_r(alpha_pulse: float, threshold: float = DEFAULT_R_THRESHOLD) -> BsReport:
     """Beam-splitter coupling r = sqrt(alpha_pulse) for a short weak pulse.
 
@@ -132,16 +67,11 @@ def coupling_r(alpha_pulse: float, threshold: float = DEFAULT_R_THRESHOLD) -> Bs
     )
 
 
-def apply_linear_bs(state: TwoModeGaussian, r: float) -> TwoModeGaussian:
-    """Apply the linearized beam splitter to means and covariance."""
-    s = bs_matrix(r)
-    return TwoModeGaussian(mean=s @ state.mean, cov=s @ state.cov @ s.T)
-
-
 def commutator_defect(r: float) -> float:
     """Deviation of the linearized map from a commutator-preserving one: the
-    largest entry of S^T Omega S - Omega, Omega the two-mode symplectic
-    form.  S^T Omega S = (1 + r^2) Omega for this map family, so it is r^2,
+    largest entry of S^T Omega S - Omega, S the map on the real quadratures
+    (Xq, Pq, Xtheta, Ptheta) and Omega the two-mode symplectic form.
+    S^T Omega S = (1 + r^2) Omega for this map family, so it is r^2,
     returned as such: the product would compute (1 + r^2) - 1 and lose the
     digits of r^2 at small r."""
     if not math.isfinite(r):

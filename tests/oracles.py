@@ -1,11 +1,14 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is computed from power series in high-precision arithmetic
-(mpmath), deliberately avoiding the scipy routes the library itself uses, so
-frozen expected values in the tests stay independent of the implementation.
+The special functions are computed from power series in high-precision
+arithmetic (mpmath), deliberately avoiding the scipy routes the library
+itself uses, so frozen expected values in the tests stay independent of the
+implementation.  The read-out map is built from the complex mode relations,
+the only construction of it.
 """
 
 import mpmath
+import numpy as np
 
 mpmath.mp.dps = 80
 
@@ -77,3 +80,17 @@ def bisect_root(f, lo: float, hi: float, iterations: int = 200) -> float:
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def complex_map_oracle(r: float) -> np.ndarray:
+    """The beam-splitter read-out on the real quadratures (Xq, Pq, Xtheta,
+    Ptheta), built from the complex mode relations q -> q - i r theta,
+    theta -> theta - i r q with q = Xq + i Pq, theta = Xtheta + i Ptheta."""
+    s = np.zeros((4, 4))
+    for col, e in enumerate(np.eye(4)):
+        q = e[0] + 1j * e[1]
+        th = e[2] + 1j * e[3]
+        q_out = q - 1j * r * th
+        th_out = th - 1j * r * q
+        s[:, col] = [q_out.real, q_out.imag, th_out.real, th_out.imag]
+    return s

@@ -38,11 +38,10 @@ def integrate_adaptive(f, tol):
         gauss = (values[:, 1::2] * gauss_weights).sum(axis=-1)
         return kronrod, np.abs(kronrod - gauss), np.abs(weighted).sum(axis=-1)
 
-    n, rule = specfun.INITIAL_PANELS, specfun.PANEL_NODES
-    tables = specfun._initial_panels(n, rule)
+    tables = specfun._initial_panels()
     sums, errors, mags = panel_sums(*tables)
     evaluations = tables[0].size
-    edges = np.linspace(0.0, 1.0, n + 1)
+    edges = np.linspace(0.0, 1.0, specfun.INITIAL_PANELS + 1)
     panels = np.stack([edges[:-1], edges[1:]])
     while True:
         result = ScalarResult(float(sums.sum()), float(errors.sum()), float(mags.sum()),
@@ -58,7 +57,7 @@ def integrate_adaptive(f, tol):
         lo, hi = panels[:, split]
         mid = (lo + hi) / 2.0
         children = np.stack([np.concatenate([lo, mid]), np.concatenate([mid, hi])])
-        tables = specfun._kronrod_panels(*children, rule)
+        tables = specfun._kronrod_panels(*children)
         new_sums, new_errors, new_mags = panel_sums(*tables)
         evaluations += tables[0].size
         panels = np.concatenate([panels[:, keep], children], axis=1)

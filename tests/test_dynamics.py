@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 from pathlib import Path
@@ -75,7 +76,6 @@ class TestPulseArea:
         area = PulseArea.constant(3.0)
         for tau in (0.1, 1.0, 7.5):
             assert area.value(tau) == pytest.approx(3.0 * tau, rel=1e-15)
-            assert area.rate(tau) == 3.0
 
     def test_piecewise_exact(self):
         area = PulseArea.from_drive(DriveParams(g=2.0, gamma_s=0.0, tau_pulse=1.0,
@@ -83,24 +83,19 @@ class TestPulseArea:
         assert area.value(1.0) == pytest.approx(2.0, rel=1e-15)
         assert area.value(1.5) == pytest.approx(2.0 + 0.5, rel=1e-15)
         assert area.value(5.0) == pytest.approx(3.0, rel=1e-15)  # drive off after pulse
-        assert area.rate(1.2) == 1.0
-        assert area.rate(3.0) == 0.0
 
     def test_value_and_rate_take_arrays(self):
         area = PulseArea.from_drive(DriveParams(g=2.0, gamma_s=0.0, tau_pulse=1.0,
                                                 profile=((0.5, 1.0), (0.5, 0.25))))
         taus = np.array([0.0, 0.25, 0.5, 0.7, 1.0, 3.0])
         assert area.value(taus) == pytest.approx([0.0, 0.5, 1.0, 1.1, 1.25, 1.25], rel=1e-15)
-        assert area.rate(taus).tolist() == [2.0, 2.0, 0.5, 0.5, 0.0, 0.0]  # right-continuous
         assert area.value(taus.reshape(2, 3)).shape == (2, 3)
         # a float in gives a float out, equal to the array's entry
-        assert type(area.value(0.7)) is float and type(area.rate(0.7)) is float
+        assert type(area.value(0.7)) is float
         assert area.value(0.7) == area.value(taus)[3]
         for bad in (-0.1, math.nan, np.array([0.5, -1.0])):
             with pytest.raises(ValueError):
                 area.value(bad)
-            with pytest.raises(ValueError):
-                area.rate(bad)
 
     def test_step_rates_exact_inside_segments(self):
         area = PulseArea.from_drive(DriveParams(g=2.0, gamma_s=0.0, tau_pulse=1.0,
@@ -307,8 +302,11 @@ class TestTransientVariance:
                                        SqueezingModel.lorentzian(5.0, s=0.8)])
     def test_budget_miss_raises_with_best_estimate(self, monkeypatch, model):
         # the Kronrod extension of two Gauss nodes leaves the estimate far
-        # above the budget
+        # above the budget; the filter tables, cached for the shipped rule,
+        # are built afresh for this one
         monkeypatch.setattr(specfun, "PANEL_NODES", 2)
+        monkeypatch.setattr(dynamics, "_filter_tables",
+                            functools.cache(dynamics._filter_tables.__wrapped__))
         with pytest.raises(QuadratureConvergenceError, match="Langevin part did not converge") as err:
             transient_variance(PulseArea.constant(5.0), 1.0, 1.0, model, 3.0)
         best = err.value.best
@@ -350,7 +348,7 @@ class TestTransientVariance:
         # at the geometry bounds of the high-bandwidth drives the light part
         # is the gap-rule reference's to 1e-13
         m, pieces = specfun.PANEL_NODES, dynamics.FILTER_PIECES
-        at, tail, rows, piece, lift = dynamics._filter_tables(m)
+        at, tail, rows, piece, lift = dynamics._filter_tables()
         outer = specfun.kronrod_rule(m)[0]
         np.testing.assert_allclose((piece + 1.0 - lift) / pieces, outer, rtol=0, atol=1e-15)
         np.testing.assert_allclose(at + tail / pieces, np.arange(1, pieces + 1).repeat(m) / pieces,
@@ -496,7 +494,8 @@ class TestSimulateGrid:
                     if any(tau[kp] < b < tau[k] for b in area.breakpoints):
                         u = area.value(float(tau[k])) - area.value(float(tau[kp]))
                     else:
-                        u = area.rate(float(tau[kp])) * ((k - kp) * dt)
+                        rate = transient_reference.drive_rate(area, float(tau[kp]))
+                        u = rate * ((k - kp) * dt)
                     j = float(bessel_kernels(u * length, (1,))[0])
                     expected[k, kp] = np.exp(-gamma * ((k - kp) * dt)) * length * j
             assert np.array_equal(light_kernel_reference(area, length, gamma, tau), expected)
@@ -547,6 +546,29 @@ class TestSimulateGrid:
         for order in study.orders:
             assert 0.8 <= order <= 1.2
         assert study.errors[-1] <= 1e-3
+
+    @pytest.mark.parametrize("profile", [
+        ((0.25, 1.0),),                           # the pulse ends at half the window
+        ((0.15, 1.0), (0.2, 0.0), (0.15, 0.5)),  # a dark segment between two lit ones
+    ], ids=["ends-inside", "dark-segment"])
+    def test_kernel_convergence_compares_the_lit_columns(self, profile):
+        # the table is zero on the columns of the dark steps, where the
+        # continuum kernel is the one per unit drive amplitude: the study
+        # leaves those columns out, and the lit ones converge at first order
+        drive = DriveParams(g=0.5, gamma_s=0.0, tau_pulse=0.5, profile=profile)
+        study = light_kernel_convergence(unit_medium(), drive,
+                                         GridSpec(nz=200, ntau=200, tau_max=0.5))
+        assert study.monotone
+        for order in study.orders:
+            assert 0.8 <= order <= 1.2
+        # the finest rung's error over the lit columns, from its own tables
+        table, _ = simulate_grid(unit_medium(), drive, GridSpec(nz=200, ntau=200, tau_max=0.5),
+                                 SqueezingModel.flat(1.0))
+        ref = light_kernel_reference(PulseArea.from_drive(drive), 1.0, 1.0, table.tau)
+        lit = PulseArea.from_drive(drive).step_rates(0.5 / 200, 200)[0] > 0
+        assert not lit.all()
+        diff = table.light_kernel[:, lit] - ref[:, lit]
+        assert study.errors[-1] == float(np.linalg.norm(diff) / np.linalg.norm(ref[:, lit]))
 
     @pytest.mark.parametrize("profile", [
         (),                                           # constant drive
@@ -617,6 +639,20 @@ class TestSimulateGrid:
         with pytest.raises(GridConfigError, match=r"decay .* at nz=20 ntau=10: Gamma\*dt"):
             simulate_grid(medium, constant_drive(1e-3),
                           GridSpec(nz=20, ntau=10, tau_max=100.0), SqueezingModel.flat(1.0))
+
+    def test_stability_bounds_read_the_drive_inside_the_window(self):
+        # dark over the whole window, far too bright for this grid after it:
+        # inside the window nothing couples, so the grid passes the exchange
+        # bound and the variance stays at the vacuum
+        drive = DriveParams(g=1e3, gamma_s=0.0, tau_pulse=3.0, profile=((1.0, 0.0), (2.0, 1.0)))
+        grid = GridSpec(nz=10, ntau=10, tau_max=1.0)
+        table, _ = simulate_grid(unit_medium(), drive, grid, SqueezingModel.flat(0.0))
+        assert not table.light_kernel.any()
+        assert np.max(np.abs(table.variance_trace - 1.0)) < 1e-12
+        # lit from half the window on: the exchange bound sees that rate
+        lit = DriveParams(g=1e3, gamma_s=0.0, tau_pulse=3.0, profile=((0.5, 0.0), (2.5, 1.0)))
+        with pytest.raises(GridConfigError, match=r"g\*dt\*dz = 10 > 0.1"):
+            simulate_grid(unit_medium(), lit, grid, SqueezingModel.flat(0.0))
 
     # Traced peaks (tracemalloc counts numpy's buffers) of the grid oracle on
     # the benchmark's grids, at unit Gamma and L and tau_max = 0.5, bounded a

@@ -86,4 +86,4 @@ def test_exports_load_on_first_use(tmp_path):
     result = json.loads(proc.stdout)
     assert result["loaded"] == []  # neither a spinmap submodule nor numpy
     assert result["wrong"] == [] and result["undirected"] == []
-    assert result["names"] == 45
+    assert result["names"] == 42

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from spinmap import dynamics, mapping, teleport
@@ -250,8 +249,6 @@ NAN_CASES = {
     "BsReport.r": lambda: teleport.BsReport(r=NAN, valid=True, commutator_defect=0.0),
     "readout_noise_budget.r": lambda: teleport.readout_noise_budget(NAN, 0.0),
     "readout_noise_budget.epr_residual": lambda: teleport.readout_noise_budget(1.0, NAN),
-    "TwoModeGaussian.cov": lambda: teleport.TwoModeGaussian(mean=np.zeros(4),
-                                                            cov=np.diag([1.0, NAN, 1.0, 1.0])),
     "PulseArea.breakpoints": lambda: dynamics.PulseArea(breakpoints=(NAN,), rates=(1.0,)),
     "PulseArea.rates": lambda: dynamics.PulseArea(breakpoints=(1.0,), rates=(NAN,)),
     "PulseArea.final_rate": lambda: dynamics.PulseArea.constant(NAN),

@@ -4,17 +4,17 @@
 replaced: every integral is an adaptive ``scipy.integrate.quad`` split at
 the drive breakpoints, and the lorentzian correlator is a double integral,
 an inner adaptive quadrature per outer node with an explicit split at the
-correlator's kink.  It uses scipy's scalar Bessel functions and
-``PulseArea.value`` one point at a time, and shares no quadrature rule,
-node, filter or Bessel evaluation with the panel engine.
+correlator's kink.  It uses scipy's scalar Bessel functions,
+``PulseArea.value`` and ``drive_rate`` one point at a time, and shares no
+quadrature rule, node, filter or Bessel evaluation with the panel engine.
 
 ``panel_pass`` is the panel engine as it stood before its fixed cost per
 call was cut and before it moved onto Gauss-Kronrod panels: the same panel
 edges, the PANEL_NODES-point Gauss rule on every panel and again on its
 halves, whose change is the estimate, reached through public
-``PulseArea`` calls and plain numpy layouts, with the lorentzian filter it
-had then, a GAP_NODES-point Gauss rule in every gap between a panel's
-nodes.  The library's pass must reach the same outcome, and the same
+``PulseArea`` calls, ``drive_rate`` and plain numpy layouts, with the
+lorentzian filter it had then, a GAP_NODES-point Gauss rule in every gap
+between a panel's nodes.  The library's pass must reach the same outcome, and the same
 report to round-off.
 """
 
@@ -41,6 +41,14 @@ HIGH_BANDWIDTH = [
     (PulseArea((0.4, 1.1, 2.0), (10.0, 0.0, 30.0), 0.0), SqueezingModel.lorentzian(60.0, s=0.6),
      3.0),
 ]
+
+
+def drive_rate(area, t):
+    """The drive rate a'(t), right-continuous, from the drive's public
+    ``breakpoints``, ``rates`` and ``final_rate``: the rate of the segment
+    that t lies in.  A float gives a float, an array of times an array."""
+    rate = np.array((*area.rates, area.final_rate))[np.searchsorted(area.breakpoints, t, "right")]
+    return float(rate) if rate.ndim == 0 else rate
 
 
 def _phi2(y):
@@ -84,7 +92,7 @@ def transient_variance(area, length, gamma, model, tau, tol=1e-10) -> NoiseRepor
 
     def light_amplitude(tp):
         u = a_tau - area.value(tp)
-        return (math.exp(-gamma * (tau - tp)) * math.sqrt(area.rate(tp) * length)
+        return (math.exp(-gamma * (tau - tp)) * math.sqrt(drive_rate(area, tp) * length)
                 * _j1_over_sqrt(u * length))
 
     var_white = _integrate_with_knots(lambda tp: light_amplitude(tp) ** 2, 0.0, tau, knots, tol)
@@ -181,7 +189,7 @@ def panel_pass(
     # constant and u L falls linearly from its value at the panel's start
     a, b = lo[:, None], hi[:, None]
     ul_start = ((a_tau - area.value(lo)) * length)[:, None]
-    slope = area.rate((lo + hi) / 2.0)[:, None] * length
+    slope = drive_rate(area, (lo + hi) / 2.0)[:, None] * length
     weight = np.sqrt(slope)  # the drive weight sqrt(a' L) of the light kernel
     ul = ul_start - slope * (t - a)
     # J0 and j = sqrt(1/(u L)) J1 at 2 sqrt(u L) for every node and, last,
